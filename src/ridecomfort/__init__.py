@@ -29,7 +29,6 @@ from ridecomfort.errors import (
     NonFiniteState,
     InvalidBand,
     GridMismatch,
-    DegenerateInput,
     UnsupportedRate,
     UnitMismatch,
     RateMismatch,

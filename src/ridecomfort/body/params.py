@@ -153,11 +153,9 @@ class BodyParams:
         """Load a named preset shipped with the package, optionally overridden."""
         try:
             text = resources.files("ridecomfort.data").joinpath(f"body_{name}.json").read_text()
-        except FileNotFoundError:
+        except (OSError, ValueError):  # no such file, or a name no file can have
             raise ConfigError([(f"model.preset", f"unknown preset {name!r}")]) from None
         raw = json.loads(text)
-        raw.pop("schema_version", None)
-        raw.pop("label", None)
         if overrides:
             unknown = sorted(set(overrides) - set(cls.field_names()))
             if unknown:
@@ -238,8 +236,8 @@ class PostureConfig:
 
     posture: str = "erect"
     backrest_contact: str = "high"
-    initial_joint_angles_rad: dict | None = None
-    locked_coordinates: tuple = ()
+    initial_joint_angles_rad: dict[str, float] | None = None
+    locked_coordinates: tuple[str, ...] = ()
 
     def validate(self, source: str = "posture") -> None:
         errors = []

@@ -137,10 +137,10 @@ def cmd_stht(args):
     try:
         model = build_model(config.body, config.posture)
         result = run_stht(model, config.excitation,
-                          welch=config.stht["welch"],
-                          band_hz=config.stht["band_hz"],
-                          min_prominence=config.stht["min_prominence"],
-                          channels=config.stht["channels"] or RESPONSE_CHANNELS)
+                          welch=config.stht.welch,
+                          band_hz=config.stht.band_hz,
+                          min_prominence=config.stht.min_prominence,
+                          channels=config.stht.channels or RESPONSE_CHANNELS)
     except (RideComfortError, ValueError) as exc:
         if isinstance(exc, (StageError, ConfigError)):
             raise

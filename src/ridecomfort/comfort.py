@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
 import scipy.signal as sps
 
 from .errors import RateMismatch, UnitMismatch, UnsupportedRate
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, save_json
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -273,15 +273,7 @@ class ComfortReport:
     settle_s: float
 
     def as_dict(self):
-        return {
-            "weighted_rms_m_s2": dict(self.weighted_rms_m_s2),
-            "weightings_used": dict(self.weightings_used),
-            "msdv_m_s15": self.msdv_m_s15,
-            "iso_msi_percent": self.iso_msi_percent,
-            "msdv_channel": self.msdv_channel,
-            "duration_s": self.duration_s,
-            "settle_s": self.settle_s,
-        }
+        return asdict(self)
 
 
 def comfort_report(seat_motion=None, body_response=None, settle_s=0.0,
@@ -329,6 +321,4 @@ def comfort_report(seat_motion=None, body_response=None, settle_s=0.0,
 
 
 def save_comfort_report(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(report.as_dict(), path)

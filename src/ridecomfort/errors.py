@@ -92,12 +92,6 @@ class GridMismatch(RideComfortError):
     pass
 
 
-# -- perception ---------------------------------------------------------------
-
-class DegenerateInput(RideComfortError):
-    pass
-
-
 # -- comfort metrics ----------------------------------------------------------
 
 class UnsupportedRate(RideComfortError):

@@ -8,6 +8,7 @@ resonance hunting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class ExcitationSpec:
 
     axis: str = "z"
     kind: str = "noise"             # "noise" | "sweep"
-    band_hz: tuple = (0.5, 12.0)
+    band_hz: tuple[float, float] = (0.5, 12.0)
     rms_m_s2: float = 0.5
     duration_s: float = 120.0
     dt_s: float = 0.001
@@ -44,6 +45,11 @@ class ExcitationSpec:
         if self.kind not in ("noise", "sweep"):
             raise ValueError(f"kind must be noise or sweep, got {self.kind!r}")
         f_lo, f_hi = self.band_hz
+        if not all(map(math.isfinite, (f_lo, f_hi, self.rms_m_s2,
+                                       self.duration_s, self.dt_s))):
+            raise ValueError("band_hz, rms_m_s2, duration_s and dt_s must be finite")
+        if self.dt_s <= 0:
+            raise ValueError("dt_s must be > 0")
         if not (0.0 < f_lo < f_hi):
             raise InvalidBand(f"band must satisfy 0 < f_lo < f_hi, got {self.band_hz}")
         if f_hi >= 0.5 / self.dt_s:
@@ -51,8 +57,8 @@ class ExcitationSpec:
                 f"band top {f_hi} Hz reaches Nyquist for dt={self.dt_s}")
         if self.rms_m_s2 <= 0:
             raise ValueError("rms_m_s2 must be > 0")
-        if self.dt_s <= 0:
-            raise ValueError("dt_s must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.duration_s * f_lo < _MIN_CYCLES:
             raise InvalidBand(
                 f"duration {self.duration_s} s gives fewer than {_MIN_CYCLES:.0f} "

@@ -7,13 +7,20 @@ sickness, metrics), persists every intermediate trace to the output
 directory, and writes a deterministic ``report.json`` plus a volatile
 ``timing.json`` holding wall clocks and realtime factors.  Keeping timing
 out of the report makes two runs of the same scenario byte-identical.
+
+The config reader is derived from the parameter dataclasses: each key's
+type is its field's annotation and each omitted key takes the field's
+default, so no default is restated here.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +30,11 @@ from .body.integrate import simulate
 from .comfort import comfort_report, save_comfort_report
 from .errors import ConfigError, IoError, RideComfortError, StageError
 from .excitation import SEAT_CHANNELS, ExcitationSpec, generate_excitation
-from .perception import VestibularParams, VisionParams, perceive
+from .perception import VestibularParams, perceive
 from .sickness import AccumulatorParams, accumulate, save_summary, summarize
-from .spectral import WelchParams, detect_peaks, estimate_frf
-from .stht import RESPONSE_CHANNELS, default_welch_params
-from .timeseries import load_timeseries, save_timeseries
+from .spectral import detect_peaks, estimate_frf
+from .stht import STHTOptions, default_welch_params
+from .timeseries import load_timeseries, save_json, save_timeseries
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +47,12 @@ _RESONANCE_CHANNELS = (
 )
 _DEFAULT_RESONANCE_BAND = (0.5, 10.0)
 _QUIET_INPUT_RMS = 1e-10
+
+# Longest synthetic input in samples: 10 000 s at 1 kHz, 111 times the
+# 90 001 samples of scenario_curved.  The body response alone holds 24
+# float64 channels per sample (about 1.9 GB at the cap), so a typo such as
+# duration_s: 1e12 is refused before anything is allocated.
+MAX_INPUT_SAMPLES = 10_000_000
 
 
 # -- configuration ------------------------------------------------------------
@@ -58,51 +71,161 @@ class ScenarioConfig:
     metrics_rms: bool
     metrics_msdv: bool
     metrics_settle_s: float
-    stht: dict
+    stht: STHTOptions
     output_dir: Path | None
     seed: int | None
 
 
-class _Section:
-    """Typed key extraction from one config dict, collecting all errors."""
+@dataclass(frozen=True)
+class _Metrics:
+    """The ``metrics`` section."""
 
-    def __init__(self, raw, path, errors):
-        self.raw = raw if isinstance(raw, dict) else {}
-        self.path = path
-        self.errors = errors
-        self.seen = set()
-        if raw is not None and not isinstance(raw, dict):
-            errors.append((path or "config", "must be a JSON object"))
+    weighted_rms: bool = True
+    msdv: bool = True
+    settle_s: float = 0.0
 
-    def _name(self, key):
-        return f"{self.path}.{key}" if self.path else key
-
-    def take(self, key, kinds, default=None, required=False):
-        self.seen.add(key)
-        if key not in self.raw:
-            if required:
-                self.errors.append((self._name(key), "required key is missing"))
-            return default
-        value = self.raw[key]
-        ok = isinstance(value, kinds)
-        if ok and kinds is not bool and isinstance(value, bool) and bool not in (
-                kinds if isinstance(kinds, tuple) else (kinds,)):
-            ok = False
-        if not ok:
-            wanted = kinds.__name__ if not isinstance(kinds, tuple) else \
-                "/".join(k.__name__ for k in kinds)
-            self.errors.append((self._name(key),
-                                f"expected {wanted}, got {type(value).__name__}"))
-            return default
-        return value
-
-    def reject_unknown(self):
-        for key in sorted(set(self.raw) - self.seen):
-            self.errors.append((self._name(key), "unknown key"))
+    def validate(self):
+        if self.settle_s < 0:
+            raise ValueError("settle_s must be >= 0")
 
 
-def _number(section, key, default=None, required=False):
-    return section.take(key, (int, float), default, required)
+@dataclass(frozen=True)
+class _Model:
+    """The ``model`` section: a shipped preset plus BodyParams overrides."""
+
+    preset: str = "default"
+    overrides: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _CsvInput:
+    """The ``input`` section of kind ``csv``."""
+
+    path: str
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """Top-level keys of a scenario file.
+
+    ``input`` and ``perception`` stay raw: each has a key that is not a
+    dataclass field (``kind``, ``anticipation``), so each has a reader below.
+    """
+
+    schema_version: int
+    input: dict
+    seed: int | None = None
+    model: _Model = field(default_factory=_Model)
+    posture: PostureConfig = field(default_factory=PostureConfig)
+    perception: dict = field(default_factory=dict)
+    accumulator: AccumulatorParams = field(default_factory=AccumulatorParams)
+    metrics: _Metrics = field(default_factory=_Metrics)
+    stht: STHTOptions = field(default_factory=STHTOptions)
+    output_dir: str | None = None
+
+
+# Python types that each annotation accepts; a JSON number may be an integer
+_ACCEPTS = {bool: bool, int: int, float: (int, float), str: str,
+            tuple: list, dict: dict}
+
+_INVALID = object()  # a value whose problems are already in the error list
+_hints = cache(typing.get_type_hints)  # one entry per dataclass read here
+
+
+def _fail(errors, path, message):
+    errors.append((path, message))
+    return _INVALID
+
+
+def _value(hint, value, path, errors):
+    """``value`` checked against the annotation ``hint``, or _INVALID.
+
+    JSON arrays become tuples and JSON objects under a dataclass annotation
+    become instances.  Every problem is reported at its leaf path.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:  # an optional field: X | None
+        if value is None:
+            return None
+        hint, args = args[0], typing.get_args(args[0])
+    kind = dict if is_dataclass(hint) else typing.get_origin(hint) or hint
+    if not isinstance(value, _ACCEPTS[kind]) or (
+            isinstance(value, bool) and kind is not bool):
+        wanted = "number" if kind is float else _ACCEPTS[kind].__name__
+        return _fail(errors, path,
+                     f"expected {wanted}, got {type(value).__name__}")
+    if is_dataclass(hint):
+        return _read(hint, value, path, errors)
+    # also false for NaN and for integers too large for a float
+    if kind is float and not abs(value) <= sys.float_info.max:
+        return _fail(errors, path, "must be a finite number")
+    if kind is tuple:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            return _fail(errors, path,
+                         f"expected {len(args)} elements, got {len(value)}")
+        items = tuple(_value(t, v, f"{path}[{i}]", errors)
+                      for i, (t, v) in enumerate(zip(args, value)))
+        return _INVALID if any(v is _INVALID for v in items) else items
+    if kind is dict and args:
+        items = {k: _value(args[1], v, f"{path}.{k}", errors)
+                 for k, v in value.items()}
+        return _INVALID if any(v is _INVALID for v in items.values()) else items
+    return value
+
+
+def _fields(cls, raw, path, errors, keys={}, partial=False):
+    """Checked constructor arguments of dataclass ``cls`` from the dict ``raw``.
+
+    A field's config key is its name unless ``keys`` renames it, and its
+    type is the field's annotation.  Omitted keys take the field's default;
+    a field without one is required unless ``partial``.  Unknown keys are
+    errors.  Keys with a problem are left out of the result.
+    """
+    hints, kwargs = _hints(cls), {}
+    known = {keys.get(f.name, f.name) for f in fields(cls)}
+    for f in fields(cls):
+        key = keys.get(f.name, f.name)
+        leaf = f"{path}.{key}" if path else key
+        if key in raw:
+            value = _value(hints[f.name], raw[key], leaf, errors)
+            if value is not _INVALID:
+                kwargs[f.name] = value
+        elif f.default is not MISSING:
+            kwargs[f.name] = f.default
+        elif f.default_factory is not MISSING:
+            kwargs[f.name] = f.default_factory()
+        elif not partial:
+            errors.append((leaf, "required key is missing"))
+    for key in sorted(set(raw) - known, key=str):
+        errors.append((f"{path}.{key}" if path else str(key), "unknown key"))
+    return kwargs
+
+
+def _read(cls, raw, path, errors, keys={}):
+    """Instance of dataclass ``cls`` from the dict ``raw``, or _INVALID.
+
+    After the type checks, the class's own ``validate()`` checks ranges.  A
+    ConfigError from it carries full paths; another error goes to the key
+    its message starts with, or else to ``path``.
+    """
+    kwargs = _fields(cls, raw, path, errors, keys)
+    if len(kwargs) < len(fields(cls)):  # a field is missing or invalid
+        return _INVALID
+    try:
+        obj = cls(**kwargs)
+        if hasattr(obj, "validate"):
+            obj.validate()
+    except ConfigError as exc:
+        errors.extend(exc.errors)
+        return _INVALID
+    except (RideComfortError, ValueError) as exc:
+        name = str(exc).split(" ", 1)[0]
+        if name in kwargs:
+            path = f"{path}.{keys.get(name, name)}"
+        return _fail(errors, path, str(exc))
+    return obj
 
 
 def load_config(path):
@@ -112,9 +235,11 @@ def load_config(path):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([("", f"not valid UTF-8: {exc}")]) from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError([("", f"not valid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([("", "top level must be a JSON object")])
@@ -141,226 +266,98 @@ def apply_cli_overrides(raw, seed=None, axis=None, vision=None):
     return raw
 
 
-def _validate_input(raw, base_dir, seed_given, errors):
-    sec = _Section(raw, "input", errors)
-    if raw is None:
-        errors.append(("input", "required section is missing"))
-        return "excitation", None, None
-    kind = sec.take("kind", str, required=True)
-    if kind not in ("excitation", "csv"):
-        if kind is not None:
-            errors.append(("input.kind", "must be 'excitation' or 'csv'"))
-        return "excitation", None, None
+def _read_input(raw, base_dir, seed, errors):
+    """(ExcitationSpec, csv path): one of them, as ``input.kind`` selects.
+
+    The config key ``signal`` holds the ExcitationSpec field ``kind``, and
+    a top-level ``seed`` fills in a missing ``input.seed``.
+    """
+    raw = dict(raw)
+    kind = raw.pop("kind", None)
     if kind == "csv":
-        rel = sec.take("path", str, required=True)
-        sec.reject_unknown()
-        if rel is None:
-            return kind, None, None
-        path = (base_dir / rel).resolve() if not Path(rel).is_absolute() \
-            else Path(rel)
-        if not path.is_file():
-            errors.append(("input.path", f"file not found: {path}"))
-        return kind, None, path
-    spec = ExcitationSpec(
-        axis=sec.take("axis", str, "z"),
-        kind=sec.take("signal", str, "noise"),
-        band_hz=tuple(sec.take("band_hz", list, [0.5, 12.0])),
-        rms_m_s2=_number(sec, "rms_m_s2", 0.5),
-        duration_s=_number(sec, "duration_s", 120.0),
-        dt_s=_number(sec, "dt_s", 0.001),
-        seed=sec.take("seed", int, 0),
-    )
-    if "seed" not in sec.raw and not seed_given:
-        errors.append(("input.seed",
-                       "a seed is required for synthetic excitation "
-                       "(here or at the top level)"))
-    sec.reject_unknown()
-    try:
-        spec.validate()
-    except (RideComfortError, ValueError) as exc:
-        errors.append(("input", str(exc)))
-    return kind, spec, None
+        csv = _read(_CsvInput, raw, "input", errors)
+        if csv is _INVALID:
+            return None, None
+        path = base_dir / csv.path
+        if path.is_file():
+            return None, path.resolve()
+        return None, _fail(errors, "input.path", f"file not found: {path}")
+    if kind != "excitation":
+        return None, _fail(errors, "input.kind", "must be 'excitation' or 'csv'")
+    if seed is not None:
+        raw.setdefault("seed", seed)
+    elif "seed" not in raw:
+        errors.append(("input.seed", "a seed is required for synthetic "
+                       "excitation (here or at the top level)"))
+    spec = _read(ExcitationSpec, raw, "input", errors, keys={"kind": "signal"})
+    if spec is not _INVALID and spec.duration_s / spec.dt_s > MAX_INPUT_SAMPLES:
+        errors.append(("input.duration_s",
+                       f"{spec.duration_s:g} s at dt_s = {spec.dt_s:g} s "
+                       f"exceeds the budget of {MAX_INPUT_SAMPLES} samples"))
+    return spec, None
 
 
-def _validate_model(raw, errors):
-    sec = _Section(raw or {}, "model", errors)
-    preset = sec.take("preset", str, "default")
-    overrides = sec.take("overrides", dict, {})
-    sec.reject_unknown()
-    known = set(BodyParams.field_names())
-    clean = {}
-    for key in sorted(overrides):
-        if key not in known:
-            errors.append((f"model.overrides.{key}", "unknown field"))
-        else:
-            clean[key] = overrides[key]
+def _read_model(model, errors):
+    """BodyParams from a ``model`` section: its preset with the overrides."""
+    overrides = _fields(BodyParams, model.overrides, "model.overrides",
+                        errors, partial=True)
     try:
-        return BodyParams.from_preset(preset, clean)
+        return BodyParams.from_preset(model.preset, overrides)
     except ConfigError as exc:
         for path, msg in exc.errors:
             leaf = path.rsplit(".", 1)[-1]
-            if leaf in clean and not path.startswith("model.overrides"):
+            if leaf in overrides and not path.startswith("model.overrides"):
                 path = f"model.overrides.{leaf}"
             errors.append((path, msg))
-    except (TypeError, ValueError) as exc:
-        errors.append(("model.overrides", str(exc)))
-    return None
-
-
-def _validate_posture(raw, errors):
-    sec = _Section(raw or {}, "posture", errors)
-    posture = PostureConfig(
-        posture=sec.take("posture", str, "erect"),
-        backrest_contact=sec.take("backrest_contact", str, "high"),
-        initial_joint_angles_rad=sec.take("initial_joint_angles_rad", dict),
-        locked_coordinates=tuple(sec.take("locked_coordinates", list, [])),
-    )
-    sec.reject_unknown()
-    try:
-        posture.validate()
-    except ConfigError as exc:
-        for path, msg in exc.errors:
-            errors.append((f"posture.{path}", msg))
-    return posture
-
-
-def _validate_perception(raw, errors):
-    sec = _Section(raw or {}, "perception", errors)
-    vis_sec = _Section(sec.take("vision", dict, {}) or {}, "perception.vision",
-                       errors)
-    vision = VisionParams(
-        enabled=vis_sec.take("enabled", bool, False),
-        rotation_gain=_number(vis_sec, "rotation_gain", 1.0),
-        delay_s=_number(vis_sec, "delay_s", 0.2),
-    )
-    vis_sec.reject_unknown()
-    params = VestibularParams(
-        canal_tau_long_s=_number(sec, "canal_tau_long_s", 5.7),
-        canal_tau_short_s=_number(sec, "canal_tau_short_s", 0.005),
-        otolith_gain=_number(sec, "otolith_gain", 1.0),
-        sv_time_constant_s=_number(sec, "sv_time_constant_s", 5.0),
-        vision=vision,
-    )
-    anticipation = sec.take("anticipation", bool, False)
-    if anticipation:
-        errors.append(("perception.anticipation",
-                       "anticipatory expectation is not implemented; "
-                       "must be false"))
-    sec.reject_unknown()
-    try:
-        params.validate()
-    except ValueError as exc:
-        errors.append(("perception", str(exc)))
-    return params
-
-
-def _validate_accumulator(raw, errors):
-    sec = _Section(raw or {}, "accumulator", errors)
-    params = AccumulatorParams(
-        half_saturation_m_s2=_number(sec, "half_saturation_m_s2", 0.5),
-        hill_exponent=_number(sec, "hill_exponent", 2.0),
-        time_constant_s=_number(sec, "time_constant_s", 720.0),
-        ceiling_percent=_number(sec, "ceiling_percent", 85.0),
-    )
-    sec.reject_unknown()
-    try:
-        params.validate()
-    except ValueError as exc:
-        errors.append(("accumulator", str(exc)))
-    return params
-
-
-def _validate_stht(raw, errors):
-    if raw is None:
-        return {"band_hz": None, "min_prominence": 0.1,
-                "welch": None, "channels": None}
-    sec = _Section(raw, "stht", errors)
-    band = sec.take("band_hz", list)
-    if band is not None and not (len(band) == 2 and
-                                 all(isinstance(v, (int, float)) and
-                                     not isinstance(v, bool) for v in band) and
-                                 0 < band[0] < band[1]):
-        errors.append(("stht.band_hz", "must be [low, high] with 0 < low < high"))
-        band = None
-    prominence = _number(sec, "min_prominence", 0.1)
-    if prominence is not None and prominence <= 0:
-        errors.append(("stht.min_prominence", "must be > 0"))
-    welch = None
-    raw_welch = sec.take("welch", dict)
-    if raw_welch is not None:
-        wsec = _Section(raw_welch, "stht.welch", errors)
-        seg = wsec.take("segment_length", int, required=True)
-        overlap = _number(wsec, "overlap", 0.5)
-        window = wsec.take("window", str, "hann")
-        wsec.reject_unknown()
-        if seg is not None:
-            try:
-                welch = WelchParams(seg, overlap, window)
-            except (RideComfortError, ValueError) as exc:
-                errors.append(("stht.welch", str(exc)))
-    channels = sec.take("channels", list)
-    if channels is not None:
-        for ch in channels:
-            if ch not in RESPONSE_CHANNELS:
-                errors.append(("stht.channels", f"unknown channel {ch!r}"))
-    sec.reject_unknown()
-    return {"band_hz": tuple(band) if band else None,
-            "min_prominence": prominence, "welch": welch,
-            "channels": tuple(channels) if channels else None}
 
 
 def build_config(raw, base_dir="."):
     """Validate a raw config dict; returns (ScenarioConfig | None, errors)."""
+    if not isinstance(raw, dict):
+        return None, [("", "top level must be a JSON object")]
     errors = []
-    base_dir = Path(base_dir)
-    top = _Section(raw, "", errors)
-    version = top.take("schema_version", int, required=True)
+    top = _fields(_Scenario, raw, "", errors)
+    version, seed = top.get("schema_version"), top.get("seed")
     if version is not None and version != SCHEMA_VERSION:
         errors.append(("schema_version",
                        f"unsupported version {version}, expected {SCHEMA_VERSION}"))
-    seed = top.take("seed", int)
-    input_raw = top.take("input", dict, required=True)
-    kind, spec, input_path = _validate_input(
-        input_raw, base_dir, seed is not None, errors)
-    body = _validate_model(top.take("model", dict, {}), errors)
-    posture = _validate_posture(top.take("posture", dict, {}), errors)
-    perception = _validate_perception(top.take("perception", dict, {}), errors)
-    accumulator = _validate_accumulator(top.take("accumulator", dict, {}),
-                                        errors)
-    metrics_sec = _Section(top.take("metrics", dict, {}) or {}, "metrics",
-                           errors)
-    metrics_rms = metrics_sec.take("weighted_rms", bool, True)
-    metrics_msdv = metrics_sec.take("msdv", bool, True)
-    settle = _number(metrics_sec, "settle_s", 0.0)
-    if settle is not None and settle < 0:
-        errors.append(("metrics.settle_s", "must be >= 0"))
-    metrics_sec.reject_unknown()
-    stht = _validate_stht(top.take("stht", dict), errors)
-    out_dir = top.take("output_dir", str)
     if seed is not None and seed < 0:
         errors.append(("seed", "must be >= 0"))
-    top.reject_unknown()
+    spec, input_path = _read_input(top["input"], Path(base_dir), seed, errors) \
+        if "input" in top else (None, None)
+    body = _read_model(top["model"], errors) if "model" in top else None
+    if body is not None and "posture" in top:
+        try:  # a valid parameter set can still be unstable or singular
+            with np.errstate(all="ignore"):
+                build_model(body, top["posture"])
+        except (RideComfortError, ValueError, ArithmeticError) as exc:
+            errors.append(("model", f"no usable model: {exc}"))
+    perception = dict(top.get("perception", {}))
+    if perception.pop("anticipation", False) is not False:
+        errors.append(("perception.anticipation",
+                       "anticipatory expectation is not implemented; "
+                       "must be false"))
+    perception = _read(VestibularParams, perception, "perception", errors)
     if errors:
         return None, errors
-    if seed is not None and spec is not None and "seed" not in (input_raw or {}):
-        spec = replace(spec, seed=seed)
+    metrics, out_dir = top["metrics"], top["output_dir"]
     config = ScenarioConfig(
-        input_kind=kind, excitation=spec, input_path=input_path,
-        body=body, posture=posture, perception=perception,
-        accumulator=accumulator, metrics_rms=metrics_rms,
-        metrics_msdv=metrics_msdv, metrics_settle_s=float(settle),
-        stht=stht, output_dir=Path(out_dir) if out_dir else None, seed=seed)
+        input_kind="excitation" if spec else "csv", excitation=spec,
+        input_path=input_path, body=body, posture=top["posture"],
+        perception=perception, accumulator=top["accumulator"],
+        metrics_rms=metrics.weighted_rms, metrics_msdv=metrics.msdv,
+        metrics_settle_s=float(metrics.settle_s), stht=top["stht"],
+        output_dir=Path(out_dir) if out_dir else None, seed=seed)
     return config, []
 
 
 def validate_config(path):
     """All validation errors for a config file; empty list means ok."""
     try:
-        raw = load_config(path)
+        parse_config(path)
     except ConfigError as exc:
-        return list(exc.errors)
-    _, errors = build_config(raw, Path(path).parent)
-    return errors
+        return exc.errors
+    return []
 
 
 def parse_config(path, seed=None, axis=None, vision=None):
@@ -410,8 +407,8 @@ def _resonance_scan(config, seat, body):
     axis = max(rms, key=rms.get)
     if rms[axis] < _QUIET_INPUT_RMS:
         return {"axis_used": None, "band_hz": None, "peaks": {}}
-    welch = config.stht["welch"] or default_welch_params(seat.n_samples, seat.dt)
-    band = config.stht["band_hz"] or _DEFAULT_RESONANCE_BAND
+    welch = config.stht.welch or default_welch_params(seat.n_samples, seat.dt)
+    band = config.stht.band_hz or _DEFAULT_RESONANCE_BAND
     x = seat.channel(f"seat_acc_{axis}")
     peaks = {}
     lo, hi = band
@@ -426,7 +423,7 @@ def _resonance_scan(config, seat, body):
         in_band = frf.band(lo_c, hi_c)
         if np.count_nonzero(frf.valid & in_band) < 0.5 * np.count_nonzero(in_band):
             continue
-        found = detect_peaks(frf, (lo_c, hi_c), config.stht["min_prominence"])
+        found = detect_peaks(frf, (lo_c, hi_c), config.stht.min_prominence)
         if found:
             peaks[name] = [[f, g] for f, g in found]
     return {"axis_used": axis, "band_hz": [lo, hi], "peaks": peaks}
@@ -439,9 +436,7 @@ def stage_body(config, out_dir, seat):
     body = simulate(model, seat)
     save_timeseries(body, Path(out_dir) / "body_response.csv")
     resonances = _resonance_scan(config, seat, body)
-    with open(Path(out_dir) / "resonances.json", "w") as fh:
-        json.dump(resonances, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(resonances, Path(out_dir) / "resonances.json")
     return body, resonances
 
 
@@ -556,10 +551,6 @@ def run_pipeline(config, out_dir=None):
         body_realtime_factor=float(body.meta["realtime_factor"]),
         pipeline_realtime_factor=seat.duration / max(total_wall, 1e-12),
     )
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "timing.json", "w") as fh:
-        json.dump(report.timing_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(report.as_dict(), out / "report.json")
+    save_json(report.timing_dict(), out / "timing.json")
     return report

@@ -9,14 +9,12 @@ zero-order-hold input, so the trace is dt-robust.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.signal as sps
 
-from ridecomfort.timeseries import TimeSeries, from_arrays
+from ridecomfort.timeseries import TimeSeries, from_arrays, save_json
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,7 @@ def accumulate(conflict: TimeSeries, params: AccumulatorParams | None = None,
     msi = np.clip(params.ceiling_percent * y2, 0.0, 100.0)
 
     meta = dict(conflict.meta)
-    meta["accumulator"] = {
-        "half_saturation_m_s2": params.half_saturation_m_s2,
-        "hill_exponent": params.hill_exponent,
-        "time_constant_s": params.time_constant_s,
-        "ceiling_percent": params.ceiling_percent,
-    }
+    meta["accumulator"] = asdict(params)
     return from_arrays(conflict.dt, msi[:, None], [("msi", "percent")],
                        start_time=conflict.start_time, meta=meta)
 
@@ -97,10 +90,4 @@ def summarize(trace: TimeSeries, threshold_percent: float | None = None) -> Sick
 
 
 def save_summary(summary: SicknessSummary, path) -> None:
-    payload = {
-        "final_percent": summary.final_percent,
-        "peak_percent": summary.peak_percent,
-        "time_to_threshold_s": summary.time_to_threshold_s,
-        "threshold_percent": summary.threshold_percent,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    save_json(asdict(summary), path)

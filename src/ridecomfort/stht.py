@@ -9,7 +9,6 @@ and locates resonance peaks.  Results can be written as one CSV per channel
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from ridecomfort.spectral import (
     detect_peaks,
     estimate_frf,
 )
+from ridecomfort.timeseries import save_json
 
 # Channels a transmissibility run reports against the driven seat axis.
 RESPONSE_CHANNELS = (
@@ -35,6 +35,29 @@ RESPONSE_CHANNELS = (
 )
 
 _MIN_OVERLAP_DECADES = 1.0
+
+
+@dataclass(frozen=True)
+class STHTOptions:
+    """Analysis settings of a transmissibility run (the scenario ``stht`` section).
+
+    ``None`` selects the run's own choice: the excited band, the
+    ``default_welch_params`` segmentation and every response channel.
+    """
+
+    band_hz: tuple[float, float] | None = None
+    min_prominence: float = 0.1
+    welch: WelchParams | None = None
+    channels: tuple[str, ...] | None = None
+
+    def validate(self) -> None:
+        if self.band_hz is not None and not 0 < self.band_hz[0] < self.band_hz[1]:
+            raise ValueError("band_hz must be [low, high] with 0 < low < high")
+        if self.min_prominence <= 0:
+            raise ValueError("min_prominence must be > 0")
+        unknown = sorted(set(self.channels or ()) - set(RESPONSE_CHANNELS))
+        if unknown:
+            raise ValueError(f"channels has unknown names {unknown}")
 
 
 @dataclass
@@ -60,7 +83,8 @@ def default_welch_params(n_samples: int, dt: float) -> WelchParams:
 
 
 def run_stht(model, spec: ExcitationSpec, welch: WelchParams | None = None,
-             band_hz: tuple | None = None, min_prominence: float = 0.1,
+             band_hz: tuple | None = None,
+             min_prominence: float = STHTOptions.min_prominence,
              channels=RESPONSE_CHANNELS) -> STHTResult:
     """Simulate the excitation and estimate all response-channel FRFs.
 
@@ -119,7 +143,7 @@ def save_stht_result(result: STHTResult, out_dir) -> list:
         },
     }
     path = out / f"stht_{result.axis}_resonances.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    save_json(summary, path)
     written.append(path)
     return written
 

@@ -3,13 +3,16 @@
 The CSV layout is the interchange format between pipeline stages: first
 column ``time_s``, remaining header cells ``name[unit]`` (for example
 ``seat_acc_x[m/s^2]``), comma separated, decimal point, UTF-8, LF or CRLF.
+JSON artifacts (summaries and reports) are written by ``save_json``.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -194,6 +197,12 @@ def save_timeseries(ts: TimeSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         np.savetxt(fh, data, delimiter=",", fmt="%.17g", newline="\n")
+
+
+def save_json(obj, path) -> None:
+    """Write a JSON artifact; sorted keys make equal content equal bytes."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 # -- resampling ----------------------------------------------------------

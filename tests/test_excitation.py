@@ -22,6 +22,11 @@ def test_spec_validation():
         ExcitationSpec(band_hz=(0.5, 12.0), duration_s=4.0).validate()  # cycles
     with pytest.raises(ValueError):
         ExcitationSpec(rms_m_s2=-1.0).validate()
+    # checked before the Nyquist test divides by dt_s
+    with pytest.raises(ValueError):
+        ExcitationSpec(dt_s=0.0).validate()
+    with pytest.raises(ValueError):
+        ExcitationSpec(duration_s=float("nan")).validate()
 
 
 def test_noise_rms_and_axis_routing():

@@ -1,13 +1,25 @@
 """Scenario configs, staged execution and run artifacts."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ridecomfort.body import BodyParams, PostureConfig, build_model
+from ridecomfort.body.params import COORDINATE_NAMES, JOINT_NAMES
+from ridecomfort.cli import main
 from ridecomfort.errors import ConfigError
-from ridecomfort.pipeline import parse_config, run_pipeline, validate_config
+from ridecomfort.excitation import ExcitationSpec
+from ridecomfort.perception import VestibularParams, VisionParams
+from ridecomfort.pipeline import (
+    build_config, parse_config, run_pipeline, validate_config)
+from ridecomfort.sickness import AccumulatorParams
+from ridecomfort.spectral import WelchParams
+from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions
 from conftest import make_scenario
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
@@ -155,3 +167,127 @@ def test_quiet_input_reports_no_resonances(tmp_path):
     assert report.summary["head_rms_m_s2"] == {"x": 0.0, "y": 0.0, "z": 0.0}
     rms = report.summary["comfort"]["weighted_rms_m_s2"]
     assert all(v == 0.0 for v in rms.values())
+
+
+# -- config reader: bad inputs and fuzzing ------------------------------------
+
+# (section, key, value, leaf path where the problem must be reported)
+_BAD_INPUTS = [
+    ("input", "band_hz", ["a", 5], "input.band_hz[0]"),
+    ("input", "dt_s", 0, "input.dt_s"),
+    ("posture", "locked_coordinates", [[1]], "posture.locked_coordinates[0]"),
+    ("input", "rms_m_s2", math.nan, "input.rms_m_s2"),
+    ("accumulator", "hill_exponent", math.nan, "accumulator.hill_exponent"),
+    ("input", "duration_s", math.nan, "input.duration_s"),
+    ("metrics", "settle_s", math.nan, "metrics.settle_s"),
+    ("stht", "min_prominence", math.nan, "stht.min_prominence"),
+    ("perception", "canal_tau_long_s", math.inf, "perception.canal_tau_long_s"),
+    ("input", "duration_s", 1e12, "input.duration_s"),
+    ("posture", "locked_coordinates", ["warp_drive"],
+     "posture.locked_coordinates"),
+    ("posture", "initial_joint_angles_rad", {"neck_pitch": 2.0},
+     "posture.initial_joint_angles_rad.neck_pitch"),
+    # valid-looking inputs that used to fail only at run time
+    ("input", "seed", -1, "input.seed"),
+    ("model", "overrides", {"seat_stiffness_z_N_per_m": 0.0}, "model"),
+    ("model", "overrides", {"head_mass_kg": 1e9}, "model"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, leaf", _BAD_INPUTS,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v, _ in _BAD_INPUTS])
+def test_bad_input_reported_at_leaf_path(tmp_path, capsys, section, key,
+                                         value, leaf):
+    raw = make_scenario()
+    raw.setdefault(section, {})[key] = value
+    config, errors = build_config(raw)
+    fields = [f for f, _ in errors]
+    assert config is None and leaf in fields
+    assert not any(f.startswith("posture.posture.") for f in fields)
+
+    assert main(["validate", "--config", str(_write(tmp_path, raw))]) == 1
+    assert f"  {leaf}: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_config_is_a_top_level_error(tmp_path, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    errors = validate_config(path)
+    assert errors and all(f == "" for f, _ in errors)
+
+
+def test_omitted_keys_take_dataclass_defaults(tmp_path):
+    raw = make_scenario()
+    for section in ("perception", "accumulator", "metrics"):
+        raw[section] = {}
+    config = parse_config(_write(tmp_path, raw))
+    assert config.perception == VestibularParams()
+    assert config.accumulator == AccumulatorParams()
+    assert config.stht == STHTOptions()
+    assert (config.metrics_rms, config.metrics_msdv,
+            config.metrics_settle_s) == (True, True, 0.0)
+
+
+# keys to mutate, by the path of the object holding them; "mystery" is unknown
+_FUZZ_KEYS = {
+    (): ["schema_version", "seed", "input", "model", "posture", "perception",
+         "accumulator", "metrics", "stht", "output_dir", "mystery"],
+    ("input",): ["kind", "path", "signal"] + [
+        f.name for f in dataclasses.fields(ExcitationSpec) if f.name != "kind"],
+    ("model",): ["preset", "overrides"],
+    ("model", "overrides"): list(BodyParams.field_names()),
+    ("posture",): [f.name for f in dataclasses.fields(PostureConfig)],
+    ("perception",): ["anticipation"] + [
+        f.name for f in dataclasses.fields(VestibularParams)],
+    ("perception", "vision"): [f.name for f in dataclasses.fields(VisionParams)],
+    ("accumulator",): [f.name for f in dataclasses.fields(AccumulatorParams)],
+    ("metrics",): ["weighted_rms", "msdv", "settle_s"],
+    ("stht",): [f.name for f in dataclasses.fields(STHTOptions)],
+    ("stht", "welch"): [f.name for f in dataclasses.fields(WelchParams)],
+}
+_NUMBERS = st.sampled_from([0, -1, 1, 2, 8, 42, 1e-300, 1e-9, 0.002, 0.5,
+                            0.95, 5.0, 9.0, 600.0, 1e9, 1e12, 1e300,
+                            10 ** 400]) | st.floats()
+_NAMES = st.sampled_from(COORDINATE_NAMES + JOINT_NAMES + RESPONSE_CHANNELS + (
+    "erect", "slouched", "none", "low", "high", "x", "y", "z", "noise",
+    "sweep", "csv", "excitation", "default", "hann"))
+_LEAVES = st.none() | st.booleans() | _NUMBERS | _NAMES | st.text(max_size=4)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        _NAMES | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    raw = make_scenario()
+    for _ in range(draw(st.integers(1, 4))):
+        parents = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
+        node = raw
+        for name in parents:
+            if not isinstance(node.get(name), dict):
+                node[name] = {}
+            node = node[name]
+        key = draw(st.sampled_from(_FUZZ_KEYS[parents]))
+        if draw(st.booleans()):
+            node.pop(key, None)
+        else:
+            node[key] = draw(_NUMBERS if draw(st.booleans()) else _VALUES)
+    return raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mutated_scenarios())
+def test_build_config_never_raises_and_ok_means_usable(raw):
+    # fuzzed configs are only validated, never run
+    config, errors = build_config(raw)
+    if errors:
+        assert config is None
+        assert all(isinstance(f, str) and isinstance(m, str) for f, m in errors)
+        return
+    build_model(config.body, config.posture)
+    if config.excitation is not None:
+        config.excitation.validate()
