@@ -1,13 +1,14 @@
 """Fixed-step time integration of the assembled model.
 
-Classic RK4 on the second-order system, with delayed feedback handled by
-ring buffers of sensed joint/head samples.  Delays are quantized to whole
-steps (N = round(delay/dt)); substage values interpolate linearly between
-the two bracketing buffer slots, and seat acceleration interpolates
-linearly across the step.
+Classic RK4 on the second-order system, with delayed feedback read from
+records of sensed joint/head samples.  Delays are quantized to whole steps
+(N = round(delay/dt)); substage values interpolate linearly between the two
+bracketing samples, and seat acceleration interpolates linearly across the
+step.  ``simulate`` and ``step`` share one stepping loop; a ``BodyState``
+carries the last N sensed samples per delay, so either can resume the other.
 
 Because the system is linear, one full RK4 step is an exact affine map of
-(state, buffer taps, inputs).  The kernel precomputes that map by running
+(state, delayed samples, inputs).  The kernel precomputes that map by running
 the literal stage arithmetic on basis vectors once per (model, dt); stepping
 then costs a single small matrix-vector product.
 """
@@ -23,7 +24,7 @@ import scipy.linalg as sla
 from ridecomfort.errors import NonFiniteState
 from ridecomfort.timeseries import TimeSeries
 
-_CHECK_EVERY = 256  # steps between finiteness sweeps inside simulate
+_CHECK_EVERY = 256  # steps between finiteness sweeps inside the stepping loop
 
 SEAT_INPUT_CHANNELS = ("seat_acc_x", "seat_acc_y", "seat_acc_z")
 
@@ -45,8 +46,7 @@ class _StepKernel:
     A1: np.ndarray
     Bi: np.ndarray
     taps: list
-    G: np.ndarray       # one-step affine map, (2n, D)
-    D: int
+    G: np.ndarray       # one-step affine map, (2n, work-vector length)
     slices: list        # work-vector slices: z, per-tap (lagN, lagN-1), a0, a1
 
     def rhs(self, q, qd, a, u_list):
@@ -58,15 +58,18 @@ class _StepKernel:
 
 @dataclass
 class BodyState:
-    """Integrator state: coordinate deviations from equilibrium plus delay buffers."""
+    """Integrator state: coordinate deviations from equilibrium plus delay history.
+
+    ``history`` holds, per delay tap, the sensed samples of the ``N`` steps
+    before the current one, oldest first.
+    """
 
     q: np.ndarray
     qd: np.ndarray
     time: float = 0.0
     step_count: int = 0
     kernel_dt: float | None = None
-    buffers: list = field(default_factory=list, repr=False)
-    buf_pos: list = field(default_factory=list, repr=False)
+    history: list = field(default_factory=list, repr=False)
 
 
 def _literal_rk4(kernel: _StepKernel, z, u_N, u_Nm1, a0, a1):
@@ -112,12 +115,6 @@ def _build_kernel(model, dt: float) -> _StepKernel:
         T = -solve(np.hstack([ch.act * ch.kp, ch.act * ch.kd]))
         taps.append(_DelayTap(ch.name, N, 2 * m, S_z, T))
 
-    kernel = _StepKernel(
-        dt=dt, n=n,
-        A2=-solve(Keff), A1=-solve(Ceff), Bi=-solve(model.Gamma),
-        taps=taps, G=np.empty(0), D=0, slices=[],
-    )
-
     # Work-vector layout: [z | tap0 lagN | tap0 lagN-1 | ... | a_i | a_i+1].
     slices = [slice(0, 2 * n)]
     off = 2 * n
@@ -129,41 +126,93 @@ def _build_kernel(model, dt: float) -> _StepKernel:
     slices.append(slice(off + 3, off + 6))
     D = off + 6
 
-    G = np.empty((2 * n, D))
-    zeros_u = [np.zeros(tap.width) for tap in taps]
-    for d in range(D):
-        work = np.zeros(D)
-        work[d] = 1.0
-        z = work[slices[0]]
-        u_N = [work[slices[1 + 2 * k]] for k in range(len(taps))]
-        u_Nm1 = [work[slices[2 + 2 * k]] for k in range(len(taps))]
-        a0 = work[slices[-2]]
-        a1 = work[slices[-1]]
-        G[:, d] = _literal_rk4(kernel, z, u_N or zeros_u, u_Nm1 or zeros_u, a0, a1)
-
-    kernel.G = G
-    kernel.D = D
-    kernel.slices = slices
+    kernel = _StepKernel(
+        dt=dt, n=n,
+        A2=-solve(Keff), A1=-solve(Ceff), Bi=-solve(model.Gamma),
+        taps=taps, G=np.empty(0), slices=slices,
+    )
+    kernel.G = np.column_stack([_literal_rk4(kernel, *_unpack(kernel, e))
+                                for e in np.eye(D)])
     return kernel
+
+
+def _unpack(kernel: _StepKernel, work):
+    """Arguments of ``_literal_rk4`` read from a work vector: z, lag-N and
+    lag-(N-1) samples per tap, and the seat acceleration at both step ends."""
+    sl = kernel.slices
+    return (work[sl[0]], [work[s] for s in sl[1:-2:2]], [work[s] for s in sl[2:-2:2]],
+            work[sl[-2]], work[sl[-1]])
 
 
 def _get_kernel(model, dt: float) -> _StepKernel:
-    kernel = model._kernels.get(dt)
-    if kernel is None:
-        kernel = _build_kernel(model, dt)
-        model._kernels[dt] = kernel
-    return kernel
+    if dt not in model._kernels:
+        model._kernels[dt] = _build_kernel(model, dt)
+    return model._kernels[dt]
 
 
 def create_state(model, dt: float) -> BodyState:
-    """Fresh state at static equilibrium with quiescent delay buffers."""
+    """Fresh state at static equilibrium with a quiescent delay history."""
     kernel = _get_kernel(model, dt)
-    n = model.n
-    state = BodyState(q=np.zeros(n), qd=np.zeros(n), kernel_dt=dt)
-    for tap in kernel.taps:
-        state.buffers.append(np.zeros((tap.N + 1, tap.width)))
-        state.buf_pos.append(0)
-    return state
+    return BodyState(q=np.zeros(model.n), qd=np.zeros(model.n), kernel_dt=dt,
+                     history=[np.zeros((tap.N, tap.width)) for tap in kernel.taps])
+
+
+def _check_dt(state: BodyState, dt: float) -> None:
+    if state.kernel_dt != dt:
+        raise ValueError(f"state was created for dt={state.kernel_dt}, got {dt}; "
+                         "use a state from create_state(model, dt)")
+
+
+def _advance(model, kernel: _StepKernel, state: BodyState, A, t0: float):
+    """Step from ``state`` across the seat-acceleration rows ``A``.
+
+    Returns the trajectory ``Z`` (row i is the state at row i of ``A``) and,
+    per tap, the sensed record prefixed with the state's history: row i of a
+    record is the lag-N sample of trajectory row i.
+    """
+    n_steps = A.shape[0]
+    taps = kernel.taps
+    n_taps = len(taps)
+    z = np.concatenate([state.q, state.qd])
+    Z = np.empty((n_steps, z.size))
+    S = [np.concatenate([h, np.empty((n_steps, tap.width))])
+         for tap, h in zip(taps, state.history)]
+
+    sl = kernel.slices
+    G = kernel.G
+    work = np.zeros(G.shape[1])
+    for i in range(n_steps):
+        Z[i] = z
+        for k in range(n_taps):
+            S[k][taps[k].N + i] = taps[k].S_z @ z
+        if i == n_steps - 1:
+            break
+        work[sl[0]] = z
+        for k in range(n_taps):
+            work[sl[1 + 2 * k]] = S[k][i]        # lag N
+            work[sl[2 + 2 * k]] = S[k][i + 1]    # lag N-1
+        work[sl[-2]] = A[i]
+        work[sl[-1]] = A[i + 1]
+        z = G @ work
+        if (i + 1) % _CHECK_EVERY == 0 and not np.all(np.isfinite(z)):
+            Z = Z[:i + 2]
+            Z[-1] = z
+            break
+
+    if not np.all(np.isfinite(Z)):
+        rows, cols = np.nonzero(~np.isfinite(Z))
+        raise NonFiniteState(t0 + rows[0] * kernel.dt, model.coords[cols[0] % kernel.n])
+    return Z, S
+
+
+def _outputs(model, kernel: _StepKernel, Z, S, A):
+    """Output rows of a trajectory, with qdd from the same right-hand side."""
+    n = kernel.n
+    Q, Qd = Z[:, :n], Z[:, n:]
+    QDD = Q @ kernel.A2.T + Qd @ kernel.A1.T + A @ kernel.Bi.T
+    for s, tap in zip(S, kernel.taps):
+        QDD += s[:len(Z)] @ tap.T.T
+    return model.outputs.evaluate(Q, Qd, QDD, A)
 
 
 def step(model, state: BodyState, seat_accel, dt: float, seat_accel_next=None):
@@ -173,51 +222,22 @@ def step(model, state: BodyState, seat_accel, dt: float, seat_accel_next=None):
     of the step; pass ``seat_accel_next`` when the value at the end of the
     step is known, otherwise it is held constant.
     """
-    if state.kernel_dt is None:
-        raise ValueError("state was not created for a step size; use create_state")
-    if state.kernel_dt != dt:
-        raise ValueError(f"state was created for dt={state.kernel_dt}, got {dt}")
+    _check_dt(state, dt)
     kernel = _get_kernel(model, dt)
-    a0 = np.asarray(seat_accel, dtype=float)
-    a1 = a0 if seat_accel_next is None else np.asarray(seat_accel_next, dtype=float)
+    a1 = seat_accel if seat_accel_next is None else seat_accel_next
+    A = np.array([seat_accel, a1], dtype=float)
 
-    work = np.zeros(kernel.D)
-    work[kernel.slices[0]] = np.concatenate([state.q, state.qd])
-    for k, tap in enumerate(kernel.taps):
-        buf, pos, L = state.buffers[k], state.buf_pos[k], tap.N + 1
-        work[kernel.slices[1 + 2 * k]] = buf[(pos + 1) % L]   # lag N
-        work[kernel.slices[2 + 2 * k]] = buf[(pos + 2) % L]   # lag N-1
-    work[kernel.slices[-2]] = a0
-    work[kernel.slices[-1]] = a1
-
-    z1 = kernel.G @ work
-    n = kernel.n
-    state.q = z1[:n].copy()
-    state.qd = z1[n:].copy()
+    Z, S = _advance(model, kernel, state, A, state.time)
+    y = _outputs(model, kernel, Z, S, A)[-1]
+    state.q, state.qd = Z[-1, :kernel.n], Z[-1, kernel.n:]
+    state.history = [s[1:-1] for s in S]
     state.time += dt
     state.step_count += 1
-    if not np.all(np.isfinite(z1)):
-        bad = int(np.argmax(~np.isfinite(z1)))
-        raise NonFiniteState(state.time, model.coords[bad % n])
 
-    u_new = []
-    for k, tap in enumerate(kernel.taps):
-        pos = (state.buf_pos[k] + 1) % (tap.N + 1)
-        state.buffers[k][pos] = tap.S_z @ z1
-        state.buf_pos[k] = pos
-        u_new.append(state.buffers[k][(pos + 1) % (tap.N + 1)])
-
-    qdd = kernel.rhs(state.q, state.qd, a1, u_new)
-    out = model.outputs
-    y = out.evaluate(state.q, state.qd, qdd, a1)
-    head = {
-        "acc": np.array([y[out.index(f"head_acc_{ax}")] for ax in "xyz"]),
-        "rotvel": np.array([y[out.index(f"head_rotvel_{ax}")]
-                            for ax in ("roll", "pitch", "yaw")]),
-        "angle": np.array([y[out.index(f"head_angle_{ax}")]
-                           for ax in ("roll", "pitch")]),
-    }
-    return state, head
+    pick = lambda *names: np.array([y[model.outputs.index(f"head_{nm}")] for nm in names])
+    return state, {"acc": pick("acc_x", "acc_y", "acc_z"),
+                   "rotvel": pick("rotvel_roll", "rotvel_pitch", "rotvel_yaw"),
+                   "angle": pick("angle_roll", "angle_pitch")}
 
 
 def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = None,
@@ -226,64 +246,23 @@ def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = N
 
     Returns the body response sampled on the input grid: segment
     accelerations, trunk/head rotational velocities and joint/head angles.
-    Delayed channels start from a quiescent (equilibrium) history.
+    Without ``initial_state`` the model starts at rest with a quiescent
+    delay history; with one (from ``create_state`` or ``step``, for the
+    record's dt) it resumes from its coordinates and delay history, and the
+    state passed in is left unchanged.
     """
-    for name in SEAT_INPUT_CHANNELS:
-        seat_motion.index(name)
     A = seat_motion.select(SEAT_INPUT_CHANNELS).samples
     dt = seat_motion.dt
-    n_steps = seat_motion.n_samples
     kernel = _get_kernel(model, dt)
-    n = kernel.n
-
-    z = np.zeros(2 * n)
-    if initial_state is not None:
-        z = np.concatenate([initial_state.q, initial_state.qd])
-
-    taps = kernel.taps
-    n_taps = len(taps)
-    Z = np.empty((n_steps, 2 * n))
-    S_hist = [np.empty((n_steps, tap.width)) for tap in taps]
-    zero_u = [np.zeros(tap.width) for tap in taps]
-
-    sl = kernel.slices
-    G = kernel.G
-    work = np.zeros(kernel.D)
+    if initial_state is None:
+        initial_state = create_state(model, dt)
+    _check_dt(initial_state, dt)
 
     t_begin = _time.perf_counter()
-    for i in range(n_steps):
-        Z[i] = z
-        for k in range(n_taps):
-            S_hist[k][i] = taps[k].S_z @ z
-        if i == n_steps - 1:
-            break
-        work[sl[0]] = z
-        for k in range(n_taps):
-            N = taps[k].N
-            work[sl[1 + 2 * k]] = S_hist[k][i - N] if i >= N else zero_u[k]
-            work[sl[2 + 2 * k]] = S_hist[k][i - N + 1] if i >= N - 1 else zero_u[k]
-        work[sl[-2]] = A[i]
-        work[sl[-1]] = A[i + 1]
-        z = G @ work
-        if (i + 1) % _CHECK_EVERY == 0 and not np.all(np.isfinite(z)):
-            bad = int(np.argmax(~np.isfinite(z)))
-            raise NonFiniteState((i + 1) * dt, model.coords[bad % n])
+    Z, S = _advance(model, kernel, initial_state, A, seat_motion.start_time)
     wall = _time.perf_counter() - t_begin
 
-    if not np.all(np.isfinite(Z)):
-        rows, cols = np.nonzero(~np.isfinite(Z))
-        raise NonFiniteState(rows[0] * dt, model.coords[cols[0] % n])
-
-    # Instantaneous qdd from the same right-hand side, vectorized over time.
-    Q, Qd = Z[:, :n], Z[:, n:]
-    QDD = Q @ kernel.A2.T + Qd @ kernel.A1.T + A @ kernel.Bi.T
-    for k, tap in enumerate(taps):
-        lagged = np.zeros_like(S_hist[k])
-        if n_steps > tap.N:
-            lagged[tap.N:] = S_hist[k][:n_steps - tap.N]
-        QDD += lagged @ tap.T.T
-
-    Y = model.outputs.evaluate(Q, Qd, QDD, A)
+    Y = _outputs(model, kernel, Z, S, A)
     meta = dict(seat_motion.meta)
     meta.update({
         "wall_clock_s": wall,

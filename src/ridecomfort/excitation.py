@@ -26,6 +26,10 @@ _EDGE_FRACTION = 0.2
 # cannot support averaged spectral estimates over the band.
 _MIN_CYCLES = 10.0
 
+# About 100 g: far above any seat motion, and far below the point where the
+# squared sums of spectral estimates over a record overflow.
+MAX_RMS_M_S2 = 981.0
+
 
 @dataclass(frozen=True)
 class ExcitationSpec:
@@ -55,14 +59,19 @@ class ExcitationSpec:
         if f_hi >= 0.5 / self.dt_s:
             raise InvalidBand(
                 f"band top {f_hi} Hz reaches Nyquist for dt={self.dt_s}")
-        if self.rms_m_s2 <= 0:
-            raise ValueError("rms_m_s2 must be > 0")
+        if not 0 < self.rms_m_s2 <= MAX_RMS_M_S2:
+            raise ValueError(f"rms_m_s2 must be > 0 and <= {MAX_RMS_M_S2:g}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.duration_s * f_lo < _MIN_CYCLES:
             raise InvalidBand(
                 f"duration {self.duration_s} s gives fewer than {_MIN_CYCLES:.0f} "
                 f"cycles at {f_lo} Hz")
+
+    @property
+    def n_samples(self) -> int:
+        """Length of the generated record."""
+        return int(round(self.duration_s / self.dt_s)) + 1
 
 
 def _band_noise(n: int, dt: float, band, seed: int) -> np.ndarray:
@@ -91,7 +100,7 @@ def generate_excitation(spec: ExcitationSpec) -> TimeSeries:
     precision; off-axis channels are zero.
     """
     spec.validate()
-    n = int(round(spec.duration_s / spec.dt_s)) + 1
+    n = spec.n_samples
     t = np.arange(n) * spec.dt_s
     if spec.kind == "noise":
         x = _band_noise(n, spec.dt_s, spec.band_hz, spec.seed)

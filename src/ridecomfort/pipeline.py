@@ -325,6 +325,12 @@ def build_config(raw, base_dir="."):
         errors.append(("seed", "must be >= 0"))
     spec, input_path = _read_input(top["input"], Path(base_dir), seed, errors) \
         if "input" in top else (None, None)
+    welch = top["stht"].welch if "stht" in top else None
+    if isinstance(spec, ExcitationSpec) and welch is not None \
+            and welch.n_segments(spec.n_samples) < 2:
+        errors.append(("stht.welch.segment_length",
+                       f"{welch.segment_length} leaves fewer than 2 Welch "
+                       f"segments in the {spec.n_samples}-sample input record"))
     body = _read_model(top["model"], errors) if "model" in top else None
     if body is not None and "posture" in top:
         try:  # a valid parameter set can still be unstable or singular

@@ -34,6 +34,10 @@ class WelchParams:
             raise ValueError(f"overlap must be in [0, 0.95], got {self.overlap}")
         if self.segment_length < 8:
             raise ValueError("segment_length must be at least 8 samples")
+        try:  # a short probe: the name, not the length, is in question here
+            sps.get_window(self.window, 8)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"window {self.window!r} is not usable: {exc}") from None
 
     def n_segments(self, n_samples: int) -> int:
         step = self.segment_length - int(round(self.overlap * self.segment_length))

@@ -5,7 +5,8 @@ import pytest
 
 from ridecomfort.body import BodyParams, COORDINATE_NAMES, PostureConfig, build_model
 from ridecomfort.body.integrate import (
-    SEAT_INPUT_CHANNELS, create_state, mechanical_energy, simulate, step)
+    SEAT_INPUT_CHANNELS, _get_kernel, _literal_rk4, create_state,
+    mechanical_energy, simulate, step)
 from ridecomfort.timeseries import from_arrays
 
 Z_ONLY = tuple(n for n in COORDINATE_NAMES if n != "seat_z")
@@ -27,6 +28,10 @@ def _single_dof_model(m_total=60.0, k=60000.0, c=1500.0):
 def _seat_record(dt, a_z):
     data = np.zeros((a_z.size, 3))
     data[:, 2] = a_z
+    return _seat_xyz(dt, data)
+
+
+def _seat_xyz(dt, data):
     return from_arrays(dt, data, [(n, "m/s^2") for n in SEAT_INPUT_CHANNELS])
 
 
@@ -76,7 +81,50 @@ def test_step_matches_batch_simulate():
                            seat_accel_next=[0, 0, a[i + 1]])
         heads.append(head["acc"][2])
     batch = resp.channel("head_acc_z")[1:]
-    assert np.allclose(heads, batch, rtol=1e-10, atol=1e-12)
+    assert np.array_equal(heads, batch)
+
+
+def test_step_map_matches_literal_rk4():
+    model = build_model(BodyParams.from_preset("default"))
+    kernel = _get_kernel(model, 0.001)
+    assert [tap.name for tap in kernel.taps] == ["proprioceptive", "vestibular"]
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        z = rng.standard_normal(2 * model.n)
+        u_N = [rng.standard_normal(tap.width) for tap in kernel.taps]
+        u_Nm1 = [rng.standard_normal(tap.width) for tap in kernel.taps]
+        a0, a1 = rng.standard_normal(3), rng.standard_normal(3)
+        # work-vector layout: z, then lag N and lag N-1 per tap, then a0, a1
+        w = np.concatenate([z, u_N[0], u_Nm1[0], u_N[1], u_Nm1[1], a0, a1])
+        literal = _literal_rk4(kernel, z, u_N, u_Nm1, a0, a1)
+        assert np.allclose(kernel.G @ w, literal, rtol=0.0,
+                           atol=1e-12 * np.abs(literal).max())
+
+
+def test_simulate_resumes_stepped_state_exactly():
+    model = build_model(BodyParams.from_preset("default"))
+    dt, k = 0.001, 300
+    a = 0.5 * np.random.default_rng(5).standard_normal((900, 3))
+    whole = simulate(model, _seat_xyz(dt, a)).samples
+
+    state = create_state(model, dt)
+    for i in range(k):
+        state, _ = step(model, state, a[i], dt, seat_accel_next=a[i + 1])
+    before = (state.q.copy(), state.qd.copy(), [h.copy() for h in state.history])
+    rest = simulate(model, _seat_xyz(dt, a[k:]), initial_state=state).samples
+    assert np.array_equal(rest, whole[k:])
+
+    # the state passed in is not modified
+    assert np.array_equal(state.q, before[0]) and np.array_equal(state.qd, before[1])
+    assert all(np.array_equal(h, b) for h, b in zip(state.history, before[2]))
+    assert state.step_count == k
+
+
+def test_simulate_rejects_state_for_another_dt():
+    model = _single_dof_model()
+    state = create_state(model, 0.002)
+    with pytest.raises(ValueError):
+        simulate(model, _seat_record(0.001, np.zeros(100)), initial_state=state)
 
 
 def test_step_rejects_wrong_dt():

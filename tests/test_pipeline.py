@@ -191,6 +191,10 @@ _BAD_INPUTS = [
     ("input", "seed", -1, "input.seed"),
     ("model", "overrides", {"seat_stiffness_z_N_per_m": 0.0}, "model"),
     ("model", "overrides", {"head_mass_kg": 1e9}, "model"),
+    ("stht", "welch", {"segment_length": 256, "window": "nosuchwindow"},
+     "stht.welch.window"),
+    ("stht", "welch", {"segment_length": 100000}, "stht.welch.segment_length"),
+    ("input", "rms_m_s2", 1e300, "input.rms_m_s2"),
 ]
 
 
