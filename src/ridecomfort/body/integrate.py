@@ -10,7 +10,21 @@ carries the last N sensed samples per delay, so either can resume the other.
 Because the system is linear, one full RK4 step is an exact affine map of
 (state, delayed samples, inputs).  The kernel precomputes that map by running
 the literal stage arithmetic on basis vectors once per (model, dt); stepping
-then costs a single small matrix-vector product.
+then costs a single small matrix-vector product ``G @ w``.
+
+The stepping loop fills those work vectors a block at a time.  The step
+from row i reads the seat acceleration at rows i and i + 1 and, per tap,
+the sensed samples of rows i - N and i + 1 - N.  In a block of b <= min(N)
+steps from row i0, every one of those rows is at most i0, so all of the
+block's work vectors except the state itself are filled by a few slice
+copies before it starts; the only per-step work left is one ``np.dot`` that
+writes the next state in place into the next work vector.  After the block,
+one product per tap senses all of its new rows.  The output is bit-identical
+to stepping one row at a time: each ``G @ w`` is the same matrix-vector
+product on the same vector, and every sensing row is a unit vector or a
+difference of two, so the block product adds only exact zeros and rounds
+like the per-row one.  Blocks hold at most ``_CHECK_EVERY`` steps, and a
+model without delayed taps takes blocks of that size.
 """
 
 from __future__ import annotations
@@ -24,9 +38,13 @@ import scipy.linalg as sla
 from ridecomfort.errors import NonFiniteState
 from ridecomfort.timeseries import TimeSeries
 
-_CHECK_EVERY = 256  # steps between finiteness sweeps inside the stepping loop
+_CHECK_EVERY = 256  # steps between finiteness checks in the stepping loop; longest block
 
 SEAT_INPUT_CHANNELS = ("seat_acc_x", "seat_acc_y", "seat_acc_z")
+# what ``step`` returns, in order: acc (3), rotvel (3), angle (2)
+_HEAD_OUTPUTS = ("head_acc_x", "head_acc_y", "head_acc_z",
+                 "head_rotvel_roll", "head_rotvel_pitch", "head_rotvel_yaw",
+                 "head_angle_roll", "head_angle_pitch")
 
 
 @dataclass
@@ -48,6 +66,8 @@ class _StepKernel:
     taps: list
     G: np.ndarray       # one-step affine map, (2n, work-vector length)
     slices: list        # work-vector slices: z, per-tap (lagN, lagN-1), a0, a1
+    block: int          # steps per block of _advance: min(tap.N), at most _CHECK_EVERY
+    head_rows: list     # rows of the model outputs that ``step`` returns
 
     def rhs(self, q, qd, a, u_list):
         qdd = self.A2 @ q + self.A1 @ qd + self.Bi @ a
@@ -130,6 +150,8 @@ def _build_kernel(model, dt: float) -> _StepKernel:
         dt=dt, n=n,
         A2=-solve(Keff), A1=-solve(Ceff), Bi=-solve(model.Gamma),
         taps=taps, G=np.empty(0), slices=slices,
+        block=min([tap.N for tap in taps] + [_CHECK_EVERY]),
+        head_rows=[model.outputs.index(name) for name in _HEAD_OUTPUTS],
     )
     kernel.G = np.column_stack([_literal_rk4(kernel, *_unpack(kernel, e))
                                 for e in np.eye(D)])
@@ -171,35 +193,50 @@ def _advance(model, kernel: _StepKernel, state: BodyState, A, t0: float):
     record is the lag-N sample of trajectory row i.
     """
     n_steps = A.shape[0]
-    taps = kernel.taps
-    n_taps = len(taps)
-    z = np.concatenate([state.q, state.qd])
-    Z = np.empty((n_steps, z.size))
-    S = [np.concatenate([h, np.empty((n_steps, tap.width))])
-         for tap, h in zip(taps, state.history)]
-
     sl = kernel.slices
     G = kernel.G
-    work = np.zeros(G.shape[1])
-    for i in range(n_steps):
-        Z[i] = z
-        for k in range(n_taps):
-            S[k][taps[k].N + i] = taps[k].S_z @ z
-        if i == n_steps - 1:
-            break
-        work[sl[0]] = z
-        for k in range(n_taps):
-            work[sl[1 + 2 * k]] = S[k][i]        # lag N
-            work[sl[2 + 2 * k]] = S[k][i + 1]    # lag N-1
-        work[sl[-2]] = A[i]
-        work[sl[-1]] = A[i + 1]
-        z = G @ work
-        if (i + 1) % _CHECK_EVERY == 0 and not np.all(np.isfinite(z)):
-            Z = Z[:i + 2]
-            Z[-1] = z
-            break
+    nz = G.shape[0]
+    z = np.concatenate([state.q, state.qd])
+    Z = np.empty((n_steps, nz))
+    Z[0] = z
+    S = [np.concatenate([h, np.empty((n_steps, tap.width))])
+         for tap, h in zip(kernel.taps, state.history)]
+    for s, tap in zip(S, kernel.taps):
+        s[tap.N] = tap.S_z @ z
+    # per tap: its record, its lag-N and lag-(N-1) work-vector slices, S_z
+    # transposed, and the view of the record whose row r senses trajectory row r
+    per_tap = [(s, lag_N, lag_Nm1, tap.S_z.T, s[tap.N:]) for s, tap, lag_N, lag_Nm1
+               in zip(S, kernel.taps, sl[1:-2:2], sl[2:-2:2])]
 
-    if not np.all(np.isfinite(Z)):
+    # one work vector per row of a block; step j reads row j and writes the
+    # state part of row j + 1
+    B = max(1, min(kernel.block, n_steps - 1))
+    work = np.empty((B + 1, G.shape[1]))
+    steps = [(work[j], work[j + 1, :nz]) for j in range(B)]
+    dot = np.dot
+    check_at = _CHECK_EVERY
+    for i0 in range(0, n_steps - 1, B):
+        b = min(B, n_steps - 1 - i0)
+        i1 = i0 + b
+        work[0, :nz] = Z[i0]
+        for s, lag_N, lag_Nm1, _, _ in per_tap:
+            work[:b, lag_N] = s[i0:i1]
+            work[:b, lag_Nm1] = s[i0 + 1:i1 + 1]
+        work[:b, sl[-2]] = A[i0:i1]
+        work[:b, sl[-1]] = A[i0 + 1:i1 + 1]
+        for w, z_next in steps[:b]:
+            dot(G, w, out=z_next)
+        Zb = work[1:b + 1, :nz]
+        Z[i0 + 1:i1 + 1] = Zb
+        for _, _, _, S_zT, s_now in per_tap:
+            dot(Zb, S_zT, out=s_now[i0 + 1:i1 + 1])
+        if i1 >= check_at:  # early exit only; the check below finds the first bad row
+            if not np.isfinite(Z[i1]).all():
+                Z = Z[:i1 + 1]
+                break
+            check_at += _CHECK_EVERY
+
+    if not np.isfinite(Z).all():
         rows, cols = np.nonzero(~np.isfinite(Z))
         raise NonFiniteState(t0 + rows[0] * kernel.dt, model.coords[cols[0] % kernel.n])
     return Z, S
@@ -234,10 +271,8 @@ def step(model, state: BodyState, seat_accel, dt: float, seat_accel_next=None):
     state.time += dt
     state.step_count += 1
 
-    pick = lambda *names: np.array([y[model.outputs.index(f"head_{nm}")] for nm in names])
-    return state, {"acc": pick("acc_x", "acc_y", "acc_z"),
-                   "rotvel": pick("rotvel_roll", "rotvel_pitch", "rotvel_yaw"),
-                   "angle": pick("angle_roll", "angle_pitch")}
+    head = y[kernel.head_rows]
+    return state, {"acc": head[:3], "rotvel": head[3:6], "angle": head[6:]}
 
 
 def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = None,

@@ -14,6 +14,7 @@ negated, normalized specific force.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,6 +28,9 @@ GRAVITY = 9.81
 # Specific-force magnitudes below this give no usable direction; the
 # previous subjective-vertical estimate is carried and the sample flagged.
 DEGENERATE_SF_M_S2 = 0.1
+
+# samples per chunk of the subjective-vertical loop
+_SV_CHUNK = 256
 
 ROTVEL_CHANNELS = ("head_rotvel_roll", "head_rotvel_pitch", "head_rotvel_yaw")
 ACC_CHANNELS = ("head_acc_x", "head_acc_y", "head_acc_z")
@@ -120,35 +124,39 @@ def subjective_vertical(sensed_sf: TimeSeries, sensed_rotvel: TimeSeries,
     tau = params.sv_time_constant_s
     F = sensed_sf.samples
     W = sensed_rotvel.samples
-    n = sensed_sf.n_samples
-    out = np.empty((n, 3))
+    out = np.empty((sensed_sf.n_samples, 3))
     vx, vy, vz = 0.0, 0.0, 1.0
     degenerate = 0
     k = dt / tau
-    for i in range(n):
-        wx, wy, wz = W[i, 0], W[i, 1], W[i, 2]
-        # v <- v - dt * (w x v): space-fixed direction seen from the head
-        cx = wy * vz - wz * vy
-        cy = wz * vx - wx * vz
-        cz = wx * vy - wy * vx
-        vx -= dt * cx
-        vy -= dt * cy
-        vz -= dt * cz
-        fx, fy, fz = F[i, 0], F[i, 1], F[i, 2]
-        fmag = (fx * fx + fy * fy + fz * fz) ** 0.5
-        if fmag < DEGENERATE_SF_M_S2:
-            degenerate += 1
-        else:
-            vx += k * (-fx / fmag - vx)
-            vy += k * (-fy / fmag - vy)
-            vz += k * (-fz / fmag - vz)
-        norm = (vx * vx + vy * vy + vz * vz) ** 0.5
-        vx /= norm
-        vy /= norm
-        vz /= norm
-        out[i, 0] = vx
-        out[i, 1] = vy
-        out[i, 2] = vz
+    # Python floats are faster here than numpy scalars and round alike;
+    # converting a chunk at a time bounds the lists' memory
+    for start in range(0, len(out), _SV_CHUNK):
+        stop = start + _SV_CHUNK
+        rows = []
+        for (wx, wy, wz), (fx, fy, fz) in zip(W[start:stop].tolist(),
+                                              F[start:stop].tolist()):
+            # v <- v - dt * (w x v): space-fixed direction seen from the head
+            cx = wy * vz - wz * vy
+            cy = wz * vx - wx * vz
+            cz = wx * vy - wy * vx
+            vx -= dt * cx
+            vy -= dt * cy
+            vz -= dt * cz
+            fmag = (fx * fx + fy * fy + fz * fz) ** 0.5
+            if fmag < DEGENERATE_SF_M_S2:
+                degenerate += 1
+            else:
+                vx += k * (-fx / fmag - vx)
+                vy += k * (-fy / fmag - vy)
+                vz += k * (-fz / fmag - vz)
+            # a zero norm yields NaN rather than ZeroDivisionError, so
+            # from_arrays reports the row as a non-finite sample
+            norm = (vx * vx + vy * vy + vz * vz) ** 0.5 or math.nan
+            vx /= norm
+            vy /= norm
+            vz /= norm
+            rows.append((vx, vy, vz))
+        out[start:stop] = rows
     channels = [("sensed_vert_x", "1"), ("sensed_vert_y", "1"), ("sensed_vert_z", "1")]
     return from_arrays(dt, out, channels, start_time=sensed_sf.start_time,
                        meta={"degenerate_samples": degenerate})

@@ -34,7 +34,7 @@ from .perception import VestibularParams, perceive
 from .sickness import AccumulatorParams, accumulate, save_summary, summarize
 from .spectral import detect_peaks, estimate_frf
 from .stht import STHTOptions, default_welch_params
-from .timeseries import load_timeseries, save_json, save_timeseries
+from .timeseries import count_samples, load_timeseries, save_json, save_timeseries
 
 SCHEMA_VERSION = 1
 
@@ -267,34 +267,47 @@ def apply_cli_overrides(raw, seed=None, axis=None, vision=None):
 
 
 def _read_input(raw, base_dir, seed, errors):
-    """(ExcitationSpec, csv path): one of them, as ``input.kind`` selects.
+    """(ExcitationSpec, csv path, record length in samples).
 
-    The config key ``signal`` holds the ExcitationSpec field ``kind``, and
-    a top-level ``seed`` fills in a missing ``input.seed``.
+    Either the spec or the path is set, as ``input.kind`` selects; the
+    length is None when the input is invalid.  The config key ``signal``
+    holds the ExcitationSpec field ``kind``, and a top-level ``seed`` fills
+    in a missing ``input.seed``.
     """
     raw = dict(raw)
     kind = raw.pop("kind", None)
     if kind == "csv":
         csv = _read(_CsvInput, raw, "input", errors)
         if csv is _INVALID:
-            return None, None
+            return None, None, None
         path = base_dir / csv.path
-        if path.is_file():
-            return None, path.resolve()
-        return None, _fail(errors, "input.path", f"file not found: {path}")
+        if not path.is_file():
+            return None, _fail(errors, "input.path", f"file not found: {path}"), None
+        try:
+            n_samples = count_samples(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            return None, _fail(errors, "input.path", f"cannot read {path}: {exc}"), None
+        if n_samples > MAX_INPUT_SAMPLES:
+            errors.append(("input.path", f"{n_samples} samples exceed the budget "
+                           f"of {MAX_INPUT_SAMPLES} samples"))
+            return None, path.resolve(), None
+        return None, path.resolve(), n_samples
     if kind != "excitation":
-        return None, _fail(errors, "input.kind", "must be 'excitation' or 'csv'")
+        return None, _fail(errors, "input.kind", "must be 'excitation' or 'csv'"), None
     if seed is not None:
         raw.setdefault("seed", seed)
     elif "seed" not in raw:
         errors.append(("input.seed", "a seed is required for synthetic "
                        "excitation (here or at the top level)"))
     spec = _read(ExcitationSpec, raw, "input", errors, keys={"kind": "signal"})
-    if spec is not _INVALID and spec.duration_s / spec.dt_s > MAX_INPUT_SAMPLES:
+    if spec is _INVALID:
+        return spec, None, None
+    if spec.duration_s / spec.dt_s > MAX_INPUT_SAMPLES:
         errors.append(("input.duration_s",
                        f"{spec.duration_s:g} s at dt_s = {spec.dt_s:g} s "
                        f"exceeds the budget of {MAX_INPUT_SAMPLES} samples"))
-    return spec, None
+        return spec, None, None
+    return spec, None, spec.n_samples
 
 
 def _read_model(model, errors):
@@ -323,14 +336,15 @@ def build_config(raw, base_dir="."):
                        f"unsupported version {version}, expected {SCHEMA_VERSION}"))
     if seed is not None and seed < 0:
         errors.append(("seed", "must be >= 0"))
-    spec, input_path = _read_input(top["input"], Path(base_dir), seed, errors) \
-        if "input" in top else (None, None)
+    spec, input_path, n_samples = \
+        _read_input(top["input"], Path(base_dir), seed, errors) \
+        if "input" in top else (None, None, None)
     welch = top["stht"].welch if "stht" in top else None
-    if isinstance(spec, ExcitationSpec) and welch is not None \
-            and welch.n_segments(spec.n_samples) < 2:
+    if n_samples is not None and welch is not None \
+            and welch.n_segments(n_samples) < 2:
         errors.append(("stht.welch.segment_length",
                        f"{welch.segment_length} leaves fewer than 2 Welch "
-                       f"segments in the {spec.n_samples}-sample input record"))
+                       f"segments in the {n_samples}-sample input record"))
     body = _read_model(top["model"], errors) if "model" in top else None
     if body is not None and "posture" in top:
         try:  # a valid parameter set can still be unstable or singular

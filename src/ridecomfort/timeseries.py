@@ -130,6 +130,15 @@ def _parse_header(cells, path):
     return channels
 
 
+def count_samples(path) -> int:
+    """Sample rows of a TimeSeries CSV, counted as ``load_timeseries`` reads
+    them (the non-blank lines after the header), streamed line by line
+    without parsing a number."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        lines = sum(1 for ln in fh if ln.strip())
+    return max(lines - 1, 0)
+
+
 def load_timeseries(path, schema=None) -> TimeSeries:
     """Read and validate a TimeSeries CSV.
 

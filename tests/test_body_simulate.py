@@ -5,8 +5,9 @@ import pytest
 
 from ridecomfort.body import BodyParams, COORDINATE_NAMES, PostureConfig, build_model
 from ridecomfort.body.integrate import (
-    SEAT_INPUT_CHANNELS, _get_kernel, _literal_rk4, create_state,
+    SEAT_INPUT_CHANNELS, _advance, _get_kernel, _literal_rk4, create_state,
     mechanical_energy, simulate, step)
+from ridecomfort.errors import NonFiniteState
 from ridecomfort.timeseries import from_arrays
 
 Z_ONLY = tuple(n for n in COORDINATE_NAMES if n != "seat_z")
@@ -118,6 +119,103 @@ def test_simulate_resumes_stepped_state_exactly():
     assert np.array_equal(state.q, before[0]) and np.array_equal(state.qd, before[1])
     assert all(np.array_equal(h, b) for h, b in zip(state.history, before[2]))
     assert state.step_count == k
+
+
+def _per_step_advance(kernel, state, A):
+    """Exactness oracle for ``_advance``: one work vector per step, each
+    delayed sample sensed as its trajectory row appears."""
+    n_steps = A.shape[0]
+    taps = kernel.taps
+    sl = kernel.slices
+    z = np.concatenate([state.q, state.qd])
+    Z = np.empty((n_steps, z.size))
+    S = [np.concatenate([h, np.empty((n_steps, tap.width))])
+         for tap, h in zip(taps, state.history)]
+    work = np.zeros(kernel.G.shape[1])
+    for i in range(n_steps):
+        Z[i] = z
+        for k in range(len(taps)):
+            S[k][taps[k].N + i] = taps[k].S_z @ z
+        if i == n_steps - 1:
+            break
+        work[sl[0]] = z
+        for k in range(len(taps)):
+            work[sl[1 + 2 * k]] = S[k][i]        # lag N
+            work[sl[2 + 2 * k]] = S[k][i + 1]    # lag N-1
+        work[sl[-2]] = A[i]
+        work[sl[-1]] = A[i + 1]
+        z = kernel.G @ work
+    return Z, S
+
+
+def _default_model(**overrides):
+    return build_model(BodyParams.from_preset("default", overrides))
+
+
+# name: (model, number of delay taps, shortest tap N at dt = 1 ms)
+_EXACTNESS_CASES = {
+    "prop_N1": (lambda: _default_model(prop_delay_s=0.001), 2, 1),
+    "prop_N2": (lambda: _default_model(prop_delay_s=0.002), 2, 2),
+    "default_N25": (_default_model, 2, 25),
+    "tapless": (_single_dof_model, 0, None),
+    "visual_3_taps": (lambda: _default_model(visual_enabled=True, visual_gain_Nm_per_rad=5.0,
+                                             visual_gain_Nms_per_rad=0.5), 3, 25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACTNESS_CASES))
+def test_block_advance_matches_per_step_loop_exactly(name):
+    make_model, n_taps, shortest_N = _EXACTNESS_CASES[name]
+    model = make_model()
+    dt = 0.001
+    kernel = _get_kernel(model, dt)
+    assert len(kernel.taps) == n_taps
+    assert min((tap.N for tap in kernel.taps), default=None) == shortest_N
+    # block filling is exact only because every sensing row is e_i or e_i - e_j
+    for tap in kernel.taps:
+        assert set(np.unique(tap.S_z)) <= {-1.0, 0.0, 1.0}
+        assert np.all(np.abs(tap.S_z).sum(axis=1) <= 2)
+
+    B = kernel.block
+    rng = np.random.default_rng(13)
+    A = 0.5 * rng.standard_normal((3 * B + 2 + 500, 3))
+    fresh = create_state(model, dt)
+    # a resumed state: non-zero coordinates and delay history
+    Z0, S0 = _per_step_advance(kernel, fresh, A[:400])
+    resumed = create_state(model, dt)
+    resumed.q, resumed.qd = Z0[-1, :model.n], Z0[-1, model.n:]
+    resumed.history = [s[-tap.N:] for s, tap in zip(S0, kernel.taps)]
+    assert n_taps == 0 or np.any(resumed.history[0] != 0.0)
+
+    for state, rows in ((fresh, A[:3 * B + 2]), (resumed, A[400:])):
+        for length in (1, 2, B, B + 1, 3 * B + 2):
+            Z, S = _advance(model, kernel, state, rows[:length], 0.0)
+            Z_ref, S_ref = _per_step_advance(kernel, state, rows[:length])
+            assert np.array_equal(Z, Z_ref)
+            assert len(S) == len(S_ref)
+            assert all(np.array_equal(s, r) for s, r in zip(S, S_ref))
+
+
+@pytest.mark.parametrize("amplitude, first_bad_row", [(1e300, 335), (4.2e302, 255)])
+def test_diverging_run_reports_first_non_finite_row(amplitude, first_bad_row):
+    # dt = 15 ms is beyond the explicit step's stability limit for this
+    # model, and the shortest tap has N = 4.  Row 335 lies inside a block,
+    # after the first finiteness check (row 256); row 255 lies in the block
+    # that check closes.
+    model = _default_model(prop_delay_s=0.06)
+    dt, t0 = 0.015, 2.5
+    kernel = _get_kernel(model, dt)
+    assert kernel.block == 4
+    A = np.full((1000, 3), amplitude)
+    seat = from_arrays(dt, A, [(n, "m/s^2") for n in SEAT_INPUT_CHANNELS], start_time=t0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState) as info:
+            simulate(model, seat)
+        Z_ref, _ = _per_step_advance(kernel, create_state(model, dt), A)
+    rows, cols = np.nonzero(~np.isfinite(Z_ref))
+    assert (rows[0], model.coords[cols[0] % model.n]) == (first_bad_row, "pelvis_roll")
+    assert info.value.time == t0 + first_bad_row * dt
+    assert info.value.coordinate == "pelvis_roll"
 
 
 def test_simulate_rejects_state_for_another_dt():

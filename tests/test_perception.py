@@ -7,6 +7,7 @@ from ridecomfort.perception import (
     ACC_CHANNELS, ANGLE_CHANNELS, GRAVITY, ROTVEL_CHANNELS, VestibularParams,
     VisionParams, conflict, internal_expectation, otolith_response, perceive,
     scc_response, subjective_vertical)
+from ridecomfort.errors import NonFiniteSample
 from ridecomfort.timeseries import from_arrays
 
 
@@ -103,6 +104,17 @@ def test_subjective_vertical_freefall_is_degenerate():
     v = subjective_vertical(sf, rv, params)
     assert v.meta["degenerate_samples"] == n
     assert np.all(v.channel("sensed_vert_z") == 1.0)
+
+
+def test_subjective_vertical_zero_norm_is_a_non_finite_sample():
+    # an upward specific force points the pull at (0, 0, -1); dt / tau = 0.5
+    # averages that with the upright start, so the estimate is zero at row 0
+    sf = from_arrays(0.001, np.tile([0.0, 0.0, 5.0], (10, 1)),
+                     [(f"sensed_sf_{ax}", "m/s^2") for ax in "xyz"])
+    rv = from_arrays(0.001, np.zeros((10, 3)),
+                     [(f"sensed_rotvel_{ax}", "rad/s") for ax in "xyz"])
+    with pytest.raises(NonFiniteSample, match="'sensed_vert_x' at row 0"):
+        subjective_vertical(sf, rv, VestibularParams(sv_time_constant_s=0.002))
 
 
 def test_expectation_without_vision_is_upright_prior():

@@ -169,6 +169,61 @@ def test_quiet_input_reports_no_resonances(tmp_path):
     assert all(v == 0.0 for v in rms.values())
 
 
+def _csv_scenario(tmp_path, n_rows, welch=None):
+    """A csv-input scenario over an all-zero seat record of ``n_rows``."""
+    header = "time_s,seat_acc_x[m/s^2],seat_acc_y[m/s^2],seat_acc_z[m/s^2]"
+    lines = [header] + [f"{i * 0.002:.17g},0,0,0" for i in range(n_rows)]
+    (tmp_path / "seat.csv").write_text("\n".join(lines) + "\n")
+    raw = make_scenario()
+    raw["input"] = {"kind": "csv", "path": "seat.csv"}
+    if welch is not None:
+        raw["stht"] = {"welch": welch}
+    return raw
+
+
+def test_csv_input_welch_segmentation_checked_by_validate(tmp_path, capsys):
+    raw = _csv_scenario(tmp_path, 3001, {"segment_length": 100000})
+    config, errors = build_config(raw, tmp_path)
+    assert config is None
+    assert errors == [("stht.welch.segment_length", "100000 leaves fewer than 2 "
+                       "Welch segments in the 3001-sample input record")]
+    assert main(["validate", "--config", str(_write(tmp_path, raw))]) == 1
+    assert "  stht.welch.segment_length: " in capsys.readouterr().out
+
+    # 3001 samples hold exactly 2 half-overlapping segments of 2000
+    config, errors = build_config(
+        _csv_scenario(tmp_path, 3001, {"segment_length": 2000}), tmp_path)
+    assert errors == [] and config.input_kind == "csv"
+    _, errors = build_config(
+        _csv_scenario(tmp_path, 2999, {"segment_length": 2000}), tmp_path)
+    assert [f for f, _ in errors] == ["stht.welch.segment_length"]
+
+
+def test_csv_input_over_the_sample_budget_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr("ridecomfort.pipeline.MAX_INPUT_SAMPLES", 100)
+    _, errors = build_config(_csv_scenario(tmp_path, 100), tmp_path)
+    assert errors == []
+    _, errors = build_config(_csv_scenario(tmp_path, 101), tmp_path)
+    assert errors == [("input.path",
+                       "101 samples exceed the budget of 100 samples")]
+
+
+def test_oversized_excitation_with_welch_is_a_config_error():
+    # duration_s / dt_s overflows a float, so the Welch check must not
+    # turn the record length into an integer
+    raw = make_scenario(input={"duration_s": 1e300, "dt_s": 1e-10},
+                        stht={"welch": {"segment_length": 256}})
+    _, errors = build_config(raw)
+    assert [f for f, _ in errors] == ["input.duration_s"]
+
+
+def test_unreadable_csv_input_reported_at_input_path(tmp_path):
+    raw = _csv_scenario(tmp_path, 10)
+    (tmp_path / "seat.csv").write_bytes(b"time_s,seat_acc_x[m/s^2]\n0,\xff\n")
+    _, errors = build_config(raw, tmp_path)
+    assert [f for f, _ in errors] == ["input.path"]
+
+
 # -- config reader: bad inputs and fuzzing ------------------------------------
 
 # (section, key, value, leaf path where the problem must be reported)

@@ -7,7 +7,8 @@ from ridecomfort.errors import (
     EmptyFile, InvalidRate, MissingChannel, NonFiniteSample,
     NonUniformSampling)
 from ridecomfort.timeseries import (
-    TimeSeries, from_arrays, load_timeseries, resample, save_timeseries)
+    TimeSeries, count_samples, from_arrays, load_timeseries, resample,
+    save_timeseries)
 
 
 def _demo(n=500, dt=0.001, seed=0):
@@ -90,6 +91,21 @@ def test_load_rejects_malformed(tmp_path):
     jitter.write_text("time_s,acc_x[m/s^2]\n0.0,1.0\n0.001,1.0\n0.0025,1.0\n")
     with pytest.raises(NonUniformSampling):
         load_timeseries(jitter)
+
+
+def test_count_samples_follows_the_load_rule(tmp_path):
+    # CRLF and bare CR line ends, blank and whitespace-only lines, no final
+    # newline: the streamed count equals the rows load_timeseries returns
+    path = tmp_path / "odd.csv"
+    text = ("time_s,acc_x[m/s^2]\r\n0,1\r\n\r\n   \n0.001,2\n\t\n"
+            "0.002,3\r\n\r\r\n0.003,4")
+    path.write_bytes(text.encode("utf-8"))
+    assert count_samples(path) == load_timeseries(path).n_samples == 4
+
+    save_timeseries(_demo(n=37), tmp_path / "demo.csv")
+    assert count_samples(tmp_path / "demo.csv") == 37
+    (tmp_path / "header_only.csv").write_text("time_s,acc_x[m/s^2]\n\n")
+    assert count_samples(tmp_path / "header_only.csv") == 0
 
 
 def test_resample_preserves_signal():
