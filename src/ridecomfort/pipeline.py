@@ -5,8 +5,9 @@ posture, perception and accumulation parameters, and metric selection.
 ``run_pipeline`` executes the stages in order (input, body, perception,
 sickness, metrics), persists every intermediate trace to the output
 directory, and writes a deterministic ``report.json`` plus a volatile
-``timing.json`` holding wall clocks and realtime factors.  Keeping timing
-out of the report makes two runs of the same scenario byte-identical.
+``timing.json`` holding wall clocks (each stage's total and the part of it
+spent writing artifacts) and realtime factors.  Keeping timing out of the
+report makes two runs of the same scenario byte-identical.
 
 The config reader is derived from the parameter dataclasses: each key's
 type is its field's annotation and each omitted key takes the field's
@@ -287,6 +288,11 @@ def _read_input(raw, base_dir, seed, errors):
             n_samples = count_samples(path)
         except (OSError, UnicodeDecodeError) as exc:
             return None, _fail(errors, "input.path", f"cannot read {path}: {exc}"), None
+        if n_samples == 0:  # the input stage would refuse it; say why now
+            try:
+                load_timeseries(path)
+            except RideComfortError as exc:
+                return None, _fail(errors, "input.path", str(exc)), None
         if n_samples > MAX_INPUT_SAMPLES:
             errors.append(("input.path", f"{n_samples} samples exceed the budget "
                            f"of {MAX_INPUT_SAMPLES} samples"))
@@ -391,6 +397,21 @@ def parse_config(path, seed=None, axis=None, vision=None):
 
 # -- stages -------------------------------------------------------------------
 
+# Wall time spent in artifact writers since import.  run_pipeline reads it
+# only as a difference across one stage call, so it is never reset.
+_write_s = 0.0
+
+
+def _timed_save(save, obj, path):
+    """``save(obj, path)``, with its wall time added to ``_write_s``."""
+    global _write_s
+    t = time.perf_counter()
+    try:
+        save(obj, path)
+    finally:
+        _write_s += time.perf_counter() - t
+
+
 def _wrap(stage):
     def deco(fn):
         def run(*args, **kwargs):
@@ -412,7 +433,7 @@ def stage_input(config, out_dir):
     else:
         seat = load_timeseries(config.input_path, schema=SEAT_CHANNELS)
         seat = seat.select([name for name, _ in SEAT_CHANNELS])
-    save_timeseries(seat, Path(out_dir) / "seat_motion.csv")
+    _timed_save(save_timeseries, seat, Path(out_dir) / "seat_motion.csv")
     return seat
 
 
@@ -454,26 +475,26 @@ def stage_body(config, out_dir, seat):
     """Simulate the seated-body response and scan it for resonances."""
     model = build_model(config.body, config.posture)
     body = simulate(model, seat)
-    save_timeseries(body, Path(out_dir) / "body_response.csv")
+    _timed_save(save_timeseries, body, Path(out_dir) / "body_response.csv")
     resonances = _resonance_scan(config, seat, body)
-    save_json(resonances, Path(out_dir) / "resonances.json")
+    _timed_save(save_json, resonances, Path(out_dir) / "resonances.json")
     return body, resonances
 
 
 @_wrap("perception")
 def stage_perception(config, out_dir, body):
     perceived, conflict = perceive(body, config.perception)
-    save_timeseries(perceived, Path(out_dir) / "perceived.csv")
-    save_timeseries(conflict, Path(out_dir) / "conflict.csv")
+    _timed_save(save_timeseries, perceived, Path(out_dir) / "perceived.csv")
+    _timed_save(save_timeseries, conflict, Path(out_dir) / "conflict.csv")
     return perceived, conflict
 
 
 @_wrap("sickness")
 def stage_sickness(config, out_dir, conflict):
     trace = accumulate(conflict, config.accumulator)
-    save_timeseries(trace, Path(out_dir) / "sickness.csv")
+    _timed_save(save_timeseries, trace, Path(out_dir) / "sickness.csv")
     summary = summarize(trace)
-    save_summary(summary, Path(out_dir) / "sickness_summary.json")
+    _timed_save(save_summary, summary, Path(out_dir) / "sickness_summary.json")
     return trace, summary
 
 
@@ -481,7 +502,7 @@ def stage_sickness(config, out_dir, conflict):
 def stage_metrics(config, out_dir, seat, body):
     report = comfort_report(seat, body, config.metrics_settle_s,
                             config.metrics_rms, config.metrics_msdv)
-    save_comfort_report(report, Path(out_dir) / "comfort.json")
+    _timed_save(save_comfort_report, report, Path(out_dir) / "comfort.json")
     return report
 
 
@@ -504,6 +525,7 @@ class RunReport:
     manifest: dict                      # stage -> relative file names
     summary: dict
     stage_wall_s: dict
+    stage_write_s: dict                 # the part of stage_wall_s spent writing
     body_realtime_factor: float
     pipeline_realtime_factor: float
 
@@ -514,6 +536,7 @@ class RunReport:
 
     def timing_dict(self):
         return {"stage_wall_s": dict(self.stage_wall_s),
+                "stage_write_s": dict(self.stage_write_s),
                 "body_realtime_factor": self.body_realtime_factor,
                 "pipeline_realtime_factor": self.pipeline_realtime_factor,
                 "faster_than_realtime": self.body_realtime_factor > 1.0}
@@ -531,26 +554,21 @@ def run_pipeline(config, out_dir=None):
         raise ConfigError([("output_dir",
                             "required (config key or --out option)")])
     out.mkdir(parents=True, exist_ok=True)
-    wall = {}
+    wall, write = {}, {}
+
+    def run(stage, fn, *args):
+        t, written = time.perf_counter(), _write_s
+        result = fn(*args)
+        wall[stage] = time.perf_counter() - t
+        write[stage] = _write_s - written
+        return result
+
     t0 = time.perf_counter()
-    seat = stage_input(config, out)
-    wall["input"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    body, resonances = stage_body(config, out, seat)
-    wall["body"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    _, conflict = stage_perception(config, out, body)
-    wall["perception"] = time.perf_counter() - t2
-
-    t3 = time.perf_counter()
-    _, sick = stage_sickness(config, out, conflict)
-    wall["sickness"] = time.perf_counter() - t3
-
-    t4 = time.perf_counter()
-    comfort = stage_metrics(config, out, seat, body)
-    wall["metrics"] = time.perf_counter() - t4
+    seat = run("input", stage_input, config, out)
+    body, resonances = run("body", stage_body, config, out, seat)
+    _, conflict = run("perception", stage_perception, config, out, body)
+    _, sick = run("sickness", stage_sickness, config, out, conflict)
+    comfort = run("metrics", stage_metrics, config, out, seat, body)
     total_wall = time.perf_counter() - t0
 
     head_rms = {axis: float(np.sqrt(np.mean(
@@ -568,6 +586,7 @@ def run_pipeline(config, out_dir=None):
         manifest={stage: _STAGE_FILES[stage] for stage in STAGE_ORDER},
         summary=summary,
         stage_wall_s=wall,
+        stage_write_s=write,
         body_realtime_factor=float(body.meta["realtime_factor"]),
         pipeline_realtime_factor=seat.duration / max(total_wall, 1e-12),
     )

@@ -4,13 +4,21 @@ The CSV layout is the interchange format between pipeline stages: first
 column ``time_s``, remaining header cells ``name[unit]`` (for example
 ``seat_acc_x[m/s^2]``), comma separated, decimal point, UTF-8, LF or CRLF.
 JSON artifacts (summaries and reports) are written by ``save_json``.
+
+``save_timeseries`` formats the rows of a long trace in worker processes
+where the platform forks them (Linux); the bytes are the same either way.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
+import multiprocessing
+import os
 import re
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +35,7 @@ from .errors import (
 )
 
 _DT_RTOL = 1e-6
+_BLOCK_ROWS = 4096  # CSV rows formatted per task of the writer's pool
 _HEADER_RE = re.compile(r"^(?P<name>[^\[\]]+)\[(?P<unit>[^\[\]]*)\]$")
 
 
@@ -130,12 +139,21 @@ def _parse_header(cells, path):
     return channels
 
 
+def _lines(fh):
+    """Non-blank lines of a CSV opened with ``newline="\\n"``, each without
+    its LF or CRLF end: the line rule of the reader and of count_samples."""
+    for ln in fh:
+        ln = ln.removesuffix("\n").removesuffix("\r")
+        if ln.strip():
+            yield ln
+
+
 def count_samples(path) -> int:
     """Sample rows of a TimeSeries CSV, counted as ``load_timeseries`` reads
     them (the non-blank lines after the header), streamed line by line
     without parsing a number."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = sum(1 for ln in fh if ln.strip())
+        lines = sum(1 for _ in _lines(fh))
     return max(lines - 1, 0)
 
 
@@ -146,19 +164,22 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     be present (extra file channels are kept). dt is inferred from the time
     column and must be uniform within a relative tolerance of 1e-6.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
-    if not lines:
-        raise EmptyFile(f"{path} is empty")
-    channels = _parse_header(lines[0].split(","), path)
-    if len(lines) < 2:
-        raise EmptyFile(f"{path} has a header but no samples")
-
-    try:
-        body = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise NonFiniteSample("<unparseable>", -1) from exc
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        lines = _lines(fh)  # streamed: no copy of the text is held
+        header = next(lines, None)
+        if header is None:
+            raise EmptyFile(f"{path} is empty")
+        channels = _parse_header(header.split(","), path)
+        first = next(lines, None)
+        if first is None:
+            raise EmptyFile(f"{path} has a header but no samples")
+        try:
+            body = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                              ndmin=2)
+        except UnicodeDecodeError:
+            raise  # not UTF-8: no number problem
+        except ValueError as exc:
+            raise NonFiniteSample("<unparseable>", -1) from exc
     if body.shape[1] != len(channels) + 1:
         raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
 
@@ -199,13 +220,52 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     return TimeSeries(float(t[0]), dt, tuple(channels), samples)
 
 
+def _format_rows(block) -> str:
+    """CSV text of a 2-D block: the bytes ``np.savetxt(fmt="%.17g")`` writes."""
+    row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _pool_workers(n_blocks) -> int:
+    """Worker processes for formatting ``n_blocks``; 0 means in-process.
+
+    A pool pays off only where workers are forked (a spawned one would
+    import numpy first) and at least two CPUs and blocks are available.
+    It is used only from a process with one thread: a forked child gets no
+    copy of the other threads, only of the locks they may hold.
+    """
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    if (method != "fork" or threading.active_count() > 1
+            or not hasattr(os, "sched_getaffinity")):
+        return 0
+    workers = min(len(os.sched_getaffinity(0)), n_blocks)
+    return workers if workers >= 2 else 0
+
+
 def save_timeseries(ts: TimeSeries, path) -> None:
-    """Write the CSV interchange format with full round-trip precision."""
+    """Write the CSV interchange format with full round-trip precision.
+
+    Rows are formatted in blocks of ``_BLOCK_ROWS``, by a process pool that
+    lives only for this call when ``_pool_workers`` allows one, and written
+    in order.  A worker that dies is reported as an OSError naming the file.
+    """
     header = "time_s," + ",".join(f"{n}[{u}]" for n, u in ts.channels)
     data = np.column_stack([ts.time(), ts.samples])
+    blocks = [data[i:i + _BLOCK_ROWS] for i in range(0, len(data), _BLOCK_ROWS)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.17g", newline="\n")
+        workers = _pool_workers(len(blocks))
+        if not workers:
+            fh.writelines(map(_format_rows, blocks))
+            return
+        try:
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                fh.writelines(pool.map(_format_rows, blocks))
+        except BrokenProcessPool as exc:
+            raise OSError(f"cannot write {path}: a formatting worker "
+                          f"process ended abruptly") from exc
 
 
 def save_json(obj, path) -> None:

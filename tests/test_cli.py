@@ -1,8 +1,15 @@
 """Command-line entry points, exit codes and stage sequencing."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ridecomfort
 from ridecomfort.cli import main
+from ridecomfort.timeseries import load_timeseries, save_timeseries
 from conftest import make_scenario
 
 
@@ -110,6 +117,40 @@ def test_batch_runs_every_config(tiny_config, write_scenario, tmp_path, capsys):
     assert (out / "scenario" / "report.json").exists()
     assert (out / "second" / "report.json").exists()
     assert capsys.readouterr().out.count("->") == 2
+
+
+def test_batch_with_parallel_writer_matches_serial_runs(tmp_path):
+    # 12 s at 500 Hz is 6001 rows: every trace spans two writer blocks, so
+    # each batch worker opens its own formatting pool
+    configs = [_write(tmp_path, make_scenario(seed=seed, input={"duration_s": 12.0}),
+                      f"run{seed}.json") for seed in (5, 6)]
+    serial = tmp_path / "serial"
+    for path in configs:
+        assert main(["pipeline", "--config", str(path),
+                     "--out", str(serial / path.stem)]) == 0
+    # a save in this process first: no pool or worker may outlive it
+    body = load_timeseries(serial / "run5" / "body_response.csv")
+    save_timeseries(body, tmp_path / "copy.csv")
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "copy.csv").read_bytes() == \
+        (serial / "run5" / "body_response.csv").read_bytes()
+
+    batch = tmp_path / "batch"
+    src = str(Path(ridecomfort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "ridecomfort.cli", "pipeline", "--out", str(batch),
+            "--jobs", "2"] + [a for p in configs for a in ("--config", str(p))]
+    done = subprocess.run(args, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    for path in configs:
+        names = sorted(f.name for f in (serial / path.stem).iterdir())
+        assert names == sorted(f.name for f in (batch / path.stem).iterdir())
+        for name in names:
+            if name != "timing.json":
+                assert (serial / path.stem / name).read_bytes() == \
+                    (batch / path.stem / name).read_bytes(), name
 
 
 def test_stht_subcommand_writes_frf_files(tiny_config, tmp_path):

@@ -114,6 +114,9 @@ def test_run_pipeline_writes_all_artifacts(tiny_config, tmp_path):
     assert timing["body_realtime_factor"] > 1.0
     assert set(timing["stage_wall_s"]) == {
         "input", "body", "perception", "sickness", "metrics"}
+    assert set(timing["stage_write_s"]) == set(timing["stage_wall_s"])
+    for stage, write_s in timing["stage_write_s"].items():
+        assert 0.0 < write_s <= timing["stage_wall_s"][stage], stage
 
 
 def test_run_pipeline_deterministic_bytes(tiny_config, tmp_path):
@@ -222,6 +225,24 @@ def test_unreadable_csv_input_reported_at_input_path(tmp_path):
     (tmp_path / "seat.csv").write_bytes(b"time_s,seat_acc_x[m/s^2]\n0,\xff\n")
     _, errors = build_config(raw, tmp_path)
     assert [f for f, _ in errors] == ["input.path"]
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "is empty"),
+    (b"\n \r\n", "is empty"),
+    (b"time_s,seat_acc_x[m/s^2]\r\n\n", "has a header but no samples"),
+], ids=["empty", "blank", "header-only"])
+def test_csv_input_without_samples_is_refused(tmp_path, capsys, content, message):
+    (tmp_path / "empty.csv").write_bytes(content)
+    raw = make_scenario(input={"kind": "csv", "path": "empty.csv"})
+    for key in ("axis", "signal", "band_hz", "rms_m_s2", "duration_s", "dt_s"):
+        del raw["input"][key]
+    config, errors = build_config(raw, tmp_path)
+    assert config is None
+    assert [f for f, _ in errors] == ["input.path"]
+    assert errors[0][1].endswith(message)
+    assert main(["validate", "--config", str(_write(tmp_path, raw))]) == 1
+    assert f"  input.path: {tmp_path / 'empty.csv'}" in capsys.readouterr().out
 
 
 # -- config reader: bad inputs and fuzzing ------------------------------------

@@ -1,14 +1,22 @@
 """Time-series container, CSV round trip and resampling."""
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from ridecomfort.errors import (
     EmptyFile, InvalidRate, MissingChannel, NonFiniteSample,
     NonUniformSampling)
+from ridecomfort import timeseries
 from ridecomfort.timeseries import (
     TimeSeries, count_samples, from_arrays, load_timeseries, resample,
     save_timeseries)
+
+BLOCK = timeseries._BLOCK_ROWS
+POOLED = timeseries._pool_workers(2) >= 2  # saves of 2+ blocks use the pool
 
 
 def _demo(n=500, dt=0.001, seed=0):
@@ -106,6 +114,94 @@ def test_count_samples_follows_the_load_rule(tmp_path):
     assert count_samples(tmp_path / "demo.csv") == 37
     (tmp_path / "header_only.csv").write_text("time_s,acc_x[m/s^2]\n\n")
     assert count_samples(tmp_path / "header_only.csv") == 0
+
+
+def test_streamed_reader_keeps_the_load_rules(tmp_path):
+    def load(name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        return lambda: load_timeseries(path)
+
+    with pytest.raises(EmptyFile, match="is empty"):
+        load("blank.csv", b"\n  \r\n\t\n")()
+    with pytest.raises(EmptyFile, match="has a header but no samples"):
+        load("header.csv", b"\ntime_s,acc_x[m/s^2]\r\n\r\n")()
+    with pytest.raises(MissingChannel, match="expected 3 columns, got 2"):
+        load("narrow.csv", b"time_s,a[1],b[1]\n0,1\n0.1,2\n")()
+    with pytest.raises(NonFiniteSample, match="<unparseable>"):
+        load("text.csv", b"time_s,a[1]\n0,x\n")()
+    with pytest.raises(UnicodeDecodeError):
+        load("latin1.csv", b"time_s,a[1]\n0,1\n0.1,\xff\n")()
+    # one CR before each LF is dropped, as the whole-text reader did
+    two = load("crcrlf.csv", b"time_s,a[1]\r\n0,1\r\r\n0.1,2\n")()
+    assert two.samples.tolist() == [[1.0], [2.0]]
+    # a blank line before the header, CRLF and one sample
+    one = load("one.csv", b"\r\ntime_s,a[1]\r\n2.5,-0\r\n")()
+    assert one.start_time == 2.5 and one.n_samples == 1
+    assert np.signbit(one.samples[0, 0])
+
+
+def _savetxt_writer(ts, path):
+    """The writer before the parallel one, kept as the byte oracle."""
+    header = "time_s," + ",".join(f"{n}[{u}]" for n, u in ts.channels)
+    data = np.column_stack([ts.time(), ts.samples])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        np.savetxt(fh, data, delimiter=",", fmt="%.17g", newline="\n")
+
+
+_SPECIAL = [-0.0, 5e-324, 1e-300, 1e300, 1 / 3, 0.0, 1.0, -7.0, 123456789.0,
+            2.0 ** 53, -2.5e-7]
+
+
+@pytest.mark.parametrize("n_channels", [1, 30])
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+def test_writer_bytes_equal_savetxt(tmp_path, n_rows, n_channels):
+    rng = np.random.default_rng(n_rows * 31 + n_channels)
+    data = rng.standard_normal((n_rows, n_channels)) * 10.0 ** rng.integers(
+        -8, 9, size=(n_rows, n_channels))
+    flat = data.reshape(-1)
+    flat[::7][:len(_SPECIAL)] = _SPECIAL[:len(flat[::7])]
+    for start_time in (0.0, -12.345):
+        ts = TimeSeries(start_time, 0.001, tuple((f"c{i}", "m/s^2")
+                        for i in range(n_channels)), data)
+        save_timeseries(ts, tmp_path / "new.csv")
+        assert multiprocessing.active_children() == []
+        _savetxt_writer(ts, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+    back = load_timeseries(tmp_path / "new.csv")
+    assert np.array_equal(back.samples, data)
+    assert np.array_equal(np.signbit(back.samples), np.signbit(data))
+
+
+def test_writer_formats_in_process_beside_other_threads(tmp_path):
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert timeseries._pool_workers(2) == 0
+        ts = _demo(n=2 * BLOCK + 1)
+        save_timeseries(ts, tmp_path / "new.csv")
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    _savetxt_writer(ts, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _die(block):
+    os._exit(1)
+
+
+@pytest.mark.skipif(not POOLED, reason="rows are formatted in-process here")
+def test_writer_worker_death_is_an_os_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(timeseries, "_format_rows", _die)
+    path = tmp_path / "dead.csv"
+    with pytest.raises(OSError, match="dead.csv"):
+        save_timeseries(_demo(n=2 * BLOCK), path)
+    assert multiprocessing.active_children() == []
 
 
 def test_resample_preserves_signal():
