@@ -21,6 +21,16 @@ from .stht import RESPONSE_CHANNELS, run_stht, save_stht_result
 from .timeseries import load_timeseries
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ridecomfort",
@@ -52,7 +62,7 @@ def _build_parser():
         sp.add_argument("--vision", choices=("on", "off"),
                         help="override the visual-channel flag")
         if name == "pipeline":
-            sp.add_argument("--jobs", type=int, default=1, metavar="N",
+            sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                             help="parallel workers for config batches")
     return parser
 
@@ -107,8 +117,7 @@ def cmd_pipeline(args):
         pl.parse_config(path, seed=args.seed, axis=args.axis,
                         vision=args.vision)
         jobs.append((path, out, args.seed, args.axis, args.vision))
-    workers = max(1, args.jobs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         for path, (msi, out) in zip(args.config,
                                     pool.map(_run_batch_entry, jobs)):
             print(f"pipeline: {path} -> {out} (final MSI {msi:.3g}%)")

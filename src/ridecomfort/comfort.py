@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 import scipy.signal as sps
 
-from .errors import RateMismatch, UnitMismatch, UnsupportedRate
+from .errors import GridMismatch, RateMismatch, UnitMismatch, UnsupportedRate
 from .timeseries import TimeSeries, save_json
 
 _SQRT2 = math.sqrt(2.0)
@@ -283,18 +283,26 @@ def comfort_report(seat_motion=None, body_response=None, settle_s=0.0,
     Axis weightings follow the seated-surface convention: Wd laterally, Wk
     vertically.  The dose uses the vertical seat channel when a seat record
     is given, otherwise the vertical head channel.  Either record may be
-    omitted; at least one is required.  Raises RateMismatch when the two
-    records disagree on sample rate.
+    omitted; at least one is required.  Two records must share one grid:
+    RateMismatch when they disagree on sample rate, GridMismatch when on
+    start time or sample count.
     """
     records = [(ts, prefix) for ts, prefix in
                ((seat_motion, "seat_acc"), (body_response, "head_acc"))
                if ts is not None]
     if not records:
         raise ValueError("need a seat record, a body-response record, or both")
-    if len(records) == 2 and abs(seat_motion.dt - body_response.dt) > 1e-12:
-        raise RateMismatch(
-            f"seat record at {1.0 / seat_motion.dt:g} Hz but body response "
-            f"at {1.0 / body_response.dt:g} Hz")
+    if len(records) == 2:
+        seat, body = seat_motion, body_response
+        if abs(seat.dt - body.dt) > 1e-12:
+            raise RateMismatch(f"seat record at {1.0 / seat.dt:g} Hz but body "
+                               f"response at {1.0 / body.dt:g} Hz")
+        if (seat.n_samples != body.n_samples
+                or abs(seat.start_time - body.start_time) > 1e-6 * seat.dt):
+            raise GridMismatch(
+                "seat record and body response must share one grid: "
+                f"{seat.n_samples} samples from t = {seat.start_time:g} s "
+                f"against {body.n_samples} from t = {body.start_time:g} s")
     rms, kinds = {}, {}
     if include_rms:
         for ts, prefix in records:

@@ -288,7 +288,7 @@ def _read_input(raw, base_dir, seed, errors):
             n_samples = count_samples(path)
         except (OSError, UnicodeDecodeError) as exc:
             return None, _fail(errors, "input.path", f"cannot read {path}: {exc}"), None
-        if n_samples == 0:  # the input stage would refuse it; say why now
+        if n_samples < 2:  # the input stage would refuse it; say why now
             try:
                 load_timeseries(path)
             except RideComfortError as exc:

@@ -10,6 +10,7 @@ input. Frequency bins whose input power vanishes are carried with a cleared
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,36 @@ def _welch_input(x, y, params: WelchParams):
     return x, y
 
 
+@functools.lru_cache(maxsize=16)
+def _stft_plan(params: WelchParams, fs: float):
+    """The psd-scaled one-sided ShortTimeFFT and the overlap in samples that
+    ``scipy.signal.csd`` builds for these settings, built once per key."""
+    nperseg = params.segment_length
+    noverlap = int(round(params.overlap * nperseg))
+    sft = sps.ShortTimeFFT(sps.get_window(params.window, nperseg),
+                           nperseg - noverlap, fs, fft_mode="onesided",
+                           mfft=nperseg, scale_to="psd", phase_shift=None)
+    return sft, noverlap
+
+
+def _transform(x, dt: float, params: WelchParams):
+    """(freqs, transforms of the detrended, windowed segments of x), laid
+    out bins x segments as ``scipy.signal.csd`` lays them out."""
+    sft, noverlap = _stft_plan(params, 1.0 / dt)
+    segments = sft.stft_detrend(x, "constant", 0, (x.size - noverlap) // sft.hop,
+                                k_offset=params.segment_length // 2)
+    return sft.f.copy(), segments
+
+
+def _density(a, b, params: WelchParams):
+    """Segment mean of the one-sided density conj(a) * b, in
+    ``scipy.signal.csd``'s order of operations; real when b is a."""
+    s = a.real**2 + a.imag**2 if b is a else b * a.conj()
+    # fold in the negative frequencies; an even FFT's Nyquist bin has no twin
+    s[1:-1 if params.segment_length % 2 == 0 else None] *= 2
+    return s.mean(axis=-1)
+
+
 def welch_spectrum(x, y, dt: float, params: WelchParams) -> Spectrum:
     """Averaged one-sided (cross-)spectral density of two channels.
 
@@ -137,13 +168,10 @@ def welch_spectrum(x, y, dt: float, params: WelchParams) -> Spectrum:
     density normalisation).
     """
     x, y = _welch_input(x, y, params)
-    fs = 1.0 / dt
-    noverlap = int(round(params.overlap * params.segment_length))
-    auto = x is y or np.array_equal(x, y)
-    freqs, pxy = sps.csd(
-        x, y, fs=fs, window=params.window, nperseg=params.segment_length,
-        noverlap=noverlap, detrend="constant", scaling="density",
-    )
+    freqs, X = _transform(x, dt, params)
+    Y = X if y is x else _transform(y, dt, params)[1]
+    pxy = _density(X, Y, params)
+    auto = y is x or np.array_equal(x, y)
     if auto:
         pxy = pxy.real.astype(complex)
     return Spectrum(freqs, pxy, "auto" if auto else "cross", float(freqs[1] - freqs[0]))
@@ -154,17 +182,15 @@ def estimate_frf(x, y, dt: float, params: WelchParams,
                  output_channel: str = "output") -> FrequencyResponseFunction:
     """H1 frequency response estimate Sxy/Sxx with magnitude-squared coherence.
 
-    Bins with vanishing input power are flagged invalid (response 0,
-    coherence 0) so the grid stays aligned with other channels.
+    Each record is transformed once; the spectra equal scipy's ``welch``
+    and ``csd`` bit for bit.  Bins with vanishing input power are flagged
+    invalid (response 0, coherence 0) so the grid stays aligned with other
+    channels.
     """
     x, y = _welch_input(x, y, params)
-    fs = 1.0 / dt
-    noverlap = int(round(params.overlap * params.segment_length))
-    kw = dict(fs=fs, window=params.window, nperseg=params.segment_length,
-              noverlap=noverlap, detrend="constant", scaling="density")
-    freqs, sxx = sps.welch(x, **kw)
-    _, syy = sps.welch(y, **kw)
-    _, sxy = sps.csd(x, y, **kw)
+    freqs, X = _transform(x, dt, params)
+    Y = X if y is x else _transform(y, dt, params)[1]
+    sxx, syy, sxy = (_density(a, b, params) for a, b in ((X, X), (Y, Y), (X, Y)))
 
     valid = sxx > ZERO_POWER_REL * max(float(sxx.max()), 1e-300)
     response = np.zeros_like(sxy)

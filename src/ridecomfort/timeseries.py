@@ -162,7 +162,8 @@ def load_timeseries(path, schema=None) -> TimeSeries:
 
     `schema`, when given, is an iterable of (name, unit) pairs that must all
     be present (extra file channels are kept). dt is inferred from the time
-    column and must be uniform within a relative tolerance of 1e-6.
+    column, so at least 2 sample rows are needed, and must be uniform within
+    a relative tolerance of 1e-6.
     """
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         lines = _lines(fh)  # streamed: no copy of the text is held
@@ -194,22 +195,21 @@ def load_timeseries(path, schema=None) -> TimeSeries:
         raise NonFiniteSample("time_s", int(np.argwhere(~np.isfinite(t))[0][0]))
 
     if len(t) < 2:
-        dt = 1.0  # single sample: dt undefined, pick a harmless placeholder
-    else:
-        steps = np.diff(t)
-        dt = float(np.median(steps))
-        if dt <= 0:
-            raise NonUniformSampling(int(np.argmin(steps)) + 1, dt, float(steps.min()))
-        off = np.abs(steps - dt) > _DT_RTOL * dt
-        if off.any():
-            row = int(np.argwhere(off)[0][0]) + 1
-            raise NonUniformSampling(row, dt, float(steps[row - 1]))
-        # snap to the step that reconstructs the parsed column best; grids
-        # written by save_timeseries then round-trip to identical bytes
-        k = np.arange(len(t))
-        candidates = (float(f"{dt:.12g}"), dt, (float(t[-1]) - float(t[0])) / (len(t) - 1))
-        dt = min(candidates,
-                 key=lambda c: float(np.max(np.abs(t[0] + c * k - t))))
+        raise InvalidRate(f"{path} has 1 sample row; a sample step needs at least 2")
+    steps = np.diff(t)
+    dt = float(np.median(steps))
+    if dt <= 0:
+        raise NonUniformSampling(int(np.argmin(steps)) + 1, dt, float(steps.min()))
+    off = np.abs(steps - dt) > _DT_RTOL * dt
+    if off.any():
+        row = int(np.argwhere(off)[0][0]) + 1
+        raise NonUniformSampling(row, dt, float(steps[row - 1]))
+    # snap to the step that reconstructs the parsed column best; grids
+    # written by save_timeseries then round-trip to identical bytes
+    k = np.arange(len(t))
+    candidates = (float(f"{dt:.12g}"), dt, (float(t[-1]) - float(t[0])) / (len(t) - 1))
+    dt = min(candidates,
+             key=lambda c: float(np.max(np.abs(t[0] + c * k - t))))
 
     if schema is not None:
         names = [name for name, _ in channels]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ridecomfort
 from ridecomfort.cli import main
 from ridecomfort.timeseries import load_timeseries, save_timeseries
@@ -108,6 +110,17 @@ def test_vision_override_reaches_perception(tiny_config, tmp_path):
     assert c_off != c_on
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_pipeline_refuses_jobs_below_one(tiny_config, tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--config", str(tiny_config), "--config",
+              str(tiny_config), "--jobs", jobs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_batch_runs_every_config(tiny_config, write_scenario, tmp_path, capsys):
     other = write_scenario("second.json", seed=11)
     out = tmp_path / "batch"
@@ -176,3 +189,19 @@ def test_stht_rejects_csv_input(tmp_path):
 def test_metrics_needs_some_artifact(tiny_config, tmp_path, capsys):
     assert main(["metrics", "--config", str(tiny_config),
                  "--out", str(tmp_path / "nothing")]) == 2
+
+
+def test_metrics_refuses_records_on_different_grids(write_scenario, tmp_path,
+                                                    capsys):
+    # no settling interval, so a 2-row record is long enough to weight
+    config = write_scenario(metrics={"settle_s": 0.0})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    body = out / "body_response.csv"
+    body.write_text("".join(body.read_text().splitlines(True)[:3]))
+    capsys.readouterr()
+    # the 2 rows keep the seat record's dt: only the length gives them away
+    assert main(["metrics", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("seat record and body response must share one grid: "
+            "3001 samples from t = 0 s against 2 from t = 0 s") in err

@@ -10,7 +10,8 @@ from ridecomfort.comfort import (
     AXIS_WEIGHTINGS, analog_magnitude, comfort_report, design_weighting,
     motion_sickness_dose, save_comfort_report, save_magnitude_csv,
     weighted_rms, weighting_names)
-from ridecomfort.errors import RateMismatch, UnitMismatch, UnsupportedRate
+from ridecomfort.errors import (
+    GridMismatch, RateMismatch, UnitMismatch, UnsupportedRate)
 from ridecomfort.timeseries import from_arrays
 
 
@@ -158,6 +159,14 @@ def test_comfort_report_validation():
     head_bad_rate = _motion(0.01, 10_000, "head_acc", 0.4, 4)
     with pytest.raises(RateMismatch):
         comfort_report(seat_motion=seat, body_response=head_bad_rate)
+    head_short = _motion(dt, 2, "head_acc", 0.4, 4)
+    with pytest.raises(GridMismatch, match="must share one grid: 10000 "
+                       "samples from t = 0 s against 2 from t = 0 s"):
+        comfort_report(seat_motion=seat, body_response=head_short)
+    head = _motion(dt, 10_000, "head_acc", 0.4, 4)
+    head_late = from_arrays(dt, head.samples, head.channels, start_time=0.5)
+    with pytest.raises(GridMismatch, match="against 10000 from t = 0.5 s"):
+        comfort_report(seat_motion=seat, body_response=head_late)
     bad_unit = from_arrays(dt, np.zeros((10_000, 3)),
                            [(f"seat_acc_{ax}", "g") for ax in "xyz"])
     with pytest.raises(UnitMismatch):

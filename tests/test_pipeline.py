@@ -231,7 +231,10 @@ def test_unreadable_csv_input_reported_at_input_path(tmp_path):
     (b"", "is empty"),
     (b"\n \r\n", "is empty"),
     (b"time_s,seat_acc_x[m/s^2]\r\n\n", "has a header but no samples"),
-], ids=["empty", "blank", "header-only"])
+    # one row defines no sample step
+    (b"time_s,seat_acc_x[m/s^2]\n0,1\n",
+     "has 1 sample row; a sample step needs at least 2"),
+], ids=["empty", "blank", "header-only", "one-row"])
 def test_csv_input_without_samples_is_refused(tmp_path, capsys, content, message):
     (tmp_path / "empty.csv").write_bytes(content)
     raw = make_scenario(input={"kind": "csv", "path": "empty.csv"})

@@ -6,8 +6,8 @@ import scipy.signal as sps
 
 from ridecomfort.errors import SegmentTooLong, TooFewSegments
 from ridecomfort.spectral import (
-    FrequencyResponseFunction, WelchParams, detect_peaks, estimate_frf,
-    welch_spectrum)
+    ZERO_POWER_REL, FrequencyResponseFunction, Spectrum, WelchParams,
+    detect_peaks, estimate_frf, welch_spectrum)
 
 
 def test_welch_params_validation():
@@ -48,6 +48,94 @@ def test_estimate_frf_needs_enough_segments():
         estimate_frf(np.zeros(80), np.zeros(80), 0.01, WelchParams(64))
     with pytest.raises(SegmentTooLong):
         estimate_frf(np.zeros(50), np.zeros(50), 0.01, WelchParams(64))
+
+
+# -- oracles: the scipy welch/csd code the one-transform core replaced -------
+
+def _scipy_kw(dt, params):
+    return dict(fs=1.0 / dt, window=params.window, nperseg=params.segment_length,
+                noverlap=int(round(params.overlap * params.segment_length)),
+                detrend="constant", scaling="density")
+
+
+def _oracle_welch_spectrum(x, y, dt, params):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    freqs, pxy = sps.csd(x, y, **_scipy_kw(dt, params))
+    auto = x is y or np.array_equal(x, y)
+    if auto:
+        pxy = pxy.real.astype(complex)
+    return Spectrum(freqs, pxy, "auto" if auto else "cross", float(freqs[1] - freqs[0]))
+
+
+def _oracle_estimate_frf(x, y, dt, params):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    kw = _scipy_kw(dt, params)
+    freqs, sxx = sps.welch(x, **kw)
+    _, syy = sps.welch(y, **kw)
+    _, sxy = sps.csd(x, y, **kw)
+
+    valid = sxx > ZERO_POWER_REL * max(float(sxx.max()), 1e-300)
+    response = np.zeros_like(sxy)
+    response[valid] = sxy[valid] / sxx[valid]
+
+    denom = sxx * syy
+    ok = valid & (denom > 0)
+    coherence = np.zeros_like(sxx)
+    coherence[ok] = np.abs(sxy[ok]) ** 2 / denom[ok]
+    coherence = coherence.clip(0.0, 1.0)
+    return FrequencyResponseFunction(freqs, response, coherence,
+                                     "input", "output", valid)
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_same_spectra(x, y, dt, params):
+    frf, want = estimate_frf(x, y, dt, params), _oracle_estimate_frf(x, y, dt, params)
+    for field in ("freqs", "response", "coherence", "valid"):
+        _assert_same_bits(getattr(frf, field), getattr(want, field))
+    spec, want = welch_spectrum(x, y, dt, params), _oracle_welch_spectrum(x, y, dt, params)
+    _assert_same_bits(spec.freqs, want.freqs)
+    _assert_same_bits(spec.values, want.values)
+    assert (spec.kind, spec.resolution) == (want.kind, want.resolution)
+    return frf
+
+
+def _drive_and_response(n=3000, seed=5):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal(n)) + 3.0   # a drift and an offset
+    y = sps.lfilter([0.4, 0.3], [1.0, -0.5], x) + 0.1 * rng.standard_normal(n)
+    return x, y
+
+
+@pytest.mark.parametrize("window", ["hann", "hamming", "boxcar"])
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.95])
+@pytest.mark.parametrize("segment_length", [256, 255])
+def test_spectra_equal_scipy_welch_and_csd_bit_for_bit(segment_length, overlap,
+                                                       window):
+    params = WelchParams(segment_length, overlap, window)
+    dt = 0.002
+    x, y = _drive_and_response()
+    zeros = np.zeros_like(x)
+    _assert_same_spectra(x, y, dt, params)
+    assert not _assert_same_spectra(x, zeros, dt, params).coherence.any()
+    assert not _assert_same_spectra(zeros, y, dt, params).valid.any()
+    auto = _assert_same_spectra(x, x, dt, params)       # x passed as y
+    assert welch_spectrum(x, x, dt, params).kind == "auto"
+    assert np.all(auto.response[auto.valid] == 1.0)
+    _assert_same_spectra(x, x.copy(), dt, params)       # equal, not the same
+
+
+def test_spectra_follow_dt_for_the_same_welch_params():
+    # the transform plan is cached per (params, sample rate)
+    params = WelchParams(200, 0.5, "hann")
+    x, y = _drive_and_response(seed=8)
+    first = _assert_same_spectra(x, y, 0.001, params)
+    second = _assert_same_spectra(x, y, 0.01, params)
+    assert second.freqs[-1] == pytest.approx(first.freqs[-1] / 10)
 
 
 def _bump_frf(peak_hz=3.0, gain=2.0):

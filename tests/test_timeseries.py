@@ -135,10 +135,13 @@ def test_streamed_reader_keeps_the_load_rules(tmp_path):
     # one CR before each LF is dropped, as the whole-text reader did
     two = load("crcrlf.csv", b"time_s,a[1]\r\n0,1\r\r\n0.1,2\n")()
     assert two.samples.tolist() == [[1.0], [2.0]]
-    # a blank line before the header, CRLF and one sample
-    one = load("one.csv", b"\r\ntime_s,a[1]\r\n2.5,-0\r\n")()
-    assert one.start_time == 2.5 and one.n_samples == 1
-    assert np.signbit(one.samples[0, 0])
+    # a blank line before the header, CRLF and a negative zero
+    crlf = load("crlf.csv", b"\r\ntime_s,a[1]\r\n2.5,-0\r\n2.75,1\r\n")()
+    assert crlf.start_time == 2.5 and crlf.dt == 0.25 and crlf.n_samples == 2
+    assert np.signbit(crlf.samples[0, 0])
+    # one sample row defines no sample step
+    with pytest.raises(InvalidRate, match="has 1 sample row"):
+        load("one.csv", b"\r\ntime_s,a[1]\r\n2.5,-0\r\n")()
 
 
 def _savetxt_writer(ts, path):
@@ -170,6 +173,10 @@ def test_writer_bytes_equal_savetxt(tmp_path, n_rows, n_channels):
         _savetxt_writer(ts, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "old.csv").read_bytes()
+    if n_rows == 1:  # one row defines no sample step: the reader refuses it
+        with pytest.raises(InvalidRate):
+            load_timeseries(tmp_path / "new.csv")
+        return
     back = load_timeseries(tmp_path / "new.csv")
     assert np.array_equal(back.samples, data)
     assert np.array_equal(np.signbit(back.samples), np.signbit(data))
