@@ -36,7 +36,7 @@ from ridecomfort.errors import (
     StageError,
     IoError,
 )
-from ridecomfort.timeseries import TimeSeries, load_timeseries, save_timeseries, resample
+from ridecomfort.timeseries import TimeSeries, load_timeseries, save_timeseries
 from ridecomfort.spectral import (
     WelchParams,
     Spectrum,

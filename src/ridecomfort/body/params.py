@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from ridecomfort.errors import ConfigError
@@ -215,11 +215,6 @@ class BodyParams:
             errors.append(("backrest_height_m", "must be a finite number >= 0"))
         if errors:
             raise ConfigError([(f"{source}.{k}", m) for k, m in errors])
-
-    def with_overrides(self, **overrides) -> "BodyParams":
-        out = replace(self, **overrides)
-        out.validate()
-        return out
 
     def total_mass_kg(self) -> float:
         return self.pelvis_mass_kg + self.trunk_mass_kg + self.head_mass_kg

@@ -92,7 +92,14 @@ def _load_artifact(out, name, hint):
     path = Path(out) / name
     if not path.is_file():
         raise IoError(f"{path} not found; run `{hint}` first")
-    return load_timeseries(path)
+    try:
+        return load_timeseries(path)
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        message = str(exc)
+        raise IoError(message if str(path) in message
+                      else f"cannot read {path}: {message}") from exc
 
 
 def _run_batch_entry(job):
@@ -186,11 +193,9 @@ def cmd_metrics(args):
     _single_config(args)
     config = _parse(args)
     out = _out_dir(config, args)
-    seat = body = None
-    if (out / "seat_motion.csv").is_file():
-        seat = load_timeseries(out / "seat_motion.csv")
-    if (out / "body_response.csv").is_file():
-        body = load_timeseries(out / "body_response.csv")
+    seat, body = (_load_artifact(out, name, "ridecomfort simulate")
+                  if (out / name).is_file() else None
+                  for name in ("seat_motion.csv", "body_response.csv"))
     if seat is None and body is None:
         raise IoError(f"no seat_motion.csv or body_response.csv in {out}")
     report = pl.stage_metrics(config, out, seat, body)

@@ -237,18 +237,6 @@ def motion_sickness_dose(x, dt, settle_s=0.0, percent_per_dose=1.0 / 3.0):
     return msdv, min(percent_per_dose * msdv, 100.0)
 
 
-def save_magnitude_csv(weighting, freqs_hz, path):
-    """Write `freq_hz, magnitude` rows for verification plots."""
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
-    if isinstance(weighting, str):
-        mag = analog_magnitude(weighting, freqs_hz)
-    else:
-        mag = weighting.magnitude(freqs_hz)
-    table = np.column_stack([freqs_hz, mag])
-    np.savetxt(path, table, delimiter=",", header="freq_hz,magnitude",
-               comments="", fmt="%.17g")
-
-
 def _weight_channels(ts, prefix, settle_s, rms_out, kinds_out):
     for axis in ("x", "y", "z"):
         name = f"{prefix}_{axis}"

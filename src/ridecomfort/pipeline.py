@@ -6,8 +6,8 @@ posture, perception and accumulation parameters, and metric selection.
 sickness, metrics), persists every intermediate trace to the output
 directory, and writes a deterministic ``report.json`` plus a volatile
 ``timing.json`` holding wall clocks (each stage's total and the part of it
-spent writing artifacts) and realtime factors.  Keeping timing out of the
-report makes two runs of the same scenario byte-identical.
+spent writing artifacts), realtime factors and peak memory.  Keeping timing
+out of the report makes two runs of the same scenario byte-identical.
 
 The config reader is derived from the parameter dataclasses: each key's
 type is its field's annotation and each omitted key takes the field's
@@ -17,6 +17,7 @@ default, so no default is restated here.
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 import typing
@@ -528,6 +529,8 @@ class RunReport:
     stage_write_s: dict                 # the part of stage_wall_s spent writing
     body_realtime_factor: float
     pipeline_realtime_factor: float
+    peak_rss_mb: float                  # this process, so far (MB = 1e6 B)
+    children_peak_rss_mb: float         # its largest finished worker process
 
     def as_dict(self):
         return {"schema_version": SCHEMA_VERSION,
@@ -539,7 +542,9 @@ class RunReport:
                 "stage_write_s": dict(self.stage_write_s),
                 "body_realtime_factor": self.body_realtime_factor,
                 "pipeline_realtime_factor": self.pipeline_realtime_factor,
-                "faster_than_realtime": self.body_realtime_factor > 1.0}
+                "faster_than_realtime": self.body_realtime_factor > 1.0,
+                "peak_rss_mb": self.peak_rss_mb,
+                "children_peak_rss_mb": self.children_peak_rss_mb}
 
 
 def run_pipeline(config, out_dir=None):
@@ -589,6 +594,10 @@ def run_pipeline(config, out_dir=None):
         stage_write_s=write,
         body_realtime_factor=float(body.meta["realtime_factor"]),
         pipeline_realtime_factor=seat.duration / max(total_wall, 1e-12),
+        # ru_maxrss counts KiB on Linux
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        children_peak_rss_mb=resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6,
     )
     save_json(report.as_dict(), out / "report.json")
     save_json(report.timing_dict(), out / "timing.json")

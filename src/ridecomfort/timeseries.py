@@ -5,12 +5,15 @@ column ``time_s``, remaining header cells ``name[unit]`` (for example
 ``seat_acc_x[m/s^2]``), comma separated, decimal point, UTF-8, LF or CRLF.
 JSON artifacts (summaries and reports) are written by ``save_json``.
 
-``save_timeseries`` formats the rows of a long trace in worker processes
-where the platform forks them (Linux); the bytes are the same either way.
+``save_timeseries`` formats the rows of a long trace, and ``load_timeseries``
+parses the data rows of a long file in spans, in worker processes where the
+platform forks them (Linux), with one pool per call; elsewhere both work
+in-process, and the bytes written and the values read are the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -23,8 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.signal import butter, sosfiltfilt
 
 from .errors import (
     EmptyFile,
@@ -36,6 +37,7 @@ from .errors import (
 
 _DT_RTOL = 1e-6
 _BLOCK_ROWS = 4096  # CSV rows formatted per task of the writer's pool
+_READ_SPAN_BYTES = 1 << 19  # CSV bytes parsed per task of the reader's pool
 _HEADER_RE = re.compile(r"^(?P<name>[^\[\]]+)\[(?P<unit>[^\[\]]*)\]$")
 
 
@@ -139,22 +141,72 @@ def _parse_header(cells, path):
     return channels
 
 
-def _lines(fh):
-    """Non-blank lines of a CSV opened with ``newline="\\n"``, each without
-    its LF or CRLF end: the line rule of the reader and of count_samples."""
-    for ln in fh:
-        ln = ln.removesuffix("\n").removesuffix("\r")
-        if ln.strip():
-            yield ln
+def _rows(data: bytes) -> list[str]:
+    """Non-blank lines of UTF-8 CSV bytes, each without its LF or CRLF end:
+    the line rule of the reader and of count_samples."""
+    return [ln.removesuffix("\r") for ln in data.decode("utf-8").split("\n")
+            if ln.strip()]
+
+
+def _chunks(fh):
+    """The rest of a binary file in pieces of about ``_READ_SPAN_BYTES``,
+    each ending just after an LF or at the end of the file."""
+    while chunk := fh.read(_READ_SPAN_BYTES) + fh.readline():
+        yield chunk
 
 
 def count_samples(path) -> int:
     """Sample rows of a TimeSeries CSV, counted as ``load_timeseries`` reads
-    them (the non-blank lines after the header), streamed line by line
+    them (the non-blank lines after the header), streamed in pieces
     without parsing a number."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = sum(1 for _ in _lines(fh))
+    with open(path, "rb") as fh:
+        lines = sum(len(_rows(chunk)) for chunk in _chunks(fh))
     return max(lines - 1, 0)
+
+
+def _next_row(fh):
+    """The next non-blank line of a binary file, or None at its end."""
+    while raw := fh.readline():
+        if rows := _rows(raw):
+            return rows[0]
+    return None
+
+
+def _spans(fh):
+    """The (lo, hi) byte bounds of the rest of a binary file's ``_chunks``,
+    and the number of LFs they hold."""
+    spans, lfs, lo = [], 0, fh.tell()
+    for chunk in _chunks(fh):
+        lfs += chunk.count(b"\n")
+        spans.append((lo, lo + len(chunk)))
+        lo += len(chunk)
+    return spans, lfs
+
+
+def _parse_span(path, lo, hi) -> np.ndarray:
+    """The data rows in bytes [lo, hi) of a CSV, parsed by ``np.loadtxt``."""
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        lines = _rows(fh.read(hi - lo))
+    if not lines:
+        return np.empty((0, 1))  # what np.loadtxt gives, without its warning
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _parse_data(path, spans, max_rows) -> np.ndarray:
+    """The data rows of all spans, copied in order into one array as each
+    span's rows arrive, so no span's array outlives its copy."""
+    body, n = None, 0
+    with _mapped(_parse_span, [(path, lo, hi) for lo, hi in spans],
+                 f"cannot read {path}") as parts:
+        for part in filter(len, parts):  # skip spans without data rows
+            if body is None:
+                body = np.empty((max_rows, part.shape[1]))
+            elif part.shape[1] != body.shape[1]:
+                raise ValueError("the number of columns changed between spans")
+            body[n:n + len(part)] = part
+            n += len(part)
+    return np.empty((0, 1)) if body is None else body[:n]
 
 
 def load_timeseries(path, schema=None) -> TimeSeries:
@@ -164,23 +216,26 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     be present (extra file channels are kept). dt is inferred from the time
     column, so at least 2 sample rows are needed, and must be uniform within
     a relative tolerance of 1e-6.
+
+    Data rows are parsed in spans of about ``_READ_SPAN_BYTES`` by
+    ``_mapped``; a worker that dies is an OSError naming the file.
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = _lines(fh)  # streamed: no copy of the text is held
-        header = next(lines, None)
+    with open(path, "rb") as fh:
+        header = _next_row(fh)
         if header is None:
             raise EmptyFile(f"{path} is empty")
         channels = _parse_header(header.split(","), path)
-        first = next(lines, None)
-        if first is None:
+        start = fh.tell()
+        if _next_row(fh) is None:
             raise EmptyFile(f"{path} has a header but no samples")
-        try:
-            body = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
-                              ndmin=2)
-        except UnicodeDecodeError:
-            raise  # not UTF-8: no number problem
-        except ValueError as exc:
-            raise NonFiniteSample("<unparseable>", -1) from exc
+        fh.seek(start)
+        spans, lfs = _spans(fh)
+    try:
+        body = _parse_data(path, spans, lfs + 1)  # at most a row per line
+    except UnicodeDecodeError:
+        raise  # not UTF-8: no number problem
+    except ValueError as exc:
+        raise NonFiniteSample("<unparseable>", -1) from exc
     if body.shape[1] != len(channels) + 1:
         raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
 
@@ -226,11 +281,11 @@ def _format_rows(block) -> str:
     return (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
 
 
-def _pool_workers(n_blocks) -> int:
-    """Worker processes for formatting ``n_blocks``; 0 means in-process.
+def _pool_workers(n_tasks) -> int:
+    """Worker processes for ``n_tasks`` pool tasks; 0 means in-process.
 
     A pool pays off only where workers are forked (a spawned one would
-    import numpy first) and at least two CPUs and blocks are available.
+    import numpy first) and at least two CPUs and tasks are available.
     It is used only from a process with one thread: a forked child gets no
     copy of the other threads, only of the locks they may hold.
     """
@@ -239,71 +294,43 @@ def _pool_workers(n_blocks) -> int:
     if (method != "fork" or threading.active_count() > 1
             or not hasattr(os, "sched_getaffinity")):
         return 0
-    workers = min(len(os.sched_getaffinity(0)), n_blocks)
+    workers = min(len(os.sched_getaffinity(0)), n_tasks)
     return workers if workers >= 2 else 0
+
+
+@contextlib.contextmanager
+def _mapped(fn, tasks, failure):
+    """Yield ``fn(*task)`` for each task, in order: computed in-process, or
+    by a fork pool that lives only for the ``with`` block when
+    ``_pool_workers`` allows one.  A dead worker is an OSError: ``failure``."""
+    workers = _pool_workers(len(tasks))
+    if not workers:
+        yield itertools.starmap(fn, tasks)
+        return
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            yield pool.map(fn, *zip(*tasks))
+    except BrokenProcessPool as exc:
+        raise OSError(f"{failure}: a worker process ended abruptly") from exc
 
 
 def save_timeseries(ts: TimeSeries, path) -> None:
     """Write the CSV interchange format with full round-trip precision.
 
-    Rows are formatted in blocks of ``_BLOCK_ROWS``, by a process pool that
-    lives only for this call when ``_pool_workers`` allows one, and written
-    in order.  A worker that dies is reported as an OSError naming the file.
+    Rows are formatted in blocks of ``_BLOCK_ROWS`` by ``_mapped`` and
+    written in order; a worker that dies is an OSError naming the file.
     """
     header = "time_s," + ",".join(f"{n}[{u}]" for n, u in ts.channels)
     data = np.column_stack([ts.time(), ts.samples])
-    blocks = [data[i:i + _BLOCK_ROWS] for i in range(0, len(data), _BLOCK_ROWS)]
+    blocks = [(data[i:i + _BLOCK_ROWS],) for i in range(0, len(data), _BLOCK_ROWS)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        workers = _pool_workers(len(blocks))
-        if not workers:
-            fh.writelines(map(_format_rows, blocks))
-            return
-        try:
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                fh.writelines(pool.map(_format_rows, blocks))
-        except BrokenProcessPool as exc:
-            raise OSError(f"cannot write {path}: a formatting worker "
-                          f"process ended abruptly") from exc
+        with _mapped(_format_rows, blocks, f"cannot write {path}") as texts:
+            fh.writelines(texts)
 
 
 def save_json(obj, path) -> None:
     """Write a JSON artifact; sorted keys make equal content equal bytes."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-# -- resampling ----------------------------------------------------------
-
-
-def resample(ts: TimeSeries, new_dt: float) -> TimeSeries:
-    """Resample onto a new uniform grid, anti-alias filtering on decimation.
-
-    The new grid starts at the same start_time and spans the same duration
-    to within one output sample. Channel names and units are unchanged.
-    """
-    if new_dt <= 0:
-        raise InvalidRate(f"new_dt must be positive, got {new_dt}")
-    if abs(new_dt - ts.dt) <= 1e-12 * ts.dt:
-        return ts
-
-    t_old = ts.time()
-    n_new = int(round(ts.duration / new_dt)) + 1
-    t_new = ts.start_time + new_dt * np.arange(n_new)
-    # guard the spline domain against round-off just past the last sample
-    t_new = np.clip(t_new, t_old[0], t_old[-1])
-
-    samples = ts.samples
-    if new_dt > ts.dt and ts.n_samples > 24:
-        # decimation: zero-phase low-pass at 80% of the new Nyquist
-        fs_old = 1.0 / ts.dt
-        cutoff = 0.8 * (0.5 / new_dt)
-        if cutoff < 0.5 * fs_old:
-            sos = butter(8, cutoff, fs=fs_old, output="sos")
-            samples = sosfiltfilt(sos, samples, axis=0)
-
-    k = 3 if ts.n_samples > 3 else 1
-    spline = make_interp_spline(t_old, samples, k=k, axis=0)
-    out = spline(t_new)
-    return TimeSeries(ts.start_time, float(new_dt), ts.channels, out, dict(ts.meta))

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import ridecomfort
+from ridecomfort import timeseries
 from ridecomfort.cli import main
+from ridecomfort.excitation import generate_excitation
+from ridecomfort.pipeline import parse_config
 from ridecomfort.timeseries import load_timeseries, save_timeseries
 from conftest import make_scenario
 
@@ -75,6 +78,21 @@ def test_stage_missing_artifact_exit_two(tiny_config, tmp_path, capsys):
                  "--out", str(tmp_path / "empty")]) == 2
     err = capsys.readouterr().err
     assert "body_response.csv" in err
+
+
+def test_stage_reading_a_non_utf8_artifact_exits_two(tiny_config, tmp_path,
+                                                   capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(tiny_config), "--out", str(out)]) == 0
+    body = out / "body_response.csv"
+    data = bytearray(body.read_bytes())
+    data[len(data) // 2] = 0xFF
+    body.write_bytes(bytes(data))
+    capsys.readouterr()
+    for cmd in ("perceive", "metrics"):
+        assert main([cmd, "--config", str(tiny_config), "--out", str(out)]) == 2, cmd
+        err = capsys.readouterr().err
+        assert f"error: {body} is not UTF-8 text (invalid start byte)" in err, cmd
 
 
 def test_seed_override_changes_output(tiny_config, tmp_path):
@@ -147,6 +165,43 @@ def test_batch_with_parallel_writer_matches_serial_runs(tmp_path):
     assert multiprocessing.active_children() == []
     assert (tmp_path / "copy.csv").read_bytes() == \
         (serial / "run5" / "body_response.csv").read_bytes()
+
+    batch = tmp_path / "batch"
+    src = str(Path(ridecomfort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "ridecomfort.cli", "pipeline", "--out", str(batch),
+            "--jobs", "2"] + [a for p in configs for a in ("--config", str(p))]
+    done = subprocess.run(args, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    for path in configs:
+        names = sorted(f.name for f in (serial / path.stem).iterdir())
+        assert names == sorted(f.name for f in (batch / path.stem).iterdir())
+        for name in names:
+            if name != "timing.json":
+                assert (serial / path.stem / name).read_bytes() == \
+                    (batch / path.stem / name).read_bytes(), name
+
+
+def test_batch_with_parallel_reader_matches_serial_runs(tmp_path):
+    # 30 s at 1 kHz is about 1.2 MB of seat motion: each batch worker reads
+    # its csv input in 2 spans, on a reader pool of its own
+    configs = []
+    for seed in (5, 6):
+        made = _write(tmp_path, make_scenario(
+            seed=seed, input={"duration_s": 30.0, "dt_s": 0.001}), f"make{seed}.json")
+        seat = generate_excitation(parse_config(made).excitation)
+        save_timeseries(seat, tmp_path / f"seat{seed}.csv")
+        assert (tmp_path / f"seat{seed}.csv").stat().st_size > timeseries._READ_SPAN_BYTES
+        raw = make_scenario()
+        raw["input"] = {"kind": "csv", "path": str(tmp_path / f"seat{seed}.csv")}
+        configs.append(_write(tmp_path, raw, f"run{seed}.json"))
+    serial = tmp_path / "serial"
+    for path in configs:
+        assert main(["pipeline", "--config", str(path),
+                     "--out", str(serial / path.stem)]) == 0
+    assert multiprocessing.active_children() == []
 
     batch = tmp_path / "batch"
     src = str(Path(ridecomfort.__file__).resolve().parents[1])

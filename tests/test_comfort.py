@@ -1,6 +1,5 @@
 """Frequency weightings, weighted RMS and dose metrics."""
 
-import csv
 import json
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from ridecomfort.comfort import (
     AXIS_WEIGHTINGS, analog_magnitude, comfort_report, design_weighting,
-    motion_sickness_dose, save_comfort_report, save_magnitude_csv,
+    motion_sickness_dose, save_comfort_report,
     weighted_rms, weighting_names)
 from ridecomfort.errors import (
     GridMismatch, RateMismatch, UnitMismatch, UnsupportedRate)
@@ -115,18 +114,6 @@ def test_dose_linearity_in_amplitude():
     m1, _ = motion_sickness_dose(x, dt)
     m3, _ = motion_sickness_dose(3.0 * x, dt)
     assert m3 == pytest.approx(3.0 * m1, rel=1e-9)
-
-
-def test_save_magnitude_csv(tmp_path):
-    path = tmp_path / "wk.csv"
-    freqs = np.geomspace(0.5, 10.0, 20)
-    save_magnitude_csv("Wk", freqs, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["freq_hz", "magnitude"]
-    assert len(rows) == 21
-    mags = np.array([float(r[1]) for r in rows[1:]])
-    assert np.all(mags > 0)
 
 
 def _motion(dt, n, prefix, amp, seed):

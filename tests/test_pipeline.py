@@ -117,6 +117,9 @@ def test_run_pipeline_writes_all_artifacts(tiny_config, tmp_path):
     assert set(timing["stage_write_s"]) == set(timing["stage_wall_s"])
     for stage, write_s in timing["stage_write_s"].items():
         assert 0.0 < write_s <= timing["stage_wall_s"][stage], stage
+    # 0 for the children where no worker process has finished yet
+    assert timing["peak_rss_mb"] > 0.0
+    assert timing["children_peak_rss_mb"] >= 0.0
 
 
 def test_run_pipeline_deterministic_bytes(tiny_config, tmp_path):

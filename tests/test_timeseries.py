@@ -1,22 +1,27 @@
-"""Time-series container, CSV round trip and resampling."""
+"""Time-series container and CSV round trip."""
 
+import hashlib
+import itertools
 import multiprocessing
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ridecomfort.errors import (
     EmptyFile, InvalidRate, MissingChannel, NonFiniteSample,
     NonUniformSampling)
 from ridecomfort import timeseries
+from ridecomfort.pipeline import parse_config, run_pipeline
 from ridecomfort.timeseries import (
-    TimeSeries, count_samples, from_arrays, load_timeseries, resample,
-    save_timeseries)
+    TimeSeries, count_samples, from_arrays, load_timeseries, save_timeseries)
 
 BLOCK = timeseries._BLOCK_ROWS
-POOLED = timeseries._pool_workers(2) >= 2  # saves of 2+ blocks use the pool
+POOLED = timeseries._pool_workers(2) >= 2  # 2+ blocks or spans use the pool
+FORKS = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _demo(n=500, dt=0.001, seed=0):
@@ -211,13 +216,210 @@ def test_writer_worker_death_is_an_os_error(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_resample_preserves_signal():
-    dt = 0.001
-    t = np.arange(4000) * dt
-    x = np.sin(2 * np.pi * 3.0 * t)
-    ts = from_arrays(dt, x[:, None], [("acc_z", "m/s^2")])
-    down = resample(ts, 0.004)
-    assert down.dt == 0.004
-    t2 = down.time()
-    ref = np.sin(2 * np.pi * 3.0 * t2)
-    assert np.max(np.abs(down.channel("acc_z") - ref)) < 0.02
+def _streamed_lines(fh):
+    """The line rule before the span reader: non-blank lines, LF or CRLF cut."""
+    for ln in fh:
+        ln = ln.removesuffix("\n").removesuffix("\r")
+        if ln.strip():
+            yield ln
+
+
+def _streamed_count(path):
+    """count_samples before the span reader, kept as its oracle."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        return max(sum(1 for _ in _streamed_lines(fh)) - 1, 0)
+
+
+def _streamed_reader(path):
+    """The reader before the span-parallel one, kept as the value oracle."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        rows = _streamed_lines(fh)
+        header = next(rows, None)
+        if header is None:
+            raise EmptyFile(f"{path} is empty")
+        channels = timeseries._parse_header(header.split(","), path)
+        first = next(rows, None)
+        if first is None:
+            raise EmptyFile(f"{path} has a header but no samples")
+        try:
+            body = np.loadtxt(itertools.chain((first,), rows), delimiter=",",
+                              ndmin=2)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise NonFiniteSample("<unparseable>", -1) from exc
+    if body.shape[1] != len(channels) + 1:
+        raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
+    t = body[:, 0]
+    samples = body[:, 1:]
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise NonFiniteSample(channels[col][0], int(row))
+    if not np.isfinite(t).all():
+        raise NonFiniteSample("time_s", int(np.argwhere(~np.isfinite(t))[0][0]))
+    if len(t) < 2:
+        raise InvalidRate(f"{path} has 1 sample row; a sample step needs at least 2")
+    steps = np.diff(t)
+    dt = float(np.median(steps))
+    if dt <= 0:
+        raise NonUniformSampling(int(np.argmin(steps)) + 1, dt, float(steps.min()))
+    off = np.abs(steps - dt) > timeseries._DT_RTOL * dt
+    if off.any():
+        row = int(np.argwhere(off)[0][0]) + 1
+        raise NonUniformSampling(row, dt, float(steps[row - 1]))
+    k = np.arange(len(t))
+    candidates = (float(f"{dt:.12g}"), dt, (float(t[-1]) - float(t[0])) / (len(t) - 1))
+    dt = min(candidates,
+             key=lambda c: float(np.max(np.abs(t[0] + c * k - t))))
+    return TimeSeries(float(t[0]), dt, tuple(channels), samples)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        if not isinstance(want, UnicodeDecodeError):  # positions differ
+            assert str(got) == str(want)
+        return
+    if isinstance(want, int):
+        assert got == want
+        return
+    assert isinstance(got, TimeSeries), got
+    assert np.array_equal(got.samples, want.samples)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert (got.dt, got.start_time, got.channels) == \
+        (want.dt, want.start_time, want.channels)
+
+
+_CELLS = ["1", "-0", "0.25", "1e-300", "5e-324", "-7.5e3", " 2 ", "3.0000000000000004"]
+_FAULTS = ["none"] * 5 + ["ragged", "text", "latin1", "more_columns",
+                         "fewer_columns", "nan", "jitter", "comments_only"]
+
+
+@st.composite
+def _odd_csvs(draw):
+    """CSV bytes with odd line ends, blank lines and comments, and at most
+    one fault, so the error the oracle names is unambiguous."""
+    n_channels = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 24))
+    fault = draw(st.sampled_from(_FAULTS))
+    lines = ["time_s," + ",".join(f"c{i}[m/s^2]" for i in range(n_channels))]
+    for r in range(n_rows):
+        cells = [repr(-1.5 + 0.125 * r)] + [
+            draw(st.sampled_from(_CELLS)) for _ in range(n_channels)]
+        if draw(st.integers(0, 9)) == 0:
+            cells[-1] += " # trailing comment"
+        lines.append(",".join(cells))
+    data_rows = list(range(1, len(lines)))
+    if data_rows and fault != "none":
+        at = draw(st.sampled_from(data_rows))
+        if fault == "ragged":
+            lines[at] = lines[at].rsplit(",", 1)[0]
+        elif fault == "text":
+            lines[at] = lines[at].rsplit(",", 1)[0] + ",x"
+        elif fault == "more_columns":  # every row from here on has one more
+            for i in range(at, len(lines)):
+                lines[i] += ",4"
+        elif fault == "fewer_columns":  # ... or one fewer
+            for i in range(at, len(lines)):
+                lines[i] = lines[i].rsplit(",", 1)[0]
+        elif fault == "nan":
+            lines[at] = lines[at].rsplit(",", 1)[0] + ",nan"
+        elif fault == "jitter":
+            head, rest = lines[at].split(",", 1)
+            lines[at] = f"{float(head) + 0.01!r},{rest}"
+        elif fault == "comments_only":
+            lines[1:] = ["#" + ln for ln in lines[1:]]
+    # blank and whitespace-only lines anywhere, the header included
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t", "  \t ", "\r"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final LF
+    data = "".join(ln + end for ln, end in zip(lines, ends)).encode("utf-8")
+    if fault == "latin1" and data_rows:
+        # a byte that is not UTF-8, inside a late sample row
+        cut = data.rfind(b",", 0, max(data.rfind(b"\n", 0, len(data) - 1), 1))
+        data = data[:cut + 1] + b"\xff" + data[cut + 1:]
+    return data
+
+
+@pytest.mark.skipif(not FORKS, reason="the pooled reader needs fork")
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=_odd_csvs(), span=st.sampled_from([8, 16, 37, 64]))
+# a later span of one column would broadcast into a wider array
+@example(data=b"time_s,a[1]\n0,1\n0.5,2\n1\n1.5\n", span=8)
+@example(data=b"time_s,a[1]\r\n0,1\r\n\r\n0.5,2\r\r\n  \n1,3", span=8)
+def test_span_reader_equals_the_streamed_reader(tmp_path_factory, data, span):
+    path = tmp_path_factory.mktemp("odd") / "odd.csv"
+    path.write_bytes(data)
+    want = _outcome(_streamed_reader, path)
+    for workers in (lambda n: 0, lambda n: 2 if n >= 2 else 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timeseries, "_READ_SPAN_BYTES", span)
+            mp.setattr(timeseries, "_pool_workers", workers)
+            _assert_same_outcome(_outcome(load_timeseries, path), want)
+            _assert_same_outcome(_outcome(count_samples, path),
+                                 _outcome(_streamed_count, path))
+        assert multiprocessing.active_children() == []
+
+
+def test_span_reader_equals_the_streamed_reader_on_shipped_runs(tmp_path):
+    examples = Path(timeseries.__file__).parent / "data" / "examples"
+    for name in ("scenario_default", "scenario_curved"):
+        out = tmp_path / name
+        run_pipeline(parse_config(examples / f"{name}.json"), out)
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == 5
+        for path in csvs:
+            got, want = load_timeseries(path), _streamed_reader(path)
+            assert multiprocessing.active_children() == []
+            _assert_same_outcome(got, want)
+            assert hashlib.sha256(got.samples.tobytes()).digest() == \
+                hashlib.sha256(want.samples.tobytes()).digest(), path.name
+
+
+def _die_parsing(path, lo, hi):
+    os._exit(1)
+
+
+@pytest.mark.skipif(not POOLED, reason="spans are parsed in-process here")
+def test_reader_worker_death_is_an_os_error(tmp_path, monkeypatch):
+    path = tmp_path / "dead.csv"
+    save_timeseries(_demo(n=200), path)
+    monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 256)
+    monkeypatch.setattr(timeseries, "_parse_span", _die_parsing)
+    with pytest.raises(OSError, match="cannot read .*dead.csv: a worker"):
+        load_timeseries(path)
+    assert multiprocessing.active_children() == []
+
+
+def test_reader_parses_in_process_beside_other_threads(tmp_path, monkeypatch):
+    path = tmp_path / "demo.csv"
+    ts = _demo(n=200)
+    save_timeseries(ts, path)
+    monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 256)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened beside another thread")
+
+    monkeypatch.setattr(timeseries, "ProcessPoolExecutor", no_pool)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        back = load_timeseries(path)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert np.array_equal(back.samples, ts.samples) and back.dt == ts.dt
