@@ -82,7 +82,6 @@ from ridecomfort.sickness import (
     SicknessSummary,
     accumulate,
     summarize,
-    save_summary,
 )
 from ridecomfort.comfort import (
     DigitalWeighting,
@@ -92,7 +91,6 @@ from ridecomfort.comfort import (
     weighted_rms,
     motion_sickness_dose,
     comfort_report,
-    save_comfort_report,
 )
 from ridecomfort.pipeline import (
     ScenarioConfig,

@@ -3,7 +3,10 @@
 Every subcommand reads the same scenario config.  `pipeline` chains all
 stages; the stage subcommands (simulate, perceive, sickness, metrics) each
 run one stage against the artifacts already present in the output
-directory, so running them in sequence reproduces `pipeline` exactly.
+directory, so running them in sequence reproduces `pipeline` exactly.  Each
+of them, like a pipeline run, reads and writes its traces in one
+``write_behind`` scope: one writer pool, and every file complete when the
+command returns.
 Exit codes: 0 success, 1 configuration error, 2 stage error.
 """
 
@@ -135,8 +138,9 @@ def cmd_simulate(args):
     _single_config(args)
     config = _parse(args)
     out = _out_dir(config, args)
-    seat = pl.stage_input(config, out)
-    body, resonances = pl.stage_body(config, out, seat)
+    with pl.write_behind():
+        seat = pl.stage_input(config, out)
+        body, resonances = pl.stage_body(config, out, seat)
     n_peaks = sum(len(v) for v in resonances["peaks"].values())
     print(f"simulate: wrote {out / 'body_response.csv'} "
           f"({body.n_samples} samples, {n_peaks} resonance peaks)")
@@ -171,8 +175,9 @@ def cmd_perceive(args):
     _single_config(args)
     config = _parse(args)
     out = _out_dir(config, args)
-    body = _load_artifact(out, "body_response.csv", "ridecomfort simulate")
-    _, conflict = pl.stage_perception(config, out, body)
+    with pl.write_behind():
+        body = _load_artifact(out, "body_response.csv", "ridecomfort simulate")
+        _, conflict = pl.stage_perception(config, out, body)
     print(f"perceive: wrote {out / 'conflict.csv'} "
           f"({conflict.n_samples} samples)")
     return 0
@@ -182,8 +187,9 @@ def cmd_sickness(args):
     _single_config(args)
     config = _parse(args)
     out = _out_dir(config, args)
-    conflict = _load_artifact(out, "conflict.csv", "ridecomfort perceive")
-    _, summary = pl.stage_sickness(config, out, conflict)
+    with pl.write_behind():
+        conflict = _load_artifact(out, "conflict.csv", "ridecomfort perceive")
+        _, summary = pl.stage_sickness(config, out, conflict)
     print(f"sickness: final MSI {summary.final_percent:.3g}% "
           f"(peak {summary.peak_percent:.3g}%)")
     return 0
@@ -193,12 +199,13 @@ def cmd_metrics(args):
     _single_config(args)
     config = _parse(args)
     out = _out_dir(config, args)
-    seat, body = (_load_artifact(out, name, "ridecomfort simulate")
-                  if (out / name).is_file() else None
-                  for name in ("seat_motion.csv", "body_response.csv"))
-    if seat is None and body is None:
-        raise IoError(f"no seat_motion.csv or body_response.csv in {out}")
-    report = pl.stage_metrics(config, out, seat, body)
+    with pl.write_behind():
+        seat, body = (_load_artifact(out, name, "ridecomfort simulate")
+                      if (out / name).is_file() else None
+                      for name in ("seat_motion.csv", "body_response.csv"))
+        if seat is None and body is None:
+            raise IoError(f"no seat_motion.csv or body_response.csv in {out}")
+        report = pl.stage_metrics(config, out, seat, body)
     print(f"metrics: wrote {out / 'comfort.json'} "
           f"(MSDV {report.msdv_m_s15:.3g} m/s^1.5)")
     return 0

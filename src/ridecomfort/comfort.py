@@ -20,7 +20,7 @@ import numpy as np
 import scipy.signal as sps
 
 from .errors import GridMismatch, RateMismatch, UnitMismatch, UnsupportedRate
-from .timeseries import TimeSeries, save_json
+from .timeseries import TimeSeries
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -315,6 +315,3 @@ def comfort_report(seat_motion=None, body_response=None, settle_s=0.0,
         settle_s=float(settle_s),
     )
 
-
-def save_comfort_report(report, path):
-    save_json(report.as_dict(), path)

@@ -5,9 +5,14 @@ posture, perception and accumulation parameters, and metric selection.
 ``run_pipeline`` executes the stages in order (input, body, perception,
 sickness, metrics), persists every intermediate trace to the output
 directory, and writes a deterministic ``report.json`` plus a volatile
-``timing.json`` holding wall clocks (each stage's total and the part of it
-spent writing artifacts), realtime factors and peak memory.  Keeping timing
-out of the report makes two runs of the same scenario byte-identical.
+``timing.json`` holding wall clocks (each stage's total, the part of it
+spent writing artifacts, and the wait at the end for traces still being
+written), realtime factors and peak memory.  Keeping timing out of the
+report makes two runs of the same scenario byte-identical.
+
+A run, like each stage command, is one ``write_behind`` scope: a trace
+save returns once its rows are handed to the writer's worker processes,
+so they are formatted while later stages compute.
 
 The config reader is derived from the parameter dataclasses: each key's
 type is its field's annotation and each omitted key takes the field's
@@ -16,12 +21,13 @@ default, so no default is restated here.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import resource
 import sys
 import time
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 
@@ -29,14 +35,16 @@ import numpy as np
 
 from .body import BodyParams, PostureConfig, build_model
 from .body.integrate import simulate
-from .comfort import comfort_report, save_comfort_report
+from .comfort import comfort_report
 from .errors import ConfigError, IoError, RideComfortError, StageError
 from .excitation import SEAT_CHANNELS, ExcitationSpec, generate_excitation
 from .perception import VestibularParams, perceive
-from .sickness import AccumulatorParams, accumulate, save_summary, summarize
+from .sickness import AccumulatorParams, accumulate, summarize
 from .spectral import detect_peaks, estimate_frf
 from .stht import STHTOptions, default_welch_params
-from .timeseries import count_samples, load_timeseries, save_json, save_timeseries
+from .timeseries import (
+    _FileError, _write_behind, count_samples, load_timeseries, save_json,
+    save_timeseries)
 
 SCHEMA_VERSION = 1
 
@@ -398,8 +406,10 @@ def parse_config(path, seed=None, axis=None, vision=None):
 
 # -- stages -------------------------------------------------------------------
 
-# Wall time spent in artifact writers since import.  run_pipeline reads it
-# only as a difference across one stage call, so it is never reset.
+# Wall time spent in artifact writers since import: the caller's blocked
+# time, which for a trace save in a write_behind scope is its submission.
+# run_pipeline reads it only as a difference across one stage call, so it
+# is never reset.
 _write_s = 0.0
 
 
@@ -413,6 +423,16 @@ def _timed_save(save, obj, path):
         _write_s += time.perf_counter() - t
 
 
+def _saver(exc, stage):
+    """``stage``, or the earlier stage that saved the file a failed trace
+    write names: it completes behind the run, so it can fail in a later
+    stage's call."""
+    if not isinstance(exc, _FileError):
+        return stage
+    done = STAGE_ORDER[:STAGE_ORDER.index(stage) + 1]
+    return next((s for s in done if exc.path.name in _STAGE_FILES[s]), stage)
+
+
 def _wrap(stage):
     def deco(fn):
         def run(*args, **kwargs):
@@ -421,9 +441,26 @@ def _wrap(stage):
             except (RideComfortError, ValueError, OSError) as exc:
                 if isinstance(exc, StageError):
                     raise
-                raise StageError(stage, exc) from exc
+                raise StageError(_saver(exc, stage), exc) from exc
         return run
     return deco
+
+
+@contextlib.contextmanager
+def write_behind():
+    """One scope of trace saves for a run or a stage command.
+
+    Inside it ``save_timeseries`` returns once the rows are submitted to
+    the writer's pool; they are written by later saves and loads and at
+    the end of the scope, which waits for all of them, also when a stage
+    fails.  A save that fails behind is a StageError of the stage that
+    saved the file.
+    """
+    try:
+        with _write_behind():
+            yield
+    except _FileError as exc:
+        raise StageError(_saver(exc, STAGE_ORDER[-1]), exc) from exc
 
 
 @_wrap("input")
@@ -495,7 +532,7 @@ def stage_sickness(config, out_dir, conflict):
     trace = accumulate(conflict, config.accumulator)
     _timed_save(save_timeseries, trace, Path(out_dir) / "sickness.csv")
     summary = summarize(trace)
-    _timed_save(save_summary, summary, Path(out_dir) / "sickness_summary.json")
+    _timed_save(save_json, asdict(summary), Path(out_dir) / "sickness_summary.json")
     return trace, summary
 
 
@@ -503,7 +540,7 @@ def stage_sickness(config, out_dir, conflict):
 def stage_metrics(config, out_dir, seat, body):
     report = comfort_report(seat, body, config.metrics_settle_s,
                             config.metrics_rms, config.metrics_msdv)
-    _timed_save(save_comfort_report, report, Path(out_dir) / "comfort.json")
+    _timed_save(save_json, report.as_dict(), Path(out_dir) / "comfort.json")
     return report
 
 
@@ -527,6 +564,7 @@ class RunReport:
     summary: dict
     stage_wall_s: dict
     stage_write_s: dict                 # the part of stage_wall_s spent writing
+    write_wait_s: float                 # the wait at the end for trace writes
     body_realtime_factor: float
     pipeline_realtime_factor: float
     peak_rss_mb: float                  # this process, so far (MB = 1e6 B)
@@ -540,6 +578,7 @@ class RunReport:
     def timing_dict(self):
         return {"stage_wall_s": dict(self.stage_wall_s),
                 "stage_write_s": dict(self.stage_write_s),
+                "write_wait_s": self.write_wait_s,
                 "body_realtime_factor": self.body_realtime_factor,
                 "pipeline_realtime_factor": self.pipeline_realtime_factor,
                 "faster_than_realtime": self.body_realtime_factor > 1.0,
@@ -552,7 +591,9 @@ def run_pipeline(config, out_dir=None):
 
     Returns a RunReport.  ``report.json`` contains only deterministic
     content; wall clocks and realtime factors go to ``timing.json`` so the
-    artifact tree is byte-identical across runs of the same scenario.
+    artifact tree is byte-identical across runs of the same scenario.  Both
+    are written after every trace is on disk and every writer process has
+    ended.
     """
     out = Path(out_dir) if out_dir is not None else config.output_dir
     if out is None:
@@ -569,12 +610,15 @@ def run_pipeline(config, out_dir=None):
         return result
 
     t0 = time.perf_counter()
-    seat = run("input", stage_input, config, out)
-    body, resonances = run("body", stage_body, config, out, seat)
-    _, conflict = run("perception", stage_perception, config, out, body)
-    _, sick = run("sickness", stage_sickness, config, out, conflict)
-    comfort = run("metrics", stage_metrics, config, out, seat, body)
-    total_wall = time.perf_counter() - t0
+    with write_behind():
+        seat = run("input", stage_input, config, out)
+        body, resonances = run("body", stage_body, config, out, seat)
+        _, conflict = run("perception", stage_perception, config, out, body)
+        _, sick = run("sickness", stage_sickness, config, out, conflict)
+        comfort = run("metrics", stage_metrics, config, out, seat, body)
+        t_wait = time.perf_counter()
+    t_end = time.perf_counter()
+    total_wall = t_end - t0
 
     head_rms = {axis: float(np.sqrt(np.mean(
         body.channel(f"head_acc_{axis}") ** 2))) for axis in ("x", "y", "z")}
@@ -592,6 +636,7 @@ def run_pipeline(config, out_dir=None):
         summary=summary,
         stage_wall_s=wall,
         stage_write_s=write,
+        write_wait_s=t_end - t_wait,
         body_realtime_factor=float(body.meta["realtime_factor"]),
         pipeline_realtime_factor=seat.duration / max(total_wall, 1e-12),
         # ru_maxrss counts KiB on Linux

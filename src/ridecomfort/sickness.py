@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.signal as sps
 
-from ridecomfort.timeseries import TimeSeries, from_arrays, save_json
+from ridecomfort.timeseries import TimeSeries, from_arrays
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,3 @@ def summarize(trace: TimeSeries, threshold_percent: float | None = None) -> Sick
         threshold_percent=threshold_percent,
     )
 
-
-def save_summary(summary: SicknessSummary, path) -> None:
-    save_json(asdict(summary), path)

@@ -7,12 +7,17 @@ JSON artifacts (summaries and reports) are written by ``save_json``.
 
 ``save_timeseries`` formats the rows of a long trace, and ``load_timeseries``
 parses the data rows of a long file in spans, in worker processes where the
-platform forks them (Linux), with one pool per call; elsewhere both work
-in-process, and the bytes written and the values read are the same either way.
+platform forks them (Linux); elsewhere both work in-process, and the bytes
+written and the values read are the same either way.  The workers belong to
+a scope (``_write_behind``): one pool serves every save and load made in it,
+and a save returns once its rows are handed to the pool, so they are
+formatted while the caller computes; its file is complete at the end of the
+scope.  A call made outside a scope has a scope of its own.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import json
@@ -20,6 +25,7 @@ import multiprocessing
 import os
 import re
 import threading
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -190,15 +196,18 @@ def _parse_span(path, lo, hi) -> np.ndarray:
         lines = _rows(fh.read(hi - lo))
     if not lines:
         return np.empty((0, 1))  # what np.loadtxt gives, without its warning
-    return np.loadtxt(lines, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():  # all lines may be comments
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def _parse_data(path, spans, max_rows) -> np.ndarray:
     """The data rows of all spans, copied in order into one array as each
     span's rows arrive, so no span's array outlives its copy."""
     body, n = None, 0
-    with _mapped(_parse_span, [(path, lo, hi) for lo, hi in spans],
-                 f"cannot read {path}") as parts:
+    with _write_behind() as scope:
+        parts = scope.results(_parse_span, [(path, lo, hi) for lo, hi in spans],
+                              "read", path)
         for part in filter(len, parts):  # skip spans without data rows
             if body is None:
                 body = np.empty((max_rows, part.shape[1]))
@@ -217,8 +226,9 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     column, so at least 2 sample rows are needed, and must be uniform within
     a relative tolerance of 1e-6.
 
-    Data rows are parsed in spans of about ``_READ_SPAN_BYTES`` by
-    ``_mapped``; a worker that dies is an OSError naming the file.
+    Data rows are parsed in spans of about ``_READ_SPAN_BYTES`` on the
+    pool of the open ``_write_behind`` scope; a worker that dies is an
+    OSError naming the file.
     """
     with open(path, "rb") as fh:
         header = _next_row(fh)
@@ -236,6 +246,8 @@ def load_timeseries(path, schema=None) -> TimeSeries:
         raise  # not UTF-8: no number problem
     except ValueError as exc:
         raise NonFiniteSample("<unparseable>", -1) from exc
+    if not len(body):  # every line after the header is a comment
+        raise EmptyFile(f"{path} has a header but no samples")
     if body.shape[1] != len(channels) + 1:
         raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
 
@@ -298,36 +310,150 @@ def _pool_workers(n_tasks) -> int:
     return workers if workers >= 2 else 0
 
 
+class _FileError(OSError):
+    """A save or load that failed in a ``_write_behind`` scope; ``path``
+    names its file."""
+
+    def __init__(self, verb, path, reason):
+        super().__init__(f"cannot {verb} {path}: {reason}")
+        self.path = Path(path)
+
+
+_DEAD = "a worker process ended abruptly"
+
+
+class _Scope:
+    """One fork pool for the saves and loads of a ``_write_behind`` scope,
+    and the saves whose formatted blocks are not yet written.
+
+    The pool is opened at the first call with 2+ tasks that
+    ``_pool_workers`` allows and serves every later call; without it, each
+    call does its tasks in-process, in order.
+    """
+
+    def __init__(self):
+        self.pool = None
+        self.saves = collections.deque()  # (path, open file, block futures)
+
+    def submit(self, fn, tasks, verb, path):
+        """Futures of ``fn(*task)`` for each task, or None without a pool."""
+        if self.pool is None:
+            workers = _pool_workers(len(tasks))
+            if not workers:
+                return None
+            self.pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            return [self.pool.submit(fn, *task) for task in tasks]
+        except BrokenProcessPool as exc:
+            raise self.dead(verb, path) from exc
+
+    def dead(self, verb, path) -> _FileError:
+        """The OSError of a broken pool, named after the first unwritten
+        save that lost a block, or else after ``path``."""
+        self.flush(wait=True)  # raises for such a save
+        return _FileError(verb, path, _DEAD)
+
+    def flush(self, wait=False):
+        """Write the formatted blocks of unwritten saves, in order, and
+        close each file that is complete; with ``wait``, all of them."""
+        while self.saves:
+            path, fh, futures = self.saves[0]
+            try:
+                while futures and (wait or futures[0].done()):
+                    fh.write(futures[0].result())
+                    futures.popleft()
+                if futures:
+                    return
+                fh.close()
+            except BrokenProcessPool as exc:
+                raise _FileError("write", path, _DEAD) from exc
+            except OSError as exc:
+                raise _FileError("write", path, exc) from exc
+            self.saves.popleft()
+
+    def save(self, path, header, blocks):
+        """Open ``path`` and write ``header`` now; the blocks' rows follow in
+        later calls and at the end of the scope, or now without a pool."""
+        self.flush()
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+        try:
+            fh.write(header + "\n")
+            futures = self.submit(_format_rows, blocks, "write", path)
+        except BaseException:
+            fh.close()
+            raise
+        if futures is None:
+            with fh:
+                fh.writelines(itertools.starmap(_format_rows, blocks))
+        else:
+            self.saves.append((path, fh, collections.deque(futures)))
+
+    def results(self, fn, tasks, verb, path):
+        """``fn(*task)`` for each task, in order, as each is needed."""
+        self.flush()
+        futures = self.submit(fn, tasks, verb, path)
+        if futures is None:
+            yield from itertools.starmap(fn, tasks)
+            return
+        for future in futures:
+            try:
+                result = future.result()
+            except BrokenProcessPool as exc:
+                raise self.dead(verb, path) from exc
+            yield result
+
+    def close(self):
+        """Stop the pool and close the files an error left unwritten."""
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+        for _, fh, _ in self.saves:
+            with contextlib.suppress(OSError):
+                fh.close()
+
+
+_open_scope = threading.local()  # .scope: this thread's _Scope, if any
+
+
 @contextlib.contextmanager
-def _mapped(fn, tasks, failure):
-    """Yield ``fn(*task)`` for each task, in order: computed in-process, or
-    by a fork pool that lives only for the ``with`` block when
-    ``_pool_workers`` allows one.  A dead worker is an OSError: ``failure``."""
-    workers = _pool_workers(len(tasks))
-    if not workers:
-        yield itertools.starmap(fn, tasks)
+def _write_behind():
+    """Yield this thread's open ``_Scope``, or a new one for the block.
+
+    Inside it a save returns once its blocks are submitted, and every
+    later save or load first writes the blocks finished so far.  A new
+    scope waits for all of them at its end, also when the block raised,
+    so earlier saves are complete before the error propagates; no worker
+    outlives it.  A file saved in a scope is complete only at its end.
+    """
+    scope = getattr(_open_scope, "scope", None)
+    if scope is not None:
+        yield scope
         return
+    scope = _open_scope.scope = _Scope()
     try:
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            yield pool.map(fn, *zip(*tasks))
-    except BrokenProcessPool as exc:
-        raise OSError(f"{failure}: a worker process ended abruptly") from exc
+        yield scope
+        scope.flush(wait=True)
+    except Exception:
+        with contextlib.suppress(OSError):  # the first error is the one to see
+            scope.flush(wait=True)
+        raise
+    finally:
+        _open_scope.scope = None
+        scope.close()
 
 
 def save_timeseries(ts: TimeSeries, path) -> None:
     """Write the CSV interchange format with full round-trip precision.
 
-    Rows are formatted in blocks of ``_BLOCK_ROWS`` by ``_mapped`` and
-    written in order; a worker that dies is an OSError naming the file.
+    Rows are formatted in blocks of ``_BLOCK_ROWS`` on the pool of the open
+    ``_write_behind`` scope and written in order; an unwritable path is an
+    OSError now, and a worker that dies is an OSError naming the file.
     """
     header = "time_s," + ",".join(f"{n}[{u}]" for n, u in ts.channels)
     data = np.column_stack([ts.time(), ts.samples])
     blocks = [(data[i:i + _BLOCK_ROWS],) for i in range(0, len(data), _BLOCK_ROWS)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        with _mapped(_format_rows, blocks, f"cannot write {path}") as texts:
-            fh.writelines(texts)
+    with _write_behind() as scope:
+        scope.save(path, header, blocks)
 
 
 def save_json(obj, path) -> None:

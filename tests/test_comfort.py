@@ -7,11 +7,10 @@ import pytest
 
 from ridecomfort.comfort import (
     AXIS_WEIGHTINGS, analog_magnitude, comfort_report, design_weighting,
-    motion_sickness_dose, save_comfort_report,
-    weighted_rms, weighting_names)
+    motion_sickness_dose, weighted_rms, weighting_names)
 from ridecomfort.errors import (
     GridMismatch, RateMismatch, UnitMismatch, UnsupportedRate)
-from ridecomfort.timeseries import from_arrays
+from ridecomfort.timeseries import from_arrays, save_json
 
 
 def test_weighting_names_and_axis_map():
@@ -170,5 +169,5 @@ def test_comfort_report_zero_motion_is_zero(tmp_path):
     assert report.iso_msi_percent == 0.0
 
     path = tmp_path / "comfort.json"
-    save_comfort_report(report, path)
+    save_json(report.as_dict(), path)  # as the metrics stage writes it
     assert json.loads(path.read_text())["msdv_m_s15"] == 0.0

@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ridecomfort import timeseries
 from ridecomfort.body import BodyParams, PostureConfig, build_model
 from ridecomfort.body.params import COORDINATE_NAMES, JOINT_NAMES
 from ridecomfort.cli import main
@@ -16,7 +19,7 @@ from ridecomfort.errors import ConfigError
 from ridecomfort.excitation import ExcitationSpec
 from ridecomfort.perception import VestibularParams, VisionParams
 from ridecomfort.pipeline import (
-    build_config, parse_config, run_pipeline, validate_config)
+    _STAGE_FILES, build_config, parse_config, run_pipeline, validate_config)
 from ridecomfort.sickness import AccumulatorParams
 from ridecomfort.spectral import WelchParams
 from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions
@@ -118,6 +121,7 @@ def test_run_pipeline_writes_all_artifacts(tiny_config, tmp_path):
     for stage, write_s in timing["stage_write_s"].items():
         assert 0.0 < write_s <= timing["stage_wall_s"][stage], stage
     # 0 for the children where no worker process has finished yet
+    assert timing["write_wait_s"] >= 0.0
     assert timing["peak_rss_mb"] > 0.0
     assert timing["children_peak_rss_mb"] >= 0.0
 
@@ -221,6 +225,102 @@ def test_oversized_excitation_with_welch_is_a_config_error():
                         stht={"welch": {"segment_length": 256}})
     _, errors = build_config(raw)
     assert [f for f, _ in errors] == ["input.duration_s"]
+
+
+# -- write-behind trace saves -------------------------------------------------
+
+# 12 s at 500 Hz is 6001 rows: every trace spans two writer blocks, so a run
+# opens the writer pool where the platform allows one
+_TWO_BLOCKS = {"input": {"duration_s": 12.0}}
+_POOLED = timeseries._pool_workers(2) >= 2
+_STAGE_COMMANDS = ("simulate", "perceive", "sickness", "metrics")
+
+
+def _tree(out):
+    return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())
+            if p.name != "timing.json"}
+
+
+def _pipeline_and_stage_trees(config, out):
+    """Run ``config`` as a pipeline and as the stage commands in turn; the
+    number of writer pools each run or command opened."""
+    opened = []
+
+    class CountedPool(timeseries.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeseries, "ProcessPoolExecutor", CountedPool)
+        run_pipeline(parse_config(config), out / "pipe")
+        assert multiprocessing.active_children() == []
+        pools = [len(opened)]
+        for command in _STAGE_COMMANDS:
+            opened.clear()
+            assert main([command, "--config", str(config),
+                         "--out", str(out / "stages")]) == 0
+            assert multiprocessing.active_children() == []
+            pools.append(len(opened))
+    return _tree(out / "pipe"), _tree(out / "stages"), pools
+
+
+def test_write_behind_trees_equal_in_process_runs(tmp_path, monkeypatch):
+    config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+    pipe, stages, pools = _pipeline_and_stage_trees(config, tmp_path / "pooled")
+    # one pool per run and per command, or none
+    assert pools == [int(_POOLED)] * 5
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
+    pipe_0, stages_0, pools_0 = _pipeline_and_stage_trees(config, tmp_path / "serial")
+    assert pools_0 == [0] * 5
+    assert pipe == pipe_0 and stages == stages_0
+    assert set(stages) == set(pipe) - {"report.json"}
+    assert all(stages[name] == pipe[name] for name in stages)
+
+
+_format_rows = timeseries._format_rows  # the formatter the tests replace
+
+
+def _die_on_body_rows(block):
+    if block.shape[1] == 25:  # time_s and the 24 body-response channels
+        os._exit(1)
+    return _format_rows(block)
+
+
+@pytest.mark.skipif(not _POOLED, reason="rows are formatted in-process here")
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+def test_dead_writer_fails_the_stage_that_saved_the_file(tmp_path, monkeypatch,
+                                                         capsys, command):
+    config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+    monkeypatch.setattr(timeseries, "_format_rows", _die_on_body_rows)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert (f"stage 'body' failed: cannot write {out / 'body_response.csv'}: "
+            "a worker process ended abruptly") in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_stage_leaves_earlier_artifacts_complete(tmp_path, monkeypatch,
+                                                        capsys):
+    config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+    good = tmp_path / "good"
+    run_pipeline(parse_config(config), good)
+
+    def fail(*args, **kwargs):
+        raise ValueError("no accumulation today")
+
+    # conflict.csv has just been submitted when the sickness stage fails
+    monkeypatch.setattr("ridecomfort.pipeline.accumulate", fail)
+    out = tmp_path / "bad"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+    assert "stage 'sickness' failed: no accumulation today" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    earlier = [name for stage in ("input", "body", "perception")
+               for name in _STAGE_FILES[stage]]
+    assert sorted(_tree(out)) == sorted(earlier)
+    for name in earlier:
+        assert (out / name).read_bytes() == (good / name).read_bytes(), name
 
 
 def test_unreadable_csv_input_reported_at_input_path(tmp_path):

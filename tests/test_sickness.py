@@ -1,13 +1,13 @@
 """Conflict-to-sickness accumulation dynamics and summaries."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ridecomfort.sickness import (
-    AccumulatorParams, accumulate, save_summary, summarize)
-from ridecomfort.timeseries import from_arrays
+from ridecomfort.sickness import AccumulatorParams, accumulate, summarize
+from ridecomfort.timeseries import from_arrays, save_json
 
 
 def _conflict(dt, values):
@@ -101,12 +101,12 @@ def test_summarize_threshold_never_reached():
     assert summary.time_to_threshold_s is None
 
 
-def test_save_summary_round_trip(tmp_path):
+def test_summary_json_round_trip(tmp_path):
     trace = accumulate(_conflict(0.05, np.full(2000, 0.4)),
                        AccumulatorParams(time_constant_s=10.0))
     summary = summarize(trace, threshold_percent=1.0)
     path = tmp_path / "summary.json"
-    save_summary(summary, path)
+    save_json(asdict(summary), path)  # as the sickness stage writes it
     data = json.loads(path.read_text())
     assert data["final_percent"] == pytest.approx(summary.final_percent)
     assert data["threshold_percent"] == 1.0

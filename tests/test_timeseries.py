@@ -5,6 +5,7 @@ import itertools
 import multiprocessing
 import os
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,13 @@ def test_streamed_reader_keeps_the_load_rules(tmp_path):
         load("blank.csv", b"\n  \r\n\t\n")()
     with pytest.raises(EmptyFile, match="has a header but no samples"):
         load("header.csv", b"\ntime_s,acc_x[m/s^2]\r\n\r\n")()
+    # only comments after the header: no samples either, and np.loadtxt's
+    # "input contained no data" warning does not reach the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for header in (b"time_s", b"time_s,a[1]"):
+            with pytest.raises(EmptyFile, match="has a header but no samples"):
+                load("comments.csv", header + b"\n# one\n#two\r\n")()
     with pytest.raises(MissingChannel, match="expected 3 columns, got 2"):
         load("narrow.csv", b"time_s,a[1],b[1]\n0,1\n0.1,2\n")()
     with pytest.raises(NonFiniteSample, match="<unparseable>"):
@@ -248,6 +256,8 @@ def _streamed_reader(path):
             raise
         except ValueError as exc:
             raise NonFiniteSample("<unparseable>", -1) from exc
+    if not len(body):  # every line after the header is a comment
+        raise EmptyFile(f"{path} has a header but no samples")
     if body.shape[1] != len(channels) + 1:
         raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
     t = body[:, 0]
