@@ -569,6 +569,8 @@ class RunReport:
     pipeline_realtime_factor: float
     peak_rss_mb: float                  # this process, so far (MB = 1e6 B)
     children_peak_rss_mb: float         # its largest finished worker process
+    artifact_bytes: dict                # trace file -> its size on disk
+    artifact_rows: dict                 # trace file -> the sample rows saved
 
     def as_dict(self):
         return {"schema_version": SCHEMA_VERSION,
@@ -583,7 +585,9 @@ class RunReport:
                 "pipeline_realtime_factor": self.pipeline_realtime_factor,
                 "faster_than_realtime": self.body_realtime_factor > 1.0,
                 "peak_rss_mb": self.peak_rss_mb,
-                "children_peak_rss_mb": self.children_peak_rss_mb}
+                "children_peak_rss_mb": self.children_peak_rss_mb,
+                "artifact_bytes": dict(self.artifact_bytes),
+                "artifact_rows": dict(self.artifact_rows)}
 
 
 def run_pipeline(config, out_dir=None):
@@ -613,12 +617,16 @@ def run_pipeline(config, out_dir=None):
     with write_behind():
         seat = run("input", stage_input, config, out)
         body, resonances = run("body", stage_body, config, out, seat)
-        _, conflict = run("perception", stage_perception, config, out, body)
-        _, sick = run("sickness", stage_sickness, config, out, conflict)
+        perceived, conflict = run("perception", stage_perception, config, out,
+                                  body)
+        trace, sick = run("sickness", stage_sickness, config, out, conflict)
         comfort = run("metrics", stage_metrics, config, out, seat, body)
         t_wait = time.perf_counter()
     t_end = time.perf_counter()
     total_wall = t_end - t0
+    traces = {"seat_motion.csv": seat, "body_response.csv": body,
+              "perceived.csv": perceived, "conflict.csv": conflict,
+              "sickness.csv": trace}
 
     head_rms = {axis: float(np.sqrt(np.mean(
         body.channel(f"head_acc_{axis}") ** 2))) for axis in ("x", "y", "z")}
@@ -643,6 +651,9 @@ def run_pipeline(config, out_dir=None):
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         children_peak_rss_mb=resource.getrusage(
             resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6,
+        # every trace is complete now that the scope has ended
+        artifact_bytes={name: (out / name).stat().st_size for name in traces},
+        artifact_rows={name: ts.n_samples for name, ts in traces.items()},
     )
     save_json(report.as_dict(), out / "report.json")
     save_json(report.timing_dict(), out / "timing.json")

@@ -12,7 +12,9 @@ written and the values read are the same either way.  The workers belong to
 a scope (``_write_behind``): one pool serves every save and load made in it,
 and a save returns once its rows are handed to the pool, so they are
 formatted while the caller computes; its file is complete at the end of the
-scope.  A call made outside a scope has a scope of its own.
+scope.  A call made outside a scope has a scope of its own.  The rows are
+formatted by a numpy kernel (``_format_rows``) whose bytes equal those of
+``'%.17g' %``.
 """
 
 from __future__ import annotations
@@ -163,11 +165,14 @@ def _chunks(fh):
 
 def count_samples(path) -> int:
     """Sample rows of a TimeSeries CSV, counted as ``load_timeseries`` reads
-    them (the non-blank lines after the header), streamed in pieces
+    them (the non-blank lines after the header that do not start with
+    ``#``, which ``np.loadtxt`` skips as comments), streamed in pieces
     without parsing a number."""
     with open(path, "rb") as fh:
-        lines = sum(len(_rows(chunk)) for chunk in _chunks(fh))
-    return max(lines - 1, 0)
+        if _next_row(fh) is None:
+            return 0
+        return sum(not row.startswith("#")
+                   for chunk in _chunks(fh) for row in _rows(chunk))
 
 
 def _next_row(fh):
@@ -287,10 +292,190 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     return TimeSeries(float(t[0]), dt, tuple(channels), samples)
 
 
+# -- the row formatter ---------------------------------------------------
+#
+# '%.17g' prints a nonzero x from its 17 significant digits: the integer
+# D = |x| * 10**(16 - k), rounded half to even, where 10**k <= |x| < 10**(k+1)
+# (k + 1 once D rounds up to 10**17).  For 1e-11 < |x| < 1e16, k lies in
+# [-11, 15], so 5**(16 - k) < 2**63 and D is exact in uint64 arithmetic:
+# |x| = m * 2**(e - 1075) with a 53-bit m, and D is the 128-bit product
+# m * 5**(16 - k) shifted right by 1075 - e - (16 - k) bits, fewer than 64
+# (a left shift for |x| above about 3e15).  The text is then laid out as %g
+# does: fixed notation for -4 <= k <= 15, d.ddde-XX below, trailing zeros
+# stripped.  Other values are rare in a trace and go through '%.17g' itself.
+
+_FORMAT_VALUES = 1 << 14  # values formatted per pass of the kernel
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_POW5 = np.array([5 ** p for p in range(28)], dtype=np.uint64)
+
+
+def _quad_tables():
+    """The 4 ASCII digits of each of 0..9999 as one uint32, and how many
+    of them there are up to the last nonzero one."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    text = (digits + 48).astype(np.uint8).view(np.uint32).ravel()
+    return text, np.where(digits > 0, np.arange(1, 5), 0).max(axis=1)
+
+
+_QUADS, _QUAD_LEN = _quad_tables()
+
+# Each value owns one row of _ROW bytes; the masks keep its text's bytes.
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e-00,",
+                          dtype=np.uint8)
+_ROW = _TEMPLATE.size
+_INT, _FRAC, _EXP = 6, 24, 41  # the two digit copies and the exponent
+_SEP = _ROW - 1
+_ZERO = 27  # the class of 0.0 and -0.0; classes 0..26 are k + 11
+
+
+def _layouts():
+    """Mask rows indexed by ``(class * 18 + nd) * 2 + negative``, where nd
+    is the number of significant digits left once trailing zeros go."""
+    masks = np.zeros((28, 18, 2, _ROW), dtype=bool)
+    masks[..., _SEP] = True
+    masks[..., 1, 0] = True  # the sign
+    for nd in range(1, 18):
+        for k in range(-11, 16):
+            m = masks[k + 11, nd, :]
+            if k >= 0:  # ddd.ddd: integer digits, point, fraction digits
+                m[:, _INT:_INT + k + 1] = True
+                if nd > k + 1:
+                    m[:, _FRAC - 1] = True
+                    m[:, _FRAC + k + 1:_FRAC + nd] = True
+            elif k >= -4:  # 0.000ddd
+                m[:, 1:3] = True
+                m[:, _INT - (-k - 1):_INT + nd] = True
+            else:  # d.ddde-XX
+                m[:, _INT] = True
+                if nd > 1:
+                    m[:, _FRAC - 1] = True
+                    m[:, _FRAC + 1:_FRAC + nd] = True
+                m[:, _EXP:_EXP + 4] = True
+    masks[_ZERO, :, :, 0] = False  # zeros are printed as "-0" before _SEP
+    masks[_ZERO, :, 0, _SEP - 1] = True
+    masks[_ZERO, :, 1, _SEP - 2:_SEP] = True
+    return masks.reshape(-1, _ROW)
+
+
+_MASKS = _layouts()
+_EXP_DIGITS = np.array(  # the two ASCII digits of -k, for k < 0
+    [[48 + (-k) // 10, 48 + (-k) % 10] for k in range(-11, 0)]
+    + [[48, 48]] * 16, dtype=np.uint8)
+
+
+def _scaled(m, e, k):
+    """floor(m * 2**(e - 1075) * 10**(16 - k)), and the bits shifted out
+    below it, left-aligned in a uint64 (0 when none are)."""
+    p = 16 - k
+    b = _POW5[p]
+    b0, b1 = b & _LOW32, b >> _U64(32)
+    a0, a1 = m & _LOW32, m >> _U64(32)
+    low = a0 * b0
+    mid1 = a1 * b0 + (low >> _U64(32))
+    mid2 = a0 * b1 + (mid1 & _LOW32)
+    hi = a1 * b1 + (mid1 >> _U64(32)) + (mid2 >> _U64(32))
+    lo = m * b  # the product's low 64 bits
+    shift = _U64(1075) - e - p.astype(np.uint64)  # wraps where it is <= 0
+    left = _U64(64) - shift
+    t, below = (hi << left) | (lo >> shift), lo << left
+    exact = np.flatnonzero(shift - _U64(1) > _U64(62))  # |x| >= ~3e15
+    t[exact] = lo[exact] << -shift[exact]
+    below[exact] = 0
+    return t, below
+
+
+def _digits(a):
+    """(D, k) of positive floats in (1e-11, 1e16): the 17 significant
+    digits of each as an integer in [1e16, 1e17), and its exponent."""
+    bits = a.view(np.uint64)
+    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    e = bits >> _U64(52)
+    k = np.clip(np.floor(np.log10(a)), -11, 15).astype(np.intp)
+    t, below = _scaled(m, e, k)
+    while True:  # log10 can miss k by one next to a power of ten
+        off = (t < _U64(10 ** 16)).astype(np.intp) - (t >= _U64(10 ** 17))
+        fix = np.flatnonzero(off)
+        if not fix.size:
+            break
+        k[fix] -= off[fix]
+        t[fix], below[fix] = _scaled(m[fix], e[fix], k[fix])
+    half = _U64(1 << 63)
+    d = t + ((below | (t & _U64(1))) > half)  # half to even
+    carry = np.flatnonzero(d == _U64(10 ** 17))
+    d[carry] = _U64(10 ** 16)
+    k[carry] += 1
+    return d, k
+
+
+def _format_values(block) -> np.ndarray:
+    """The ASCII bytes of ``_format_rows`` for a float64 block."""
+    x = block.ravel()
+    a = np.abs(x)
+    negative = np.signbit(x)
+    fast = (a > 1e-11) & (a < 1e16)
+    picked = None if fast.all() else np.flatnonzero(fast)
+    d, k = _digits(a if picked is None else a[picked])
+    n = d.size
+    lead = d // _U64(10 ** 16)
+    rest = d - lead * _U64(10 ** 16)
+    hi8 = (rest // _U64(10 ** 8)).astype(np.uint32)
+    lo8 = (rest - hi8 * _U64(10 ** 8)).astype(np.uint32)
+    quads = np.empty((n, 4), dtype=np.uint32)
+    quads[:, 0] = hi8 // 10000
+    quads[:, 1] = hi8 - quads[:, 0] * 10000
+    quads[:, 2] = lo8 // 10000
+    quads[:, 3] = lo8 - quads[:, 2] * 10000
+    nd = _QUAD_LEN[quads[:, 3]] + 13
+    short = np.flatnonzero(nd == 13)
+    if short.size:  # the last quad is 0000: look further left
+        lens = _QUAD_LEN[quads[short, :3]]
+        nds = np.ones(short.size, dtype=np.intp)
+        for i in range(3):
+            nds = np.where(lens[:, i] > 0, lens[:, i] + 1 + 4 * i, nds)
+        nd[short] = nds
+
+    # rows 0..n-1 hold the fast values, rows n and n+1 hold 0 and -0
+    key = np.empty(n + 2, dtype=np.intp)
+    key[:n] = ((k + 11) * 18 + nd) * 2
+    key[:n] += negative if picked is None else negative[picked]
+    key[n:] = (_ZERO * 18 + 1) * 2 + np.arange(2)
+    masks = _MASKS.take(key, axis=0)
+    grid = np.empty((n + 2, _ROW), dtype=np.uint8)
+    grid[:] = _TEMPLATE
+    grid[:n, _INT] = lead.astype(np.uint8) + 48
+    grid[:n, _INT + 1:_INT + 17] = _QUADS[quads].view(np.uint8)
+    grid[:n, _FRAC:_FRAC + 17] = grid[:n, _INT:_INT + 17]
+    grid[:n, _EXP + 2:_EXP + 4] = _EXP_DIGITS[k + 11]
+    grid[n + 1, _SEP - 2] = ord("-")
+    if picked is None:
+        grid, masks = grid[:n], masks[:n]
+    else:  # spread the rows back out; the other values get a zero's row
+        rows = np.cumsum(fast) - 1
+        np.copyto(rows, n + negative, where=~fast)
+        grid = grid.view(f"V{_ROW}").ravel().take(rows).view(np.uint8)
+        masks = masks.view(f"V{_ROW}").ravel().take(rows).view(bool)
+        grid, masks = grid.reshape(-1, _ROW), masks.reshape(-1, _ROW)
+    grid.reshape(block.shape + (_ROW,))[:, -1, _SEP] = ord("\n")
+    for i in np.flatnonzero(~fast & (a != 0)):
+        text = np.frombuffer(b"%.17g" % float(x[i]), dtype=np.uint8)
+        grid[i, :text.size] = text
+        grid[i, text.size] = grid[i, _SEP]
+        masks[i] = np.arange(_ROW) <= text.size
+    return grid.ravel()[masks.ravel()]
+
+
 def _format_rows(block) -> str:
-    """CSV text of a 2-D block: the bytes ``np.savetxt(fmt="%.17g")`` writes."""
-    row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    return (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+    """CSV text of a 2-D block, byte for byte what
+    ``(row_fmt * rows) % tuple(block.ravel().tolist())`` gives with ``%.17g``
+    cells (and ``np.savetxt(fmt="%.17g")`` writes), formatted in numpy."""
+    block = np.asarray(block, dtype=np.float64)
+    rows, cols = block.shape
+    if not block.size:
+        return "" if cols else "\n" * rows
+    step = max(1, _FORMAT_VALUES // cols)
+    return b"".join(_format_values(block[i:i + step]).tobytes()
+                    for i in range(0, rows, step)).decode("ascii")
 
 
 def _pool_workers(n_tasks) -> int:

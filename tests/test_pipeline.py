@@ -23,6 +23,7 @@ from ridecomfort.pipeline import (
 from ridecomfort.sickness import AccumulatorParams
 from ridecomfort.spectral import WelchParams
 from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions
+from ridecomfort.timeseries import count_samples
 from conftest import make_scenario
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
@@ -124,6 +125,14 @@ def test_run_pipeline_writes_all_artifacts(tiny_config, tmp_path):
     assert timing["write_wait_s"] >= 0.0
     assert timing["peak_rss_mb"] > 0.0
     assert timing["children_peak_rss_mb"] >= 0.0
+    # each trace file's size and sample rows, as they are on disk
+    traces = sorted(p.name for p in out.glob("*.csv"))
+    assert sorted(timing["artifact_bytes"]) == traces
+    assert sorted(timing["artifact_rows"]) == traces
+    for name in traces:
+        assert timing["artifact_bytes"][name] == (out / name).stat().st_size
+        assert timing["artifact_rows"][name] == count_samples(out / name) \
+            == 3001, name
 
 
 def test_run_pipeline_deterministic_bytes(tiny_config, tmp_path):
@@ -334,10 +343,15 @@ def test_unreadable_csv_input_reported_at_input_path(tmp_path):
     (b"", "is empty"),
     (b"\n \r\n", "is empty"),
     (b"time_s,seat_acc_x[m/s^2]\r\n\n", "has a header but no samples"),
+    # np.loadtxt skips lines that start with "#": no samples either
+    (b"time_s\n# one\n#two\r\n#\n", "has a header but no samples"),
+    (b"time_s,seat_acc_x[m/s^2]\n#0,1\n# 0.1,2\n#0.2,3\n",
+     "has a header but no samples"),
     # one row defines no sample step
     (b"time_s,seat_acc_x[m/s^2]\n0,1\n",
      "has 1 sample row; a sample step needs at least 2"),
-], ids=["empty", "blank", "header-only", "one-row"])
+], ids=["empty", "blank", "header-only", "comments-time-only",
+        "comments-with-channels", "one-row"])
 def test_csv_input_without_samples_is_refused(tmp_path, capsys, content, message):
     (tmp_path / "empty.csv").write_bytes(content)
     raw = make_scenario(input={"kind": "csv", "path": "empty.csv"})

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ridecomfort.errors import (
     EmptyFile, InvalidRate, MissingChannel, NonFiniteSample,
@@ -120,6 +121,13 @@ def test_count_samples_follows_the_load_rule(tmp_path):
     assert count_samples(tmp_path / "demo.csv") == 37
     (tmp_path / "header_only.csv").write_text("time_s,acc_x[m/s^2]\n\n")
     assert count_samples(tmp_path / "header_only.csv") == 0
+    # lines that start with "#" are comments to np.loadtxt, not samples
+    (tmp_path / "comments.csv").write_text(
+        "time_s,acc_x[m/s^2]\n#0,1\n0,1\n# x\n0.5,2 # y\n#\n")
+    assert count_samples(tmp_path / "comments.csv") == \
+        load_timeseries(tmp_path / "comments.csv").n_samples == 2
+    (tmp_path / "comments_only.csv").write_text("time_s\n# one\n#two\n")
+    assert count_samples(tmp_path / "comments_only.csv") == 0
 
 
 def test_streamed_reader_keeps_the_load_rules(tmp_path):
@@ -195,6 +203,66 @@ def test_writer_bytes_equal_savetxt(tmp_path, n_rows, n_channels):
     assert np.array_equal(np.signbit(back.samples), np.signbit(data))
 
 
+def _percent_rows(block):
+    """The row formatter before the numpy kernel, kept as its byte oracle."""
+    row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _assert_formats_like_percent(block):
+    got, want = timeseries._format_rows(block), _percent_rows(block)
+    if got != want:  # name the first value that differs
+        for g, w in zip(got.split("\n"), want.split("\n")):
+            for gc, wc in zip(g.split(","), w.split(",")):
+                assert gc == wc
+    assert got == want
+
+
+def _near(x, n=50):
+    """The 2n + 1 floats nearest a positive float, x in the middle."""
+    bits = np.float64(x).view(np.int64) + np.arange(-n, n + 1)
+    return bits.view(np.float64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                     max_side=12),
+                        elements=st.floats(allow_nan=False,
+                                           allow_infinity=False)))
+def test_row_formatter_equals_percent_on_any_floats(block):
+    _assert_formats_like_percent(block)
+
+
+def test_row_formatter_equals_percent_at_the_edges(monkeypatch):
+    rng = np.random.default_rng(7)
+    # next to every power of ten the kernel's log10 guess can be one off
+    near_powers = np.concatenate([_near(float(f"1e{p}"))
+                                  for p in range(-14, 18)])
+    # both sides of the kernel's range and of the switch to d.ddde-XX
+    edges = np.concatenate([_near(x, 2) for x in (1e-11, 1e-4, 1e16)])
+    tie = 2.0 ** -25  # 2.98023223876953125e-08: half to even keeps ...12
+    assert timeseries._format_rows(np.array([[tie]])) == \
+        "2.9802322387695312e-08\n"
+    special = np.array([0.0, -0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308,
+                        1.7976931348623157e308, tie, 1.0, 0.1, 1e15, 2.0 ** 53,
+                        9999999999999998.0, 0.00011, 123456.75])
+    dense = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-12, 17, 20000)
+    values = np.concatenate([near_powers, edges, special, dense])
+    values = np.concatenate([values, -values])
+    _assert_formats_like_percent(values[:, None])  # one column
+    _assert_formats_like_percent(values[None, :])  # one row
+    _assert_formats_like_percent(values[:len(values) // 7 * 7].reshape(-1, 7))
+    wide = values[:4000].reshape(-1, 20)
+    _assert_formats_like_percent(wide[::3, 1::2])  # not contiguous
+    _assert_formats_like_percent(np.asfortranarray(wide))
+    _assert_formats_like_percent(np.zeros((3, 0)))
+    _assert_formats_like_percent(np.zeros((0, 3)))
+    # several kernel passes per block, also less than a row per pass
+    for values_per_pass in (7, 32):
+        monkeypatch.setattr(timeseries, "_FORMAT_VALUES", values_per_pass)
+        _assert_formats_like_percent(wide)
+
+
 def test_writer_formats_in_process_beside_other_threads(tmp_path):
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
@@ -233,9 +301,13 @@ def _streamed_lines(fh):
 
 
 def _streamed_count(path):
-    """count_samples before the span reader, kept as its oracle."""
+    """count_samples before the span reader, kept as its oracle, with the
+    comment rule of np.loadtxt: a line that starts with "#" is no sample."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        return max(sum(1 for _ in _streamed_lines(fh)) - 1, 0)
+        lines = _streamed_lines(fh)
+        if next(lines, None) is None:
+            return 0
+        return sum(not ln.startswith("#") for ln in lines)
 
 
 def _streamed_reader(path):
