@@ -6,20 +6,25 @@ run one stage against the artifacts already present in the output
 directory, so running them in sequence reproduces `pipeline` exactly.  Each
 of them, like a pipeline run, reads and writes its traces in one
 ``write_behind`` scope: one writer pool, and every file complete when the
-command returns.
+command returns.  `perceive` and `metrics` parse only the body-response
+channels they use when the file matches the sha256 that ``report.json``
+in the output directory records for it; otherwise they read it whole.
 Exit codes: 0 success, 1 configuration error, 2 stage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import pipeline as pl
 from .body import build_model
+from .comfort import BODY_CHANNELS as COMFORT_CHANNELS
 from .errors import ConfigError, IoError, RideComfortError, StageError
+from .perception import BODY_CHANNELS as PERCEPTION_CHANNELS
 from .stht import RESPONSE_CHANNELS, run_stht, save_stht_result
 from .timeseries import load_timeseries
 
@@ -91,12 +96,28 @@ def _single_config(args):
                             "this subcommand takes exactly one config")])
 
 
-def _load_artifact(out, name, hint):
+def _recorded_sha256(out, name):
+    """The sha256 that ``report.json`` in ``out`` records for the trace
+    ``name``, or None: a missing or malformed report vouches for nothing."""
+    try:
+        report = json.loads((Path(out) / "report.json").read_text(encoding="utf-8"))
+        digest = report["artifacts"][name]["sha256"]
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        return None
+    return digest if isinstance(digest, str) else None
+
+
+def _load_artifact(out, name, hint, channels=None):
+    """The trace ``name`` in ``out``: only ``channels`` (names) when given
+    and the file matches its recorded sha256, else all of it."""
     path = Path(out) / name
     if not path.is_file():
         raise IoError(f"{path} not found; run `{hint}` first")
     try:
-        return load_timeseries(path)
+        if channels is None:
+            return load_timeseries(path)
+        return load_timeseries(path, channels=channels,
+                               sha256=_recorded_sha256(out, name))
     except UnicodeDecodeError as exc:
         raise IoError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
@@ -176,7 +197,8 @@ def cmd_perceive(args):
     config = _parse(args)
     out = _out_dir(config, args)
     with pl.write_behind():
-        body = _load_artifact(out, "body_response.csv", "ridecomfort simulate")
+        body = _load_artifact(out, "body_response.csv", "ridecomfort simulate",
+                              PERCEPTION_CHANNELS)
         _, conflict = pl.stage_perception(config, out, body)
     print(f"perceive: wrote {out / 'conflict.csv'} "
           f"({conflict.n_samples} samples)")
@@ -200,9 +222,10 @@ def cmd_metrics(args):
     config = _parse(args)
     out = _out_dir(config, args)
     with pl.write_behind():
-        seat, body = (_load_artifact(out, name, "ridecomfort simulate")
+        seat, body = (_load_artifact(out, name, "ridecomfort simulate", channels)
                       if (out / name).is_file() else None
-                      for name in ("seat_motion.csv", "body_response.csv"))
+                      for name, channels in (("seat_motion.csv", None),
+                                             ("body_response.csv", COMFORT_CHANNELS)))
         if seat is None and body is None:
             raise IoError(f"no seat_motion.csv or body_response.csv in {out}")
         report = pl.stage_metrics(config, out, seat, body)

@@ -30,6 +30,8 @@ _LP_SKIP_FRACTION = 0.4
 
 AXIS_WEIGHTINGS = {"x": "Wd", "y": "Wd", "z": "Wk"}
 DOSE_WEIGHTING = "Wf"
+# the body-response channels that comfort_report reads
+BODY_CHANNELS = tuple(f"head_acc_{axis}" for axis in AXIS_WEIGHTINGS)
 
 _params_cache = None
 

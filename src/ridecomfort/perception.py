@@ -35,6 +35,8 @@ _SV_CHUNK = 256
 ROTVEL_CHANNELS = ("head_rotvel_roll", "head_rotvel_pitch", "head_rotvel_yaw")
 ACC_CHANNELS = ("head_acc_x", "head_acc_y", "head_acc_z")
 ANGLE_CHANNELS = ("head_angle_roll", "head_angle_pitch")
+# the body-response channels that perceive reads
+BODY_CHANNELS = ROTVEL_CHANNELS + ACC_CHANNELS + ANGLE_CHANNELS
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ A scenario JSON file describes the seat-motion input, the body model and
 posture, perception and accumulation parameters, and metric selection.
 ``run_pipeline`` executes the stages in order (input, body, perception,
 sickness, metrics), persists every intermediate trace to the output
-directory, and writes a deterministic ``report.json`` plus a volatile
+directory, and writes a deterministic ``report.json`` (the manifest, the
+summary, and each trace's sample rows, dt and sha256) plus a volatile
 ``timing.json`` holding wall clocks (each stage's total, the part of it
 spent writing artifacts, and the wait at the end for traces still being
 written), realtime factors and peak memory.  Keeping timing out of the
@@ -454,11 +455,12 @@ def write_behind():
     the writer's pool; they are written by later saves and loads and at
     the end of the scope, which waits for all of them, also when a stage
     fails.  A save that fails behind is a StageError of the stage that
-    saved the file.
+    saved the file.  Yields the scope, whose ``digests`` hold the sha256 of
+    each trace it saved complete.
     """
     try:
-        with _write_behind():
-            yield
+        with _write_behind() as scope:
+            yield scope
     except _FileError as exc:
         raise StageError(_saver(exc, STAGE_ORDER[-1]), exc) from exc
 
@@ -531,7 +533,7 @@ def stage_perception(config, out_dir, body):
 def stage_sickness(config, out_dir, conflict):
     trace = accumulate(conflict, config.accumulator)
     _timed_save(save_timeseries, trace, Path(out_dir) / "sickness.csv")
-    summary = summarize(trace)
+    summary = summarize(trace, config.accumulator.threshold_percent)
     _timed_save(save_json, asdict(summary), Path(out_dir) / "sickness_summary.json")
     return trace, summary
 
@@ -570,11 +572,12 @@ class RunReport:
     peak_rss_mb: float                  # this process, so far (MB = 1e6 B)
     children_peak_rss_mb: float         # its largest finished worker process
     artifact_bytes: dict                # trace file -> its size on disk
-    artifact_rows: dict                 # trace file -> the sample rows saved
+    artifacts: dict                     # trace file -> {"rows", "dt", "sha256"}
 
     def as_dict(self):
         return {"schema_version": SCHEMA_VERSION,
                 "manifest": {k: list(v) for k, v in self.manifest.items()},
+                "artifacts": self.artifacts,
                 "summary": self.summary}
 
     def timing_dict(self):
@@ -587,17 +590,18 @@ class RunReport:
                 "peak_rss_mb": self.peak_rss_mb,
                 "children_peak_rss_mb": self.children_peak_rss_mb,
                 "artifact_bytes": dict(self.artifact_bytes),
-                "artifact_rows": dict(self.artifact_rows)}
+                "artifact_rows": {name: entry["rows"] for name, entry
+                                  in self.artifacts.items()}}
 
 
 def run_pipeline(config, out_dir=None):
     """Execute every stage in order and persist all artifacts.
 
     Returns a RunReport.  ``report.json`` contains only deterministic
-    content; wall clocks and realtime factors go to ``timing.json`` so the
-    artifact tree is byte-identical across runs of the same scenario.  Both
-    are written after every trace is on disk and every writer process has
-    ended.
+    content, each trace's sha256 included; wall clocks and realtime
+    factors go to ``timing.json`` so the artifact tree is byte-identical
+    across runs of the same scenario.  Both are written after every trace
+    is on disk and every writer process has ended.
     """
     out = Path(out_dir) if out_dir is not None else config.output_dir
     if out is None:
@@ -614,7 +618,7 @@ def run_pipeline(config, out_dir=None):
         return result
 
     t0 = time.perf_counter()
-    with write_behind():
+    with write_behind() as scope:
         seat = run("input", stage_input, config, out)
         body, resonances = run("body", stage_body, config, out, seat)
         perceived, conflict = run("perception", stage_perception, config, out,
@@ -651,9 +655,11 @@ def run_pipeline(config, out_dir=None):
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         children_peak_rss_mb=resource.getrusage(
             resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6,
-        # every trace is complete now that the scope has ended
+        # every trace is complete, and hashed, now that the scope has ended
         artifact_bytes={name: (out / name).stat().st_size for name in traces},
-        artifact_rows={name: ts.n_samples for name, ts in traces.items()},
+        artifacts={name: {"rows": ts.n_samples, "dt": ts.dt,
+                          "sha256": scope.digests[out / name]}
+                   for name, ts in traces.items()},
     )
     save_json(report.as_dict(), out / "report.json")
     save_json(report.timing_dict(), out / "timing.json")

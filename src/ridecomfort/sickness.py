@@ -23,6 +23,8 @@ class AccumulatorParams:
     hill_exponent: float = 2.0
     time_constant_s: float = 720.0
     ceiling_percent: float = 85.0
+    # index level whose first crossing time the summary reports
+    threshold_percent: float | None = None
 
     def validate(self) -> None:
         if self.half_saturation_m_s2 <= 0:
@@ -33,6 +35,9 @@ class AccumulatorParams:
             raise ValueError("time_constant_s must be > 0")
         if not 0.0 < self.ceiling_percent <= 100.0:
             raise ValueError("ceiling_percent must be in (0, 100]")
+        if self.threshold_percent is not None and \
+                not 0.0 < self.threshold_percent <= 100.0:
+            raise ValueError("threshold_percent must be in (0, 100]")
 
 
 def accumulate(conflict: TimeSeries, params: AccumulatorParams | None = None,

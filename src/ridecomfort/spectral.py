@@ -41,6 +41,10 @@ class WelchParams:
             raise ValueError(f"window {self.window!r} is not usable: {exc}") from None
 
     def n_segments(self, n_samples: int) -> int:
+        """Welch segments in ``n_samples`` samples; 0 when one segment is
+        longer than the record (whatever its length: no float is formed)."""
+        if self.segment_length > n_samples:
+            return 0
         step = self.segment_length - int(round(self.overlap * self.segment_length))
         if step <= 0:
             return 0

@@ -15,12 +15,20 @@ formatted while the caller computes; its file is complete at the end of the
 scope.  A call made outside a scope has a scope of its own.  The rows are
 formatted by a numpy kernel (``_format_rows``) whose bytes equal those of
 ``'%.17g' %``.
+
+The scope hashes each trace as it writes it: ``_Scope.digests`` maps each
+complete file to the sha256 of its bytes, which a pipeline run records in
+``report.json``.  ``load_timeseries`` given that digest and the channels a
+caller reads parses only those columns of a file whose bytes match it; such
+a file is exactly what ``save_timeseries`` wrote from a finite record, so
+its other columns hold nothing left to check.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -183,19 +191,23 @@ def _next_row(fh):
     return None
 
 
-def _spans(fh):
+def _spans(fh, digest=None):
     """The (lo, hi) byte bounds of the rest of a binary file's ``_chunks``,
-    and the number of LFs they hold."""
+    and the number of LFs they hold; ``digest``, if given, is updated with
+    their bytes."""
     spans, lfs, lo = [], 0, fh.tell()
     for chunk in _chunks(fh):
+        if digest is not None:
+            digest.update(chunk)
         lfs += chunk.count(b"\n")
         spans.append((lo, lo + len(chunk)))
         lo += len(chunk)
     return spans, lfs
 
 
-def _parse_span(path, lo, hi) -> np.ndarray:
-    """The data rows in bytes [lo, hi) of a CSV, parsed by ``np.loadtxt``."""
+def _parse_span(path, lo, hi, usecols=None) -> np.ndarray:
+    """The data rows in bytes [lo, hi) of a CSV, parsed by ``np.loadtxt``:
+    all their columns, or the ``usecols`` ones in that order."""
     with open(path, "rb") as fh:
         fh.seek(lo)
         lines = _rows(fh.read(hi - lo))
@@ -203,15 +215,18 @@ def _parse_span(path, lo, hi) -> np.ndarray:
         return np.empty((0, 1))  # what np.loadtxt gives, without its warning
     with warnings.catch_warnings():  # all lines may be comments
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, delimiter=",", ndmin=2)
+        return np.loadtxt(lines, delimiter=",", ndmin=2, usecols=usecols)
 
 
-def _parse_data(path, spans, max_rows) -> np.ndarray:
-    """The data rows of all spans, copied in order into one array as each
-    span's rows arrive, so no span's array outlives its copy."""
+def _parse_data(path, spans, max_rows, usecols=None) -> np.ndarray:
+    """The data rows of all spans (their ``usecols`` columns, if given),
+    copied in order into one array as each span's rows arrive, so no
+    span's array outlives its copy."""
     body, n = None, 0
+    extra = () if usecols is None else (usecols,)
     with _write_behind() as scope:
-        parts = scope.results(_parse_span, [(path, lo, hi) for lo, hi in spans],
+        parts = scope.results(_parse_span,
+                              [(path, lo, hi) + extra for lo, hi in spans],
                               "read", path)
         for part in filter(len, parts):  # skip spans without data rows
             if body is None:
@@ -223,13 +238,30 @@ def _parse_data(path, spans, max_rows) -> np.ndarray:
     return np.empty((0, 1)) if body is None else body[:n]
 
 
-def load_timeseries(path, schema=None) -> TimeSeries:
+def _projection(channels, wanted):
+    """Column numbers (``time_s`` is 0) of the ``wanted`` channel names, or
+    None when they would drop no column of ``channels`` or are not all
+    among them."""
+    names = [name for name, _ in channels]
+    if not set(wanted) <= set(names) or set(names) <= set(wanted):
+        return None
+    return [0] + [names.index(name) + 1 for name in wanted]
+
+
+def load_timeseries(path, schema=None, *, channels=None, sha256=None) -> TimeSeries:
     """Read and validate a TimeSeries CSV.
 
     `schema`, when given, is an iterable of (name, unit) pairs that must all
     be present (extra file channels are kept). dt is inferred from the time
     column, so at least 2 sample rows are needed, and must be uniform within
     a relative tolerance of 1e-6.
+
+    `channels` (names) and `sha256` (a hex digest, as ``report.json``
+    records it) together ask for a projected load: when the file's bytes
+    hash to `sha256`, only ``time_s`` and the named columns are parsed and
+    the record holds just those channels, in that order.  In every other
+    case (no digest, another digest, a channel the file lacks, nothing to
+    drop) the whole file is parsed and checked, and every channel returned.
 
     Data rows are parsed in spans of about ``_READ_SPAN_BYTES`` on the
     pool of the open ``_write_behind`` scope; a worker that dies is an
@@ -239,22 +271,32 @@ def load_timeseries(path, schema=None) -> TimeSeries:
         header = _next_row(fh)
         if header is None:
             raise EmptyFile(f"{path} is empty")
-        channels = _parse_header(header.split(","), path)
+        channels_in_file = _parse_header(header.split(","), path)
         start = fh.tell()
         if _next_row(fh) is None:
             raise EmptyFile(f"{path} has a header but no samples")
+        usecols = digest = None
+        if channels is not None and sha256 is not None:
+            usecols = _projection(channels_in_file, channels)
+        if usecols is not None:  # hash the header now, the rest with _spans
+            fh.seek(0)
+            digest = hashlib.sha256(fh.read(start))
         fh.seek(start)
-        spans, lfs = _spans(fh)
+        spans, lfs = _spans(fh, digest)
+    if digest is not None and digest.hexdigest() == sha256:
+        kept = [channels_in_file[col - 1] for col in usecols[1:]]
+    else:
+        usecols, kept = None, channels_in_file
     try:
-        body = _parse_data(path, spans, lfs + 1)  # at most a row per line
+        body = _parse_data(path, spans, lfs + 1, usecols)  # at most a row per line
     except UnicodeDecodeError:
         raise  # not UTF-8: no number problem
     except ValueError as exc:
         raise NonFiniteSample("<unparseable>", -1) from exc
     if not len(body):  # every line after the header is a comment
         raise EmptyFile(f"{path} has a header but no samples")
-    if body.shape[1] != len(channels) + 1:
-        raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
+    if body.shape[1] != len(kept) + 1:
+        raise MissingChannel(f"<expected {len(kept) + 1} columns, got {body.shape[1]}>", path)
 
     t = body[:, 0]
     samples = body[:, 1:]
@@ -262,7 +304,7 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     bad = ~np.isfinite(samples)
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise NonFiniteSample(channels[col][0], int(row))
+        raise NonFiniteSample(kept[col][0], int(row))
     if not np.isfinite(t).all():
         raise NonFiniteSample("time_s", int(np.argwhere(~np.isfinite(t))[0][0]))
 
@@ -284,12 +326,12 @@ def load_timeseries(path, schema=None) -> TimeSeries:
              key=lambda c: float(np.max(np.abs(t[0] + c * k - t))))
 
     if schema is not None:
-        names = [name for name, _ in channels]
+        names = [name for name, _ in channels_in_file]
         for name, _unit in schema:
             if name not in names:
                 raise MissingChannel(name, path)
 
-    return TimeSeries(float(t[0]), dt, tuple(channels), samples)
+    return TimeSeries(float(t[0]), dt, tuple(kept), samples)
 
 
 # -- the row formatter ---------------------------------------------------
@@ -478,6 +520,11 @@ def _format_rows(block) -> str:
                     for i in range(0, rows, step)).decode("ascii")
 
 
+def _format_block(block) -> bytes:
+    """The bytes a trace file holds for the rows of ``block``."""
+    return _format_rows(block).encode("ascii")
+
+
 def _pool_workers(n_tasks) -> int:
     """Worker processes for ``n_tasks`` pool tasks; 0 means in-process.
 
@@ -507,9 +554,16 @@ class _FileError(OSError):
 _DEAD = "a worker process ended abruptly"
 
 
+def _write_hashed(fh, digest, data):
+    """Write ``data`` to ``fh`` and add it to the file's running ``digest``."""
+    fh.write(data)
+    digest.update(data)
+
+
 class _Scope:
     """One fork pool for the saves and loads of a ``_write_behind`` scope,
-    and the saves whose formatted blocks are not yet written.
+    the saves whose formatted blocks are not yet written, and the sha256
+    of each file saved complete.
 
     The pool is opened at the first call with 2+ tasks that
     ``_pool_workers`` allows and serves every later call; without it, each
@@ -518,7 +572,9 @@ class _Scope:
 
     def __init__(self):
         self.pool = None
-        self.saves = collections.deque()  # (path, open file, block futures)
+        # (path, open file, its running sha256, block futures)
+        self.saves = collections.deque()
+        self.digests = {}  # Path of a complete file -> sha256 hex digest
 
     def submit(self, fn, tasks, verb, path):
         """Futures of ``fn(*task)`` for each task, or None without a pool."""
@@ -543,10 +599,10 @@ class _Scope:
         """Write the formatted blocks of unwritten saves, in order, and
         close each file that is complete; with ``wait``, all of them."""
         while self.saves:
-            path, fh, futures = self.saves[0]
+            path, fh, digest, futures = self.saves[0]
             try:
                 while futures and (wait or futures[0].done()):
-                    fh.write(futures[0].result())
+                    _write_hashed(fh, digest, futures[0].result())
                     futures.popleft()
                 if futures:
                     return
@@ -556,23 +612,26 @@ class _Scope:
             except OSError as exc:
                 raise _FileError("write", path, exc) from exc
             self.saves.popleft()
+            self.digests[Path(path)] = digest.hexdigest()
 
     def save(self, path, header, blocks):
         """Open ``path`` and write ``header`` now; the blocks' rows follow in
         later calls and at the end of the scope, or now without a pool."""
         self.flush()
-        fh = open(path, "w", encoding="utf-8", newline="\n")
+        fh, digest = open(path, "wb"), hashlib.sha256()
         try:
-            fh.write(header + "\n")
-            futures = self.submit(_format_rows, blocks, "write", path)
+            _write_hashed(fh, digest, (header + "\n").encode("utf-8"))
+            futures = self.submit(_format_block, blocks, "write", path)
         except BaseException:
             fh.close()
             raise
         if futures is None:
             with fh:
-                fh.writelines(itertools.starmap(_format_rows, blocks))
+                for data in itertools.starmap(_format_block, blocks):
+                    _write_hashed(fh, digest, data)
+            self.digests[Path(path)] = digest.hexdigest()
         else:
-            self.saves.append((path, fh, collections.deque(futures)))
+            self.saves.append((path, fh, digest, collections.deque(futures)))
 
     def results(self, fn, tasks, verb, path):
         """``fn(*task)`` for each task, in order, as each is needed."""
@@ -592,7 +651,7 @@ class _Scope:
         """Stop the pool and close the files an error left unwritten."""
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
-        for _, fh, _ in self.saves:
+        for _, fh, _, _ in self.saves:
             with contextlib.suppress(OSError):
                 fh.close()
 
@@ -633,6 +692,7 @@ def save_timeseries(ts: TimeSeries, path) -> None:
     Rows are formatted in blocks of ``_BLOCK_ROWS`` on the pool of the open
     ``_write_behind`` scope and written in order; an unwritable path is an
     OSError now, and a worker that dies is an OSError naming the file.
+    Once the file is complete, the scope's ``digests`` hold its sha256.
     """
     header = "time_s," + ",".join(f"{n}[{u}]" for n, u in ts.channels)
     data = np.column_stack([ts.time(), ts.samples])

@@ -260,3 +260,95 @@ def test_metrics_refuses_records_on_different_grids(write_scenario, tmp_path,
     err = capsys.readouterr().err
     assert ("seat record and body response must share one grid: "
             "3001 samples from t = 0 s against 2 from t = 0 s") in err
+
+
+_RESUMED = ("perceived.csv", "conflict.csv", "sickness.csv",
+            "sickness_summary.json", "comfort.json")
+
+
+@pytest.fixture
+def resumable(tiny_config, tmp_path, monkeypatch):
+    """A pipeline directory, its outputs' bytes, and the column selection of
+    each CSV parse made from then on, as (file name, usecols)."""
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(tiny_config), "--out", str(out)]) == 0
+    want = {name: (out / name).read_bytes() for name in _RESUMED}
+    parsed = []
+    parse_data = timeseries._parse_data
+
+    def spy(path, spans, max_rows, usecols=None):
+        parsed.append((Path(path).name, usecols))
+        return parse_data(path, spans, max_rows, usecols)
+
+    monkeypatch.setattr(timeseries, "_parse_data", spy)
+    return out, want, parsed
+
+
+def _resume(config, out, commands=("perceive", "sickness", "metrics")):
+    return [main([cmd, "--config", str(config), "--out", str(out)])
+            for cmd in commands]
+
+
+def test_stage_commands_parse_only_the_vouched_columns_they_use(
+        tiny_config, resumable):
+    out, want, parsed = resumable
+    assert _resume(tiny_config, out) == [0, 0, 0]
+    # head rotation rates, accelerations and angles for perceive; the
+    # head accelerations for metrics; conflict.csv has no column to drop
+    assert parsed == [("body_response.csv", [0, 13, 14, 15, 7, 8, 9, 23, 24]),
+                      ("conflict.csv", None),
+                      ("seat_motion.csv", None),
+                      ("body_response.csv", [0, 7, 8, 9])]
+    for name, data in want.items():
+        assert (out / name).read_bytes() == data, name
+
+
+_TRUNK_ACC_Y = 5  # a body-response column neither perceive nor metrics reads
+
+
+def _edit_body_value(out, row, text):
+    path = out / "body_response.csv"
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[row + 1].split(b",")
+    cells[_TRUNK_ACC_Y] = text.encode()
+    lines[row + 1] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nan", "non-finite sample in channel 'trunk_acc_y' at row 100"),
+    ("abc", "non-finite sample in channel '<unparseable>' at row -1"),
+    ("12.5", None),
+])
+def test_an_edited_unread_body_value_is_read_in_full(tiny_config, resumable,
+                                                     capsys, text, message):
+    out, want, parsed = resumable
+    _edit_body_value(out, 100, text)
+    capsys.readouterr()
+    codes = _resume(tiny_config, out, ("perceive", "metrics"))
+    assert all(usecols is None for _, usecols in parsed)
+    if message is None:
+        assert codes == [0, 0]
+        for name, data in want.items():
+            assert (out / name).read_bytes() == data, name
+        return
+    assert codes == [2, 2]
+    err = capsys.readouterr().err
+    assert err.count(f"error: {message}\n") == 2, err
+
+
+@pytest.mark.parametrize("report", [
+    lambda text: text[:len(text) // 2],
+    lambda text: json.dumps({**json.loads(text), "artifacts": []}),
+    lambda text: json.dumps({**json.loads(text), "artifacts": {
+        "body_response.csv": {"rows": 3001, "dt": 0.002, "sha256": 12345}}}),
+    lambda text: json.dumps({**json.loads(text), "artifacts": {}}),
+], ids=["truncated", "artifacts-list", "numeric-sha256", "missing-entry"])
+def test_a_malformed_report_vouches_for_nothing(tiny_config, resumable, report):
+    out, want, parsed = resumable
+    path = out / "report.json"
+    path.write_text(report(path.read_text()))
+    assert _resume(tiny_config, out) == [0, 0, 0]
+    assert all(usecols is None for _, usecols in parsed)
+    for name, data in want.items():
+        assert (out / name).read_bytes() == data, name

@@ -391,6 +391,8 @@ _BAD_INPUTS = [
      "stht.welch.window"),
     ("stht", "welch", {"segment_length": 100000}, "stht.welch.segment_length"),
     ("input", "rms_m_s2", 1e300, "input.rms_m_s2"),
+    ("accumulator", "threshold_percent", 0, "accumulator.threshold_percent"),
+    ("accumulator", "threshold_percent", 100.5, "accumulator.threshold_percent"),
 ]
 
 
@@ -491,3 +493,26 @@ def test_build_config_never_raises_and_ok_means_usable(raw):
     build_model(config.body, config.posture)
     if config.excitation is not None:
         config.excitation.validate()
+
+
+def test_accumulator_threshold_reaches_the_sickness_summary(tmp_path):
+    # lateral sway with a short time constant: the index rises within 6 s
+    raw = make_scenario(input={"axis": "y"},
+                        accumulator={"time_constant_s": 2.0})
+    run_pipeline(parse_config(_write(tmp_path, raw)), tmp_path / "plain")
+    msi = timeseries.load_timeseries(tmp_path / "plain" / "sickness.csv").channel("msi")
+    threshold = 0.5 * float(msi.max())
+    assert threshold > 0.0
+    raw["accumulator"]["threshold_percent"] = threshold
+    out = tmp_path / "threshold"
+    run_pipeline(parse_config(_write(tmp_path, raw)), out)
+    summary = json.loads((out / "sickness_summary.json").read_text())
+    first = int(np.flatnonzero(msi >= threshold)[0])
+    assert summary["threshold_percent"] == threshold
+    assert summary["time_to_threshold_s"] == pytest.approx(first * 0.002)
+    # without the key the summary keeps its nulls; no other file changes
+    plain = json.loads((tmp_path / "plain" / "sickness_summary.json").read_text())
+    assert plain["threshold_percent"] is None
+    assert plain["time_to_threshold_s"] is None
+    for name in ("sickness.csv", "conflict.csv", "comfort.json"):
+        assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -16,6 +16,9 @@ def test_welch_params_validation():
     with pytest.raises(ValueError):
         WelchParams(256, overlap=1.0)
     assert WelchParams(256, overlap=0.5).n_segments(1024) == 7
+    # longer than the record, at any length (no float overflow)
+    assert WelchParams(1025).n_segments(1024) == 0
+    assert WelchParams(10 ** 400).n_segments(3001) == 0
 
 
 def test_welch_power_matches_variance():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import multiprocessing
 import os
 import threading
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from ridecomfort.errors import (
     EmptyFile, InvalidRate, MissingChannel, NonFiniteSample,
     NonUniformSampling)
-from ridecomfort import timeseries
+from ridecomfort import comfort, perception, timeseries
 from ridecomfort.pipeline import parse_config, run_pipeline
 from ridecomfort.timeseries import (
     TimeSeries, count_samples, from_arrays, load_timeseries, save_timeseries)
@@ -505,3 +506,74 @@ def test_reader_parses_in_process_beside_other_threads(tmp_path, monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     assert np.array_equal(back.samples, ts.samples) and back.dt == ts.dt
+
+
+def _vouched_run(tmp_path, tiny_config):
+    """A pipeline directory and the sha256 its report records per trace."""
+    out = tmp_path / "run"
+    run_pipeline(parse_config(tiny_config), out)
+    artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+    return out, {name: entry["sha256"] for name, entry in artifacts.items()}
+
+
+def test_report_records_each_trace_sha256_rows_and_dt(tmp_path, tiny_config,
+                                                     monkeypatch):
+    out, _ = _vouched_run(tmp_path, tiny_config)
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["artifacts"]) == sorted(p.name for p in out.glob("*.csv"))
+    for name, entry in report["artifacts"].items():
+        assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert entry["rows"] == count_samples(out / name) == 3001
+        assert entry["dt"] == load_timeseries(out / name).dt == 0.002
+    # the in-process writer hashes the same bytes
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
+    run_pipeline(parse_config(tiny_config), tmp_path / "serial")
+    assert (tmp_path / "serial" / "report.json").read_bytes() == \
+        (out / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
+def test_vouched_projected_load_equals_the_full_load(tmp_path, tiny_config,
+                                                    monkeypatch, pooled):
+    out, sha256 = _vouched_run(tmp_path, tiny_config)
+    path = out / "body_response.csv"
+    monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 1 << 14)
+    assert path.stat().st_size > 8 * timeseries._READ_SPAN_BYTES
+    if not pooled:
+        monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
+    full = load_timeseries(path)
+    for names in (perception.BODY_CHANNELS, comfort.BODY_CHANNELS):
+        got = load_timeseries(path, channels=names,
+                              sha256=sha256["body_response.csv"])
+        want = full.select(names)
+        assert got.channel_names == names
+        assert np.array_equal(got.samples, want.samples)
+        assert (got.dt, got.start_time, got.channels) == \
+            (want.dt, want.start_time, want.channels)
+    assert multiprocessing.active_children() == []
+
+
+def test_projection_needs_a_matching_digest(tmp_path, tiny_config, monkeypatch):
+    out, sha256 = _vouched_run(tmp_path, tiny_config)
+    path, digest = out / "body_response.csv", sha256["body_response.csv"]
+    parsed = []
+    parse_data = timeseries._parse_data
+
+    def spy(path, spans, max_rows, usecols=None):
+        parsed.append(usecols)
+        return parse_data(path, spans, max_rows, usecols)
+
+    monkeypatch.setattr(timeseries, "_parse_data", spy)
+    full = load_timeseries(path)
+    names = comfort.BODY_CHANNELS
+    assert load_timeseries(path, channels=names, sha256=digest).channel_names == names
+    # each of these reads and checks the whole file, as without arguments
+    for kwargs in ({"channels": names},                        # no digest
+                   {"sha256": digest},                         # no channels
+                   {"channels": names, "sha256": "0" * 64},    # another digest
+                   {"channels": names + ("nope",), "sha256": digest},
+                   {"channels": full.channel_names, "sha256": digest}):
+        got = load_timeseries(path, **kwargs)
+        assert got.channels == full.channels, kwargs
+        assert np.array_equal(got.samples, full.samples)
+    assert parsed == [None, [0, 7, 8, 9]] + [None] * 5
