@@ -6,9 +6,10 @@ run one stage against the artifacts already present in the output
 directory, so running them in sequence reproduces `pipeline` exactly.  Each
 of them, like a pipeline run, reads and writes its traces in one
 ``write_behind`` scope: one writer pool, and every file complete when the
-command returns.  `perceive` and `metrics` parse only the body-response
-channels they use when the file matches the sha256 that ``report.json``
-in the output directory records for it; otherwise they read it whole.
+command returns.  They read every trace through ``load_timeseries``
+below: `perceive` and `metrics` parse only the body-response channels
+they use when the file matches the sha256 that ``report.json`` in the
+output directory records for it; otherwise they read it whole.
 Exit codes: 0 success, 1 configuration error, 2 stage error.
 """
 
@@ -26,7 +27,7 @@ from .comfort import BODY_CHANNELS as COMFORT_CHANNELS
 from .errors import ConfigError, IoError, RideComfortError, StageError
 from .perception import BODY_CHANNELS as PERCEPTION_CHANNELS
 from .stht import RESPONSE_CHANNELS, run_stht, save_stht_result
-from .timeseries import load_timeseries
+from .timeseries import load_timeseries as _load_file
 
 
 def _positive_int(text):
@@ -96,28 +97,34 @@ def _single_config(args):
                             "this subcommand takes exactly one config")])
 
 
-def _recorded_sha256(out, name):
-    """The sha256 that ``report.json`` in ``out`` records for the trace
-    ``name``, or None: a missing or malformed report vouches for nothing."""
+def _recorded_sha256(path):
+    """The sha256 that ``report.json`` beside the trace ``path`` records
+    for it, or None: a missing or malformed report vouches for nothing."""
     try:
-        report = json.loads((Path(out) / "report.json").read_text(encoding="utf-8"))
-        digest = report["artifacts"][name]["sha256"]
+        report = json.loads((path.parent / "report.json").read_text(encoding="utf-8"))
+        digest = report["artifacts"][path.name]["sha256"]
     except (OSError, ValueError, LookupError, TypeError, RecursionError):
         return None
     return digest if isinstance(digest, str) else None
 
 
+def load_timeseries(path, channels=None):
+    """The trace at ``path`` as a stage command reads it: only ``time_s``
+    and ``channels`` (names), when given and the file matches the sha256
+    that ``report.json`` beside it records, else all of it."""
+    path = Path(path)
+    sha256 = _recorded_sha256(path) if channels else None
+    return _load_file(path, channels=channels, sha256=sha256)
+
+
 def _load_artifact(out, name, hint, channels=None):
-    """The trace ``name`` in ``out``: only ``channels`` (names) when given
-    and the file matches its recorded sha256, else all of it."""
+    """``load_timeseries`` of the trace ``name`` in ``out``, with a missing
+    or unreadable file as an IoError."""
     path = Path(out) / name
     if not path.is_file():
         raise IoError(f"{path} not found; run `{hint}` first")
     try:
-        if channels is None:
-            return load_timeseries(path)
-        return load_timeseries(path, channels=channels,
-                               sha256=_recorded_sha256(out, name))
+        return load_timeseries(path, channels)
     except UnicodeDecodeError as exc:
         raise IoError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import ridecomfort
-from ridecomfort import timeseries
+from ridecomfort import cli, timeseries
 from ridecomfort.cli import main
+from ridecomfort.comfort import BODY_CHANNELS as COMFORT_CHANNELS
 from ridecomfort.excitation import generate_excitation
+from ridecomfort.perception import BODY_CHANNELS as PERCEPTION_CHANNELS
 from ridecomfort.pipeline import parse_config
 from ridecomfort.timeseries import load_timeseries, save_timeseries
 from conftest import make_scenario
@@ -299,6 +301,29 @@ def test_stage_commands_parse_only_the_vouched_columns_they_use(
                       ("conflict.csv", None),
                       ("seat_motion.csv", None),
                       ("body_response.csv", [0, 7, 8, 9])]
+    for name, data in want.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_stage_commands_load_every_trace_through_one_positional_call(
+        tiny_config, resumable, monkeypatch):
+    # a stand-in for cli.load_timeseries that takes its arguments only by
+    # position sees every load of every stage command
+    out, want, parsed = resumable
+    calls = []
+    load = cli.load_timeseries
+
+    def stand_in(path, channels=None, /):
+        calls.append((Path(path).name, channels))
+        return load(path, channels)
+
+    monkeypatch.setattr(cli, "load_timeseries", stand_in)
+    assert _resume(tiny_config, out) == [0, 0, 0]
+    assert calls == [("body_response.csv", PERCEPTION_CHANNELS),
+                     ("conflict.csv", None),
+                     ("seat_motion.csv", None),
+                     ("body_response.csv", COMFORT_CHANNELS)]
+    assert [usecols is not None for _, usecols in parsed] == [True, False, False, True]
     for name, data in want.items():
         assert (out / name).read_bytes() == data, name
 
