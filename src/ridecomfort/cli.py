@@ -1,15 +1,14 @@
 """Command-line front end: run whole scenarios or single stages.
 
 Every subcommand reads the same scenario config.  `pipeline` chains all
-stages; the stage subcommands (simulate, perceive, sickness, metrics) each
-run one stage against the artifacts already present in the output
-directory, so running them in sequence reproduces `pipeline` exactly.  Each
-of them, like a pipeline run, reads and writes its traces in one
-``write_behind`` scope: one writer pool, and every file complete when the
-command returns.  They read every trace through ``load_timeseries``
-below: `perceive` and `metrics` parse only the body-response channels
-they use when the file matches the sha256 that ``report.json`` in the
-output directory records for it; otherwise they read it whole.
+stages.  The stage commands (simulate, perceive, sickness, metrics) run the
+stages ``_STAGE_COMMANDS`` names through ``pipeline.run_stages``, like a
+run: one writer pool, and every file complete when the command returns.
+Traces their stages read and do not write come from the output directory,
+as ``pipeline.STAGES`` lists them, so running the commands in sequence
+reproduces `pipeline` exactly.  ``load_timeseries`` below reads each: only
+the channels its stage uses when the file matches the sha256 recorded in
+``report.json`` there, otherwise all of it.
 Exit codes: 0 success, 1 configuration error, 2 stage error.
 """
 
@@ -23,9 +22,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .body import build_model
-from .comfort import BODY_CHANNELS as COMFORT_CHANNELS
 from .errors import ConfigError, IoError, RideComfortError, StageError
-from .perception import BODY_CHANNELS as PERCEPTION_CHANNELS
 from .stht import RESPONSE_CHANNELS, run_stht, save_stht_result
 from .timeseries import load_timeseries as _load_file
 
@@ -81,16 +78,6 @@ def _parse(args, path=None):
                            axis=args.axis, vision=args.vision)
 
 
-def _out_dir(config, args, create=True):
-    out = Path(args.out) if args.out else config.output_dir
-    if out is None:
-        raise ConfigError([("output_dir",
-                            "required (config key or --out option)")])
-    if create:
-        out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _single_config(args):
     if len(args.config) != 1:
         raise ConfigError([("--config",
@@ -117,12 +104,14 @@ def load_timeseries(path, channels=None):
     return _load_file(path, channels=channels, sha256=sha256)
 
 
-def _load_artifact(out, name, hint, channels=None):
-    """``load_timeseries`` of the trace ``name`` in ``out``, with a missing
-    or unreadable file as an IoError."""
-    path = Path(out) / name
+def _load_artifact(path, channels):
+    """``load_timeseries`` of the trace at ``path``, with a missing or
+    unreadable file as an IoError; a missing one names the stage command
+    that writes it."""
     if not path.is_file():
-        raise IoError(f"{path} not found; run `{hint}` first")
+        stage = next(s for s, spec in pl.STAGES.items() if path.name in spec.writes)
+        command = next(c for c, (stages, _) in _STAGE_COMMANDS.items() if stage in stages)
+        raise IoError(f"{path} not found; run `ridecomfort {command}` first")
     try:
         return load_timeseries(path, channels)
     except UnicodeDecodeError as exc:
@@ -143,7 +132,7 @@ def _run_batch_entry(job):
 def cmd_pipeline(args):
     if len(args.config) == 1:
         config = _parse(args)
-        report = pl.run_pipeline(config, Path(args.out) if args.out else None)
+        report = pl.run_pipeline(config, args.out)
         print(f"pipeline: wrote {report.out_dir} "
               f"(final MSI {report.summary['final_msi_percent']:.3g}%, "
               f"body realtime factor {report.body_realtime_factor:.1f})")
@@ -162,26 +151,13 @@ def cmd_pipeline(args):
     return 0
 
 
-def cmd_simulate(args):
-    _single_config(args)
-    config = _parse(args)
-    out = _out_dir(config, args)
-    with pl.write_behind():
-        seat = pl.stage_input(config, out)
-        body, resonances = pl.stage_body(config, out, seat)
-    n_peaks = sum(len(v) for v in resonances["peaks"].values())
-    print(f"simulate: wrote {out / 'body_response.csv'} "
-          f"({body.n_samples} samples, {n_peaks} resonance peaks)")
-    return 0
-
-
 def cmd_stht(args):
     _single_config(args)
     config = _parse(args)
     if config.input_kind != "excitation":
         raise ConfigError([("input.kind",
                             "stht needs a synthetic excitation input")])
-    out = _out_dir(config, args)
+    out = pl.output_dir(config, args.out)
     try:
         model = build_model(config.body, config.posture)
         result = run_stht(model, config.excitation,
@@ -189,55 +165,51 @@ def cmd_stht(args):
                           band_hz=config.stht.band_hz,
                           min_prominence=config.stht.min_prominence,
                           channels=config.stht.channels or RESPONSE_CHANNELS)
-    except (RideComfortError, ValueError) as exc:
+        files = save_stht_result(result, out)
+    except (RideComfortError, ValueError, OSError) as exc:
         if isinstance(exc, (StageError, ConfigError)):
             raise
         raise StageError("stht", exc) from exc
-    files = save_stht_result(result, out)
     print(f"stht: axis {result.axis}, {len(files)} files in {out} "
           f"(runtime {result.runtime_s:.2f} s)")
     return 0
 
 
-def cmd_perceive(args):
+# stage command -> (the stages it runs, its report from the output
+# directory and the records by file name)
+_STAGE_COMMANDS = {
+    "simulate": (("input", "body"), lambda out, r: (
+        f"wrote {out / 'body_response.csv'} ({r['body_response.csv'].n_samples} "
+        f"samples, {sum(map(len, r['resonances.json']['peaks'].values()))} "
+        "resonance peaks)")),
+    "perceive": (("perception",), lambda out, r: (
+        f"wrote {out / 'conflict.csv'} ({r['conflict.csv'].n_samples} samples)")),
+    "sickness": (("sickness",), lambda out, r: (
+        f"final MSI {r['sickness_summary.json'].final_percent:.3g}% "
+        f"(peak {r['sickness_summary.json'].peak_percent:.3g}%)")),
+    "metrics": (("metrics",), lambda out, r: (
+        f"wrote {out / 'comfort.json'} "
+        f"(MSDV {r['comfort.json'].msdv_m_s15:.3g} m/s^1.5)")),
+}
+
+
+def cmd_stage(args):
     _single_config(args)
     config = _parse(args)
-    out = _out_dir(config, args)
-    with pl.write_behind():
-        body = _load_artifact(out, "body_response.csv", "ridecomfort simulate",
-                              PERCEPTION_CHANNELS)
-        _, conflict = pl.stage_perception(config, out, body)
-    print(f"perceive: wrote {out / 'conflict.csv'} "
-          f"({conflict.n_samples} samples)")
-    return 0
+    out = pl.output_dir(config, args.out)
+    stages, report = _STAGE_COMMANDS[args.command]
+    present = {name for stage in stages for name, _ in pl.STAGES[stage].reads
+               if (out / name).is_file()}
 
+    def load(name, channels):
+        # the stages run on those of their traces that exist, and need one:
+        # only metrics reads two, and it weights whichever it gets
+        if present and name not in present:
+            return None
+        return _load_artifact(out / name, channels)
 
-def cmd_sickness(args):
-    _single_config(args)
-    config = _parse(args)
-    out = _out_dir(config, args)
-    with pl.write_behind():
-        conflict = _load_artifact(out, "conflict.csv", "ridecomfort perceive")
-        _, summary = pl.stage_sickness(config, out, conflict)
-    print(f"sickness: final MSI {summary.final_percent:.3g}% "
-          f"(peak {summary.peak_percent:.3g}%)")
-    return 0
-
-
-def cmd_metrics(args):
-    _single_config(args)
-    config = _parse(args)
-    out = _out_dir(config, args)
-    with pl.write_behind():
-        seat, body = (_load_artifact(out, name, "ridecomfort simulate", channels)
-                      if (out / name).is_file() else None
-                      for name, channels in (("seat_motion.csv", None),
-                                             ("body_response.csv", COMFORT_CHANNELS)))
-        if seat is None and body is None:
-            raise IoError(f"no seat_motion.csv or body_response.csv in {out}")
-        report = pl.stage_metrics(config, out, seat, body)
-    print(f"metrics: wrote {out / 'comfort.json'} "
-          f"(MSDV {report.msdv_m_s15:.3g} m/s^1.5)")
+    records = pl.run_stages(config, out, stages, load)[0]
+    print(f"{args.command}: {report(out, records)}")
     return 0
 
 
@@ -257,11 +229,8 @@ def cmd_validate(args):
 
 _COMMANDS = {
     "pipeline": cmd_pipeline,
-    "simulate": cmd_simulate,
+    **dict.fromkeys(_STAGE_COMMANDS, cmd_stage),
     "stht": cmd_stht,
-    "perceive": cmd_perceive,
-    "sickness": cmd_sickness,
-    "metrics": cmd_metrics,
     "validate": cmd_validate,
 }
 
@@ -275,9 +244,6 @@ def main(argv=None):
         for field, message in exc.errors:
             print(f"  {field or '(top level)'}: {message}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RideComfortError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

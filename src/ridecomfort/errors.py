@@ -4,9 +4,18 @@ Validation errors carry enough context (channel name, row index, field
 path) to be actionable without a debugger.
 """
 
+import copyreg
+
 
 class RideComfortError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    Unpickled (a batch worker's error reaching the parent) without calling
+    ``__init__``, whose arguments may differ from the ``args`` it passes on.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # -- signal ingestion / containers -------------------------------------------

@@ -2,18 +2,19 @@
 
 A scenario JSON file describes the seat-motion input, the body model and
 posture, perception and accumulation parameters, and metric selection.
-``run_pipeline`` executes the stages in order (input, body, perception,
-sickness, metrics), persists every intermediate trace to the output
-directory, and writes a deterministic ``report.json`` (the manifest, the
+``STAGES`` declares what each stage reads and writes.  ``run_pipeline``
+runs all five in order (input, body, perception, sickness, metrics), as
+stage commands run some, through ``run_stages``; it persists every trace
+and writes a deterministic ``report.json`` (the manifest, the
 summary, and each trace's sample rows, dt and sha256) plus a volatile
 ``timing.json`` holding wall clocks (each stage's total, the part of it
 spent writing artifacts, and the wait at the end for traces still being
 written), realtime factors and peak memory.  Keeping timing out of the
 report makes two runs of the same scenario byte-identical.
 
-A run, like each stage command, is one ``write_behind`` scope: a trace
-save returns once its rows are handed to the writer's worker processes,
-so they are formatted while later stages compute.
+A ``run_stages`` call is one write-behind scope: a trace save returns once
+its rows are handed to the writer's worker processes, so they are formatted
+while later stages compute.
 
 The config reader is derived from the parameter dataclasses: each key's
 type is its field's annotation and each omitted key takes the field's
@@ -22,7 +23,6 @@ default, so no default is restated here.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import resource
 import sys
@@ -36,9 +36,10 @@ import numpy as np
 
 from .body import BodyParams, PostureConfig, build_model
 from .body.integrate import simulate
-from .comfort import comfort_report
+from .comfort import BODY_CHANNELS as _COMFORT_CHANNELS, comfort_report
 from .errors import ConfigError, IoError, RideComfortError, StageError
 from .excitation import SEAT_CHANNELS, ExcitationSpec, generate_excitation
+from .perception import BODY_CHANNELS as _PERCEPTION_CHANNELS
 from .perception import VestibularParams, perceive
 from .sickness import AccumulatorParams, accumulate, summarize
 from .spectral import detect_peaks, estimate_frf
@@ -48,8 +49,6 @@ from .timeseries import (
     save_timeseries)
 
 SCHEMA_VERSION = 1
-
-STAGE_ORDER = ("input", "body", "perception", "sickness", "metrics")
 
 # channels scanned for resonance peaks in the run report
 _RESONANCE_CHANNELS = (
@@ -409,8 +408,8 @@ def parse_config(path, seed=None, axis=None, vision=None):
 
 # Wall time spent in artifact writers since import: the caller's blocked
 # time, which for a trace save in a write_behind scope is its submission.
-# run_pipeline reads it only as a difference across one stage call, so it
-# is never reset.
+# run_stages reads it only as a difference across one stage call, so it is
+# never reset.
 _write_s = 0.0
 
 
@@ -445,24 +444,6 @@ def _wrap(stage):
                 raise StageError(_saver(exc, stage), exc) from exc
         return run
     return deco
-
-
-@contextlib.contextmanager
-def write_behind():
-    """One scope of trace saves for a run or a stage command.
-
-    Inside it ``save_timeseries`` returns once the rows are submitted to
-    the writer's pool; they are written by later saves and loads and at
-    the end of the scope, which waits for all of them, also when a stage
-    fails.  A save that fails behind is a StageError of the stage that
-    saved the file.  Yields the scope, whose ``digests`` hold the sha256 of
-    each trace it saved complete.
-    """
-    try:
-        with _write_behind() as scope:
-            yield scope
-    except _FileError as exc:
-        raise StageError(_saver(exc, STAGE_ORDER[-1]), exc) from exc
 
 
 @_wrap("input")
@@ -546,13 +527,55 @@ def stage_metrics(config, out_dir, seat, body):
     return report
 
 
-_STAGE_FILES = {
-    "input": ("seat_motion.csv",),
-    "body": ("body_response.csv", "resonances.json"),
-    "perception": ("perceived.csv", "conflict.csv"),
-    "sickness": ("sickness.csv", "sickness_summary.json"),
-    "metrics": ("comfort.json",),
+class Stage(typing.NamedTuple):
+    """What ``stage_<name>`` reads after (config, out_dir), and writes."""
+
+    reads: tuple   # (trace file, the channels it uses or None for all), in order
+    writes: tuple  # files, in the order the stage function returns their records
+
+
+STAGES = {
+    "input": Stage((), ("seat_motion.csv",)),
+    "body": Stage((("seat_motion.csv", None),),
+                  ("body_response.csv", "resonances.json")),
+    "perception": Stage((("body_response.csv", _PERCEPTION_CHANNELS),),
+                        ("perceived.csv", "conflict.csv")),
+    "sickness": Stage((("conflict.csv", None),),
+                      ("sickness.csv", "sickness_summary.json")),
+    "metrics": Stage((("seat_motion.csv", None),
+                      ("body_response.csv", _COMFORT_CHANNELS)), ("comfort.json",)),
 }
+STAGE_ORDER = tuple(STAGES)
+_STAGE_FILES = {stage: spec.writes for stage, spec in STAGES.items()}
+
+
+def run_stages(config, out, stages, load=None):
+    """Run ``stages``, names in STAGES in order, in one write-behind scope.
+
+    Each trace a stage reads is the record an earlier stage of this call
+    produced, or else ``load(file, channels)``.  The scope ends once every
+    trace is written, also when a stage fails; a save that fails behind is
+    a StageError of the stage that saved the file.  Returns the records by
+    file name, each stage's wall time and the part of it spent writing, the
+    wait at the end for trace writes, and the sha256 of each trace.
+    """
+    records, wall, write = {}, {}, {}
+    try:
+        with _write_behind() as scope:
+            for stage in stages:
+                reads, writes = STAGES[stage]
+                inputs = [records[name] if name in records else load(name, channels)
+                          for name, channels in reads]
+                t, written = time.perf_counter(), _write_s
+                # looked up at each call, so a replaced stage function is the one run
+                result = globals()[f"stage_{stage}"](config, out, *inputs)
+                wall[stage] = time.perf_counter() - t
+                write[stage] = _write_s - written
+                records.update(zip(writes, result if len(writes) > 1 else (result,)))
+            t_wait = time.perf_counter()
+    except _FileError as exc:
+        raise StageError(_saver(exc, STAGE_ORDER[-1]), exc) from exc
+    return records, wall, write, time.perf_counter() - t_wait, scope.digests
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -594,6 +617,22 @@ class RunReport:
                                   in self.artifacts.items()}}
 
 
+def output_dir(config, out):
+    """The output directory, created if missing: ``out`` when given, else
+    the config's.  ConfigError when neither names one, IoError when it
+    cannot be created."""
+    out = Path(out) if out else config.output_dir
+    if out is None:
+        raise ConfigError([("output_dir",
+                            "required (config key or --out option)")])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out}: "
+                      f"{exc.strerror or exc}") from exc
+    return out
+
+
 def run_pipeline(config, out_dir=None):
     """Execute every stage in order and persist all artifacts.
 
@@ -603,52 +642,31 @@ def run_pipeline(config, out_dir=None):
     across runs of the same scenario.  Both are written after every trace
     is on disk and every writer process has ended.
     """
-    out = Path(out_dir) if out_dir is not None else config.output_dir
-    if out is None:
-        raise ConfigError([("output_dir",
-                            "required (config key or --out option)")])
-    out.mkdir(parents=True, exist_ok=True)
-    wall, write = {}, {}
-
-    def run(stage, fn, *args):
-        t, written = time.perf_counter(), _write_s
-        result = fn(*args)
-        wall[stage] = time.perf_counter() - t
-        write[stage] = _write_s - written
-        return result
-
+    out = output_dir(config, out_dir)
     t0 = time.perf_counter()
-    with write_behind() as scope:
-        seat = run("input", stage_input, config, out)
-        body, resonances = run("body", stage_body, config, out, seat)
-        perceived, conflict = run("perception", stage_perception, config, out,
-                                  body)
-        trace, sick = run("sickness", stage_sickness, config, out, conflict)
-        comfort = run("metrics", stage_metrics, config, out, seat, body)
-        t_wait = time.perf_counter()
-    t_end = time.perf_counter()
-    total_wall = t_end - t0
-    traces = {"seat_motion.csv": seat, "body_response.csv": body,
-              "perceived.csv": perceived, "conflict.csv": conflict,
-              "sickness.csv": trace}
+    records, wall, write, wait, digests = run_stages(config, out, STAGE_ORDER)
+    total_wall = time.perf_counter() - t0
+    seat, body = records["seat_motion.csv"], records["body_response.csv"]
+    sick = records["sickness_summary.json"]
+    traces = {name: ts for name, ts in records.items() if name.endswith(".csv")}
 
     head_rms = {axis: float(np.sqrt(np.mean(
         body.channel(f"head_acc_{axis}") ** 2))) for axis in ("x", "y", "z")}
     summary = {
         "duration_s": seat.duration,
         "head_rms_m_s2": head_rms,
-        "resonances": resonances,
+        "resonances": records["resonances.json"],
         "final_msi_percent": sick.final_percent,
         "peak_msi_percent": sick.peak_percent,
-        "comfort": comfort.as_dict(),
+        "comfort": records["comfort.json"].as_dict(),
     }
     report = RunReport(
         out_dir=out,
-        manifest={stage: _STAGE_FILES[stage] for stage in STAGE_ORDER},
+        manifest=dict(_STAGE_FILES),
         summary=summary,
         stage_wall_s=wall,
         stage_write_s=write,
-        write_wait_s=t_end - t_wait,
+        write_wait_s=wait,
         body_realtime_factor=float(body.meta["realtime_factor"]),
         pipeline_realtime_factor=seat.duration / max(total_wall, 1e-12),
         # ru_maxrss counts KiB on Linux
@@ -658,7 +676,7 @@ def run_pipeline(config, out_dir=None):
         # every trace is complete, and hashed, now that the scope has ended
         artifact_bytes={name: (out / name).stat().st_size for name in traces},
         artifacts={name: {"rows": ts.n_samples, "dt": ts.dt,
-                          "sha256": scope.digests[out / name]}
+                          "sha256": digests[out / name]}
                    for name, ts in traces.items()},
     )
     save_json(report.as_dict(), out / "report.json")

@@ -49,6 +49,7 @@ from .errors import (
     MissingChannel,
     NonFiniteSample,
     NonUniformSampling,
+    RideComfortError,
 )
 
 _DT_RTOL = 1e-6
@@ -549,6 +550,9 @@ class _FileError(OSError):
     def __init__(self, verb, path, reason):
         super().__init__(f"cannot {verb} {path}: {reason}")
         self.path = Path(path)
+
+    # picklable like the StageError it becomes the cause of
+    __reduce__ = RideComfortError.__reduce__
 
 
 _DEAD = "a worker process ended abruptly"

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ridecomfort
-from ridecomfort import cli, timeseries
+from ridecomfort import cli, errors, timeseries
 from ridecomfort.cli import main
 from ridecomfort.comfort import BODY_CHANNELS as COMFORT_CHANNELS
 from ridecomfort.excitation import generate_excitation
@@ -75,11 +76,19 @@ def test_stage_sequence_equals_pipeline(tiny_config, tmp_path):
 
 
 def test_stage_missing_artifact_exit_two(tiny_config, tmp_path, capsys):
-    # perceive before simulate: the body response is absent
-    assert main(["perceive", "--config", str(tiny_config),
-                 "--out", str(tmp_path / "empty")]) == 2
-    err = capsys.readouterr().err
-    assert "body_response.csv" in err
+    # each resumed stage before the command that writes its input; metrics
+    # names its first trace when it has neither
+    out = tmp_path / "empty"
+    for command, name, hint in (("perceive", "body_response.csv", "simulate"),
+                                ("sickness", "conflict.csv", "perceive"),
+                                ("metrics", "seat_motion.csv", "simulate")):
+        assert main([command, "--config", str(tiny_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {out / name} not found; run `ridecomfort {hint}` first" in err
+    # metrics weights whichever of its two traces exists
+    assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 0
+    (out / "body_response.csv").unlink()
+    assert main(["metrics", "--config", str(tiny_config), "--out", str(out)]) == 0
 
 
 def test_stage_reading_a_non_utf8_artifact_exits_two(tiny_config, tmp_path,
@@ -221,6 +230,67 @@ def test_batch_with_parallel_reader_matches_serial_runs(tmp_path):
             if name != "timing.json":
                 assert (serial / path.stem / name).read_bytes() == \
                     (batch / path.stem / name).read_bytes(), name
+
+
+def test_every_error_survives_pickling():
+    made = [
+        errors.EmptyFile("empty"), errors.MissingChannel("head_acc_z", "b.csv"),
+        errors.NonUniformSampling(3, 0.002, 0.004), errors.NonFiniteSample("a", 7),
+        errors.InvalidRate("rate"), errors.SegmentTooLong("long"),
+        errors.TooFewSegments("few"), errors.SingularMassMatrix("singular"),
+        errors.UnstableConfiguration(0.5 + 1j, [1.0, 0.0]),
+        errors.NoEquilibrium("none"), errors.NonFiniteState(1.5, "head_z"),
+        errors.InvalidBand("band"), errors.GridMismatch("grid"),
+        errors.UnsupportedRate("fs"), errors.UnitMismatch("unit"),
+        errors.RateMismatch("rates"), errors.ConfigError([("a.b", "bad"), ("", "worse")]),
+        errors.StageError("input", errors.NonFiniteSample("seat_acc_z", 2)),
+        errors.IoError("io"), errors.RideComfortError("base")]
+    assert {type(e) for e in made} == {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.RideComfortError)}
+    for error in made:
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert (str(back), back.args) == (str(error), error.args)
+        assert set(vars(back)) == set(vars(error))
+    back = {type(e): pickle.loads(pickle.dumps(e)) for e in made}
+    assert back[errors.ConfigError].errors == [("a.b", "bad"), ("", "worse")]
+    stage = back[errors.StageError]
+    assert (stage.stage, type(stage.cause), str(stage.cause)) == (
+        "input", errors.NonFiniteSample, "non-finite sample in channel 'seat_acc_z' at row 2")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_with_a_failing_config_exits_two(tiny_config, tmp_path, capsys, jobs):
+    csv_path = tmp_path / "seat.csv"
+    csv_path.write_text(
+        "time_s,seat_acc_x[m/s^2],seat_acc_y[m/s^2],seat_acc_z[m/s^2]\n"
+        + "".join(f"{i * 0.002},0,0,{'nan' if i == 5 else 0}\n" for i in range(1000)))
+    raw = make_scenario()
+    raw["input"] = {"kind": "csv", "path": str(csv_path)}
+    bad = _write(tmp_path, raw, "bad.json")
+    assert main(["pipeline", "--config", str(tiny_config), "--config", str(bad),
+                 "--out", str(tmp_path / "batch"), "--jobs", jobs]) == 2
+    assert ("error: stage 'input' failed: non-finite sample in channel "
+            "'seat_acc_z' at row 5") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pipeline", "simulate", "stht", "perceive",
+                                     "sickness", "metrics"])
+def test_an_out_that_cannot_be_made_exits_two(tiny_config, tmp_path, capsys,
+                                              command):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert main([command, "--config", str(tiny_config), "--out", str(out)]) == 2
+    assert f"error: cannot create output directory {out}: " in capsys.readouterr().err
+
+
+def test_stht_write_failure_is_a_stage_error(tiny_config, tmp_path, capsys):
+    out = tmp_path / "stht"
+    (out / "stht_z_resonances.json").mkdir(parents=True)
+    assert main(["stht", "--config", str(tiny_config), "--out", str(out),
+                 "--axis", "z"]) == 2
+    assert "error: stage 'stht' failed: " in capsys.readouterr().err
 
 
 def test_stht_subcommand_writes_frf_files(tiny_config, tmp_path):
