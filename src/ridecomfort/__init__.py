@@ -63,9 +63,6 @@ from ridecomfort.stht import (
     STHTResult,
     run_stht,
     save_stht_result,
-    compare_frf,
-    compare_to_reference,
-    load_reference_frf,
 )
 from ridecomfort.perception import (
     VisionParams,

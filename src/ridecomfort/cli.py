@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .body import build_model
-from .errors import ConfigError, IoError, RideComfortError, StageError
+from .errors import ConfigError, IoError, RideComfortError
 from .stht import RESPONSE_CHANNELS, run_stht, save_stht_result
 from .timeseries import load_timeseries as _load_file
 
@@ -144,11 +144,19 @@ def cmd_pipeline(args):
         pl.parse_config(path, seed=args.seed, axis=args.axis,
                         vision=args.vision)
         jobs.append((path, out, args.seed, args.axis, args.vision))
+    status = 0
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for path, (msi, out) in zip(args.config,
-                                    pool.map(_run_batch_entry, jobs)):
-            print(f"pipeline: {path} -> {out} (final MSI {msi:.3g}%)")
-    return 0
+        # every job's result or error, reported in config order
+        futures = [pool.submit(_run_batch_entry, job) for job in jobs]
+        for path, future in zip(args.config, futures):
+            try:
+                msi, out = future.result()
+            except RideComfortError as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                status = 2
+            else:
+                print(f"pipeline: {path} -> {out} (final MSI {msi:.3g}%)")
+    return status
 
 
 def cmd_stht(args):
@@ -158,7 +166,7 @@ def cmd_stht(args):
         raise ConfigError([("input.kind",
                             "stht needs a synthetic excitation input")])
     out = pl.output_dir(config, args.out)
-    try:
+    with pl.stage_errors("stht"):
         model = build_model(config.body, config.posture)
         result = run_stht(model, config.excitation,
                           welch=config.stht.welch,
@@ -166,10 +174,6 @@ def cmd_stht(args):
                           min_prominence=config.stht.min_prominence,
                           channels=config.stht.channels or RESPONSE_CHANNELS)
         files = save_stht_result(result, out)
-    except (RideComfortError, ValueError, OSError) as exc:
-        if isinstance(exc, (StageError, ConfigError)):
-            raise
-        raise StageError("stht", exc) from exc
     print(f"stht: axis {result.axis}, {len(files)} files in {out} "
           f"(runtime {result.runtime_s:.2f} s)")
     return 0

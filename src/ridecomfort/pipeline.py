@@ -2,9 +2,12 @@
 
 A scenario JSON file describes the seat-motion input, the body model and
 posture, perception and accumulation parameters, and metric selection.
-``STAGES`` declares what each stage reads and writes.  ``run_pipeline``
-runs all five in order (input, body, perception, sickness, metrics), as
-stage commands run some, through ``run_stages``; it persists every trace
+``STAGES`` declares what each stage reads and writes.  A ``stage_<name>``
+function only computes: ``run_stages`` writes each record it returns under
+the file name ``STAGES`` gives it, a trace as CSV and anything else as
+JSON, and ``stage_errors`` makes any failure a StageError of one stage.
+``run_pipeline`` runs all five stages in order (input, body, perception,
+sickness, metrics), as stage commands run some, through ``run_stages``,
 and writes a deterministic ``report.json`` (the manifest, the
 summary, and each trace's sample rows, dt and sha256) plus a volatile
 ``timing.json`` holding wall clocks (each stage's total, the part of it
@@ -23,6 +26,7 @@ default, so no default is restated here.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import resource
 import sys
@@ -45,8 +49,8 @@ from .sickness import AccumulatorParams, accumulate, summarize
 from .spectral import detect_peaks, estimate_frf
 from .stht import STHTOptions, default_welch_params
 from .timeseries import (
-    _FileError, _write_behind, count_samples, load_timeseries, save_json,
-    save_timeseries)
+    TimeSeries, _FileError, _write_behind, count_samples, load_timeseries,
+    save_json, save_timeseries)
 
 SCHEMA_VERSION = 1
 
@@ -406,56 +410,32 @@ def parse_config(path, seed=None, axis=None, vision=None):
 
 # -- stages -------------------------------------------------------------------
 
-# Wall time spent in artifact writers since import: the caller's blocked
-# time, which for a trace save in a write_behind scope is its submission.
-# run_stages reads it only as a difference across one stage call, so it is
-# never reset.
-_write_s = 0.0
-
-
-def _timed_save(save, obj, path):
-    """``save(obj, path)``, with its wall time added to ``_write_s``."""
-    global _write_s
-    t = time.perf_counter()
+@contextlib.contextmanager
+def stage_errors(stage):
+    """Run the block as stage ``stage``: a toolkit, value or OS error in it
+    becomes a StageError of that stage.  A failed trace write is one of the
+    stage that saved the file, as ``STAGES`` lists its writes: the file
+    completes behind the run, so it can fail in a later stage's block.
+    StageError and ConfigError pass through unchanged."""
     try:
-        save(obj, path)
-    finally:
-        _write_s += time.perf_counter() - t
+        yield
+    except (StageError, ConfigError):
+        raise
+    except (RideComfortError, ValueError, OSError) as exc:
+        if isinstance(exc, _FileError):
+            stage = next((s for s, spec in STAGES.items()
+                          if exc.path.name in spec.writes), stage)
+        raise StageError(stage, exc) from exc
 
 
-def _saver(exc, stage):
-    """``stage``, or the earlier stage that saved the file a failed trace
-    write names: it completes behind the run, so it can fail in a later
-    stage's call."""
-    if not isinstance(exc, _FileError):
-        return stage
-    done = STAGE_ORDER[:STAGE_ORDER.index(stage) + 1]
-    return next((s for s in done if exc.path.name in _STAGE_FILES[s]), stage)
-
-
-def _wrap(stage):
-    def deco(fn):
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except (RideComfortError, ValueError, OSError) as exc:
-                if isinstance(exc, StageError):
-                    raise
-                raise StageError(_saver(exc, stage), exc) from exc
-        return run
-    return deco
-
-
-@_wrap("input")
-def stage_input(config, out_dir):
-    """Generate or load the seat motion and persist the normalized record."""
+def stage_input(config):
+    """The seat motion, generated or loaded and normalized."""
     if config.input_kind == "excitation":
         seat = generate_excitation(config.excitation)
     else:
         seat = load_timeseries(config.input_path, schema=SEAT_CHANNELS)
         seat = seat.select([name for name, _ in SEAT_CHANNELS])
-    _timed_save(save_timeseries, seat, Path(out_dir) / "seat_motion.csv")
-    return seat
+    return (seat,)
 
 
 def _resonance_scan(config, seat, body):
@@ -491,44 +471,29 @@ def _resonance_scan(config, seat, body):
     return {"axis_used": axis, "band_hz": [lo, hi], "peaks": peaks}
 
 
-@_wrap("body")
-def stage_body(config, out_dir, seat):
-    """Simulate the seated-body response and scan it for resonances."""
+def stage_body(config, seat):
+    """The seated-body response and its resonances."""
     model = build_model(config.body, config.posture)
     body = simulate(model, seat)
-    _timed_save(save_timeseries, body, Path(out_dir) / "body_response.csv")
-    resonances = _resonance_scan(config, seat, body)
-    _timed_save(save_json, resonances, Path(out_dir) / "resonances.json")
-    return body, resonances
+    return body, _resonance_scan(config, seat, body)
 
 
-@_wrap("perception")
-def stage_perception(config, out_dir, body):
-    perceived, conflict = perceive(body, config.perception)
-    _timed_save(save_timeseries, perceived, Path(out_dir) / "perceived.csv")
-    _timed_save(save_timeseries, conflict, Path(out_dir) / "conflict.csv")
-    return perceived, conflict
+def stage_perception(config, body):
+    return perceive(body, config.perception)
 
 
-@_wrap("sickness")
-def stage_sickness(config, out_dir, conflict):
+def stage_sickness(config, conflict):
     trace = accumulate(conflict, config.accumulator)
-    _timed_save(save_timeseries, trace, Path(out_dir) / "sickness.csv")
-    summary = summarize(trace, config.accumulator.threshold_percent)
-    _timed_save(save_json, asdict(summary), Path(out_dir) / "sickness_summary.json")
-    return trace, summary
+    return trace, summarize(trace, config.accumulator.threshold_percent)
 
 
-@_wrap("metrics")
-def stage_metrics(config, out_dir, seat, body):
-    report = comfort_report(seat, body, config.metrics_settle_s,
-                            config.metrics_rms, config.metrics_msdv)
-    _timed_save(save_json, report.as_dict(), Path(out_dir) / "comfort.json")
-    return report
+def stage_metrics(config, seat, body):
+    return (comfort_report(seat, body, config.metrics_settle_s,
+                           config.metrics_rms, config.metrics_msdv),)
 
 
 class Stage(typing.NamedTuple):
-    """What ``stage_<name>`` reads after (config, out_dir), and writes."""
+    """What ``stage_<name>`` reads after its config, and what it returns."""
 
     reads: tuple   # (trace file, the channels it uses or None for all), in order
     writes: tuple  # files, in the order the stage function returns their records
@@ -545,36 +510,44 @@ STAGES = {
     "metrics": Stage((("seat_motion.csv", None),
                       ("body_response.csv", _COMFORT_CHANNELS)), ("comfort.json",)),
 }
-STAGE_ORDER = tuple(STAGES)
 _STAGE_FILES = {stage: spec.writes for stage, spec in STAGES.items()}
 
 
 def run_stages(config, out, stages, load=None):
-    """Run ``stages``, names in STAGES in order, in one write-behind scope.
+    """Run ``stages``, names in STAGES in order, in one write-behind scope,
+    and write each record a stage returns to ``out`` under its file name.
 
     Each trace a stage reads is the record an earlier stage of this call
-    produced, or else ``load(file, channels)``.  The scope ends once every
-    trace is written, also when a stage fails; a save that fails behind is
-    a StageError of the stage that saved the file.  Returns the records by
+    produced, or else ``load(file, channels)``.  A TimeSeries is saved as a
+    trace, any other record as JSON.  The scope ends once every trace is
+    written, also when a stage fails; a save that fails behind is a
+    StageError of the stage that saved the file.  Returns the records by
     file name, each stage's wall time and the part of it spent writing, the
     wait at the end for trace writes, and the sha256 of each trace.
     """
     records, wall, write = {}, {}, {}
-    try:
-        with _write_behind() as scope:
-            for stage in stages:
-                reads, writes = STAGES[stage]
-                inputs = [records[name] if name in records else load(name, channels)
-                          for name, channels in reads]
-                t, written = time.perf_counter(), _write_s
+    with _write_behind() as scope:
+        for stage in stages:
+            reads, writes = STAGES[stage]
+            inputs = [records[name] if name in records else load(name, channels)
+                      for name, channels in reads]
+            t = time.perf_counter()
+            with stage_errors(stage):
                 # looked up at each call, so a replaced stage function is the one run
-                result = globals()[f"stage_{stage}"](config, out, *inputs)
-                wall[stage] = time.perf_counter() - t
-                write[stage] = _write_s - written
-                records.update(zip(writes, result if len(writes) > 1 else (result,)))
-            t_wait = time.perf_counter()
-    except _FileError as exc:
-        raise StageError(_saver(exc, STAGE_ORDER[-1]), exc) from exc
+                result = globals()[f"stage_{stage}"](config, *inputs)
+                t_write = time.perf_counter()
+                for name, record in zip(writes, result):
+                    if isinstance(record, TimeSeries):
+                        save_timeseries(record, out / name)
+                    else:
+                        save_json(asdict(record) if is_dataclass(record) else record,
+                                  out / name)
+                    records[name] = record
+                done = time.perf_counter()
+            wall[stage], write[stage] = done - t, done - t_write
+        t_wait = time.perf_counter()
+        with stage_errors(stages[-1]):
+            scope.flush(wait=True)
     return records, wall, write, time.perf_counter() - t_wait, scope.digests
 
 
@@ -644,7 +617,7 @@ def run_pipeline(config, out_dir=None):
     """
     out = output_dir(config, out_dir)
     t0 = time.perf_counter()
-    records, wall, write, wait, digests = run_stages(config, out, STAGE_ORDER)
+    records, wall, write, wait, digests = run_stages(config, out, tuple(STAGES))
     total_wall = time.perf_counter() - t0
     seat, body = records["seat_motion.csv"], records["body_response.csv"]
     sick = records["sickness_summary.json"]

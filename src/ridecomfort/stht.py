@@ -1,4 +1,4 @@
-"""Seat-to-head transmissibility runs and reference comparison.
+"""Seat-to-head transmissibility runs.
 
 Drives the assembled model with a reproducible excitation, estimates H1
 transfer functions from the driven seat axis to trunk/head motion channels
@@ -16,14 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from ridecomfort.body.integrate import simulate
-from ridecomfort.errors import GridMismatch, IoError
 from ridecomfort.excitation import ExcitationSpec, generate_excitation
-from ridecomfort.spectral import (
-    FrequencyResponseFunction,
-    WelchParams,
-    detect_peaks,
-    estimate_frf,
-)
+from ridecomfort.spectral import WelchParams, detect_peaks, estimate_frf
 from ridecomfort.timeseries import save_json
 
 # Channels a transmissibility run reports against the driven seat axis.
@@ -33,8 +27,6 @@ RESPONSE_CHANNELS = (
     "trunk_rotvel_roll", "trunk_rotvel_pitch", "trunk_rotvel_yaw",
     "head_rotvel_roll", "head_rotvel_pitch", "head_rotvel_yaw",
 )
-
-_MIN_OVERLAP_DECADES = 1.0
 
 
 @dataclass(frozen=True)
@@ -146,83 +138,3 @@ def save_stht_result(result: STHTResult, out_dir) -> list:
     save_json(summary, path)
     written.append(path)
     return written
-
-
-def load_reference_frf(path) -> tuple:
-    """Read a (freq_hz, gain, phase_deg[, coherence]) CSV."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-    if not rows or rows[0][:3] != ["freq_hz", "gain", "phase_deg"]:
-        raise IoError(f"{path}: expected freq_hz,gain,phase_deg header")
-    data = np.array([[float(v) for v in row[:3]] for row in rows[1:]])
-    return data[:, 0], data[:, 1], data[:, 2]
-
-
-@dataclass(frozen=True)
-class ChannelComparison:
-    channel: str
-    overlap_hz: tuple
-    rms_gain_error_db: float
-    rms_phase_error_deg: float
-    peak_freq_error_hz: float
-
-
-def compare_frf(frf: FrequencyResponseFunction, ref_freqs, ref_gain,
-                ref_phase_deg, channel: str = "") -> ChannelComparison:
-    """Log-frequency comparison of an estimated FRF against a reference curve.
-
-    Raises GridMismatch when the two grids share less than one decade.
-    """
-    ref_freqs = np.asarray(ref_freqs, dtype=float)
-    mask = frf.valid & (frf.freqs > 0) & (frf.gain > 0)
-    f_lo = max(frf.freqs[mask].min(), ref_freqs[ref_freqs > 0].min())
-    f_hi = min(frf.freqs[mask].max(), ref_freqs.max())
-    if f_hi <= 0 or f_lo <= 0 or np.log10(f_hi / f_lo) < _MIN_OVERLAP_DECADES:
-        raise GridMismatch(
-            f"frequency overlap [{f_lo:.4g}, {f_hi:.4g}] Hz spans less than "
-            f"{_MIN_OVERLAP_DECADES} decade")
-
-    sel = mask & (frf.freqs >= f_lo) & (frf.freqs <= f_hi)
-    f_eval = frf.freqs[sel]
-    ref_gain = np.asarray(ref_gain, dtype=float)
-    ref_phase_deg = np.asarray(ref_phase_deg, dtype=float)
-    usable = (ref_freqs > 0) & (ref_gain > 0)
-    logf_ref = np.log10(ref_freqs[usable])
-    ref_g = np.interp(np.log10(f_eval), logf_ref, 20.0 * np.log10(ref_gain[usable]))
-    ref_p = np.interp(np.log10(f_eval), logf_ref, ref_phase_deg[usable])
-    est_g = 20.0 * np.log10(frf.gain[sel])
-    est_p = frf.phase_deg[sel]
-    # remove whole-turn offsets that unwrapping conventions introduce
-    est_p = est_p - 360.0 * np.round((est_p - ref_p).mean() / 360.0)
-
-    peak_est = f_eval[np.argmax(est_g)]
-    rband = (ref_freqs >= f_lo) & (ref_freqs <= f_hi)
-    peak_ref = ref_freqs[rband][np.argmax(ref_gain[rband])]
-    return ChannelComparison(
-        channel=channel,
-        overlap_hz=(float(f_lo), float(f_hi)),
-        rms_gain_error_db=float(np.sqrt(np.mean((est_g - ref_g) ** 2))),
-        rms_phase_error_deg=float(np.sqrt(np.mean((est_p - ref_p) ** 2))),
-        peak_freq_error_hz=float(abs(peak_est - peak_ref)),
-    )
-
-
-def compare_to_reference(result: STHTResult, reference_dir) -> dict:
-    """Compare every channel that has a matching reference CSV.
-
-    Reference files follow the save_stht_result naming scheme.
-    """
-    ref = Path(reference_dir)
-    report = {}
-    for name, frf in result.frfs.items():
-        path = ref / f"stht_{result.axis}_{name}.csv"
-        if not path.exists():
-            continue
-        freqs, gain, phase = load_reference_frf(path)
-        report[name] = compare_frf(frf, freqs, gain, phase, channel=name)
-    if not report:
-        raise IoError(f"no matching reference CSVs in {reference_dir}")
-    return report

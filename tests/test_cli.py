@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ridecomfort
-from ridecomfort import cli, errors, timeseries
+from ridecomfort import cli, errors, pipeline as pl, timeseries
 from ridecomfort.cli import main
 from ridecomfort.comfort import BODY_CHANNELS as COMFORT_CHANNELS
 from ridecomfort.excitation import generate_excitation
@@ -261,18 +261,27 @@ def test_every_error_survives_pickling():
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_batch_with_a_failing_config_exits_two(tiny_config, tmp_path, capsys, jobs):
+def test_batch_with_a_failing_config_exits_two(write_scenario, tmp_path, capsys, jobs):
+    # the failing config is named, and the other still runs and reports,
+    # whichever comes first
     csv_path = tmp_path / "seat.csv"
     csv_path.write_text(
         "time_s,seat_acc_x[m/s^2],seat_acc_y[m/s^2],seat_acc_z[m/s^2]\n"
         + "".join(f"{i * 0.002},0,0,{'nan' if i == 5 else 0}\n" for i in range(1000)))
     raw = make_scenario()
     raw["input"] = {"kind": "csv", "path": str(csv_path)}
-    bad = _write(tmp_path, raw, "bad.json")
-    assert main(["pipeline", "--config", str(tiny_config), "--config", str(bad),
-                 "--out", str(tmp_path / "batch"), "--jobs", jobs]) == 2
-    assert ("error: stage 'input' failed: non-finite sample in channel "
-            "'seat_acc_z' at row 5") in capsys.readouterr().err
+    bad, good = _write(tmp_path, raw, "bad.json"), write_scenario("good.json")
+    for order in ((bad, good), (good, bad)):
+        out = tmp_path / f"batch_{order[0].stem}"
+        assert main(["pipeline", "--config", str(order[0]), "--config", str(order[1]),
+                     "--out", str(out), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {bad}: stage 'input' failed: non-finite "
+                                "sample in channel 'seat_acc_z' at row 5\n")
+        msi = json.loads((out / "good" / "report.json").read_text())["summary"][
+            "final_msi_percent"]
+        assert captured.out == (f"pipeline: {good} -> {out / 'good'} "
+                                f"(final MSI {msi:.3g}%)\n")
 
 
 @pytest.mark.parametrize("command", ["pipeline", "simulate", "stht", "perceive",
@@ -291,6 +300,26 @@ def test_stht_write_failure_is_a_stage_error(tiny_config, tmp_path, capsys):
     assert main(["stht", "--config", str(tiny_config), "--out", str(out),
                  "--axis", "z"]) == 2
     assert "error: stage 'stht' failed: " in capsys.readouterr().err
+
+
+_WRITTEN = [(stage, name) for stage, spec in pl.STAGES.items() for name in spec.writes]
+
+
+@pytest.mark.parametrize("stage, name", _WRITTEN, ids=[n for _, n in _WRITTEN])
+def test_a_blocked_output_fails_the_stage_that_writes_it(tiny_config, tmp_path,
+                                                         capsys, stage, name):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(tiny_config), "--out", str(out)]) == 0
+    (out / name).unlink()
+    (out / name).mkdir()
+    command = next(c for c, (stages, _) in cli._STAGE_COMMANDS.items()
+                   if stage in stages)
+    capsys.readouterr()
+    for cmd in ("pipeline", command):
+        assert main([cmd, "--config", str(tiny_config), "--out", str(out)]) == 2, cmd
+        err = capsys.readouterr().err
+        assert f"error: stage '{stage}' failed: " in err and str(out / name) in err, cmd
+        assert multiprocessing.active_children() == []
 
 
 def test_stht_subcommand_writes_frf_files(tiny_config, tmp_path):
