@@ -25,6 +25,13 @@ product on the same vector, and every sensing row is a unit vector or a
 difference of two, so the block product adds only exact zeros and rounds
 like the per-row one.  Blocks hold at most ``_CHECK_EVERY`` steps, and a
 model without delayed taps takes blocks of that size.
+
+``simulate`` runs that loop and the output evaluation over chunks of at
+most ``_CHUNK_ROWS`` steps, carrying a ``BodyState`` from one chunk to the
+next, so the trajectory and delay records it holds at a time are one
+chunk's, whatever the record's length.  Each output row is a product of its
+own trajectory, delayed and input rows, so chunking changes no output bit
+(the tests compare it with one pass over the whole record).
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ from ridecomfort.errors import NonFiniteState
 from ridecomfort.timeseries import TimeSeries
 
 _CHECK_EVERY = 256  # steps between finiteness checks in the stepping loop; longest block
+# steps per chunk of simulate: its matrix products stay small enough to run
+# on one BLAS thread (8192 woke a spinning OpenBLAS worker on 2 cores)
+_CHUNK_ROWS = 4096
 
 SEAT_INPUT_CHANNELS = ("seat_acc_x", "seat_acc_y", "seat_acc_z")
 # what ``step`` returns, in order: acc (3), rotvel (3), angle (2)
@@ -185,12 +195,15 @@ def _check_dt(state: BodyState, dt: float) -> None:
                          "use a state from create_state(model, dt)")
 
 
-def _advance(model, kernel: _StepKernel, state: BodyState, A, t0: float):
+def _advance(model, kernel: _StepKernel, state: BodyState, A, t0: float,
+             first_row: int = 0):
     """Step from ``state`` across the seat-acceleration rows ``A``.
 
     Returns the trajectory ``Z`` (row i is the state at row i of ``A``) and,
     per tap, the sensed record prefixed with the state's history: row i of a
-    record is the lag-N sample of trajectory row i.
+    record is the lag-N sample of trajectory row i.  ``A`` starts at row
+    ``first_row`` of a record that starts at time ``t0``, which is where a
+    ``NonFiniteState`` is dated.
     """
     n_steps = A.shape[0]
     sl = kernel.slices
@@ -238,7 +251,8 @@ def _advance(model, kernel: _StepKernel, state: BodyState, A, t0: float):
 
     if not np.isfinite(Z).all():
         rows, cols = np.nonzero(~np.isfinite(Z))
-        raise NonFiniteState(t0 + rows[0] * kernel.dt, model.coords[cols[0] % kernel.n])
+        raise NonFiniteState(t0 + (first_row + rows[0]) * kernel.dt,
+                             model.coords[cols[0] % kernel.n])
     return Z, S
 
 
@@ -287,17 +301,24 @@ def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = N
     state passed in is left unchanged.
     """
     A = seat_motion.select(SEAT_INPUT_CHANNELS).samples
-    dt = seat_motion.dt
+    dt, t0 = seat_motion.dt, seat_motion.start_time
     kernel = _get_kernel(model, dt)
-    if initial_state is None:
-        initial_state = create_state(model, dt)
-    _check_dt(initial_state, dt)
+    state = create_state(model, dt) if initial_state is None else initial_state
+    _check_dt(state, dt)
 
+    # chunk c steps from row c0 to row c1 and evaluates the outputs of rows
+    # c0..c1; the next chunk starts from the state at row c1
+    Y = np.empty((len(A), len(model.outputs.names)))
     t_begin = _time.perf_counter()
-    Z, S = _advance(model, kernel, initial_state, A, seat_motion.start_time)
+    for c0 in range(0, max(len(A) - 1, 1), _CHUNK_ROWS):
+        c1 = min(c0 + _CHUNK_ROWS, len(A) - 1)
+        rows = A[c0:c1 + 1]
+        Z, S = _advance(model, kernel, state, rows, t0, c0)
+        Y[c0:c1 + 1] = _outputs(model, kernel, Z, S, rows)
+        state = BodyState(q=Z[-1, :kernel.n], qd=Z[-1, kernel.n:], kernel_dt=dt,
+                          history=[s[-tap.N - 1:-1] for s, tap in zip(S, kernel.taps)])
     wall = _time.perf_counter() - t_begin
 
-    Y = _outputs(model, kernel, Z, S, A)
     meta = dict(seat_motion.meta)
     meta.update({
         "wall_clock_s": wall,
@@ -306,7 +327,7 @@ def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = N
         "dt_s": dt,
     })
     return TimeSeries(
-        start_time=seat_motion.start_time, dt=dt,
+        start_time=t0, dt=dt,
         channels=tuple(zip(model.outputs.names, model.outputs.units)),
         samples=Y, meta=meta,
     )

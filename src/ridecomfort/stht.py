@@ -113,7 +113,10 @@ def run_stht(model, spec: ExcitationSpec, welch: WelchParams | None = None,
 
 
 def save_stht_result(result: STHTResult, out_dir) -> list:
-    """One CSV per channel plus a resonance/metadata JSON; returns paths."""
+    """One CSV per channel plus a resonance/metadata JSON; returns paths.
+
+    The wall clock ``runtime_s`` is left out, so repeat runs of one config
+    write the same bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -128,7 +131,6 @@ def save_stht_result(result: STHTResult, out_dir) -> list:
     summary = {
         "axis": result.axis,
         "band_hz": list(result.band_hz),
-        "runtime_s": result.runtime_s,
         "resonances": {
             name: [{"freq_hz": f, "gain": g} for f, g in peaks]
             for name, peaks in result.resonances.items()

@@ -11,10 +11,11 @@ platform forks them (Linux); elsewhere both work in-process, and the bytes
 written and the values read are the same either way.  The workers belong to
 a scope (``_write_behind``): one pool serves every save and load made in it,
 and a save returns once its rows are handed to the pool, so they are
-formatted while the caller computes; its file is complete at the end of the
-scope.  A call made outside a scope has a scope of its own.  The rows are
-formatted by a numpy kernel (``_format_rows``) whose bytes equal those of
-``'%.17g' %``.
+formatted while the caller computes; each block is written as soon as it
+and the blocks before it are formatted, and the file is complete at the
+latest at the end of the scope.  A call made outside a scope has a scope of
+its own.  The rows are formatted by a numpy kernel (``_format_rows``) whose
+bytes equal those of ``'%.17g' %``.
 
 The scope hashes each trace as it writes it: ``_Scope.digests`` maps each
 complete file to the sha256 of its bytes, which a pipeline run records in
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -36,7 +38,7 @@ import os
 import re
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -521,9 +523,11 @@ def _format_rows(block) -> str:
                     for i in range(0, rows, step)).decode("ascii")
 
 
-def _format_block(block) -> bytes:
-    """The bytes a trace file holds for the rows of ``block``."""
-    return _format_rows(block).encode("ascii")
+def _format_block(samples, start_time, dt, first_row) -> bytes:
+    """The bytes a trace file holds for its sample rows ``samples``, which
+    start at row ``first_row`` of a record starting at ``start_time``."""
+    time = start_time + dt * np.arange(first_row, first_row + len(samples))
+    return _format_rows(np.column_stack([time, samples])).encode("ascii")
 
 
 def _pool_workers(n_tasks) -> int:
@@ -564,21 +568,37 @@ def _write_hashed(fh, digest, data):
     digest.update(data)
 
 
+@dataclass(eq=False)
+class _Save:
+    """A trace file whose blocks are formatted on the pool: its open file,
+    its running sha256, the futures of its blocks not yet written, in
+    order, and the exception that stopped its writes, if any."""
+
+    path: Path
+    fh: object
+    digest: object
+    futures: collections.deque
+    error: Exception | None = None
+
+
 class _Scope:
     """One fork pool for the saves and loads of a ``_write_behind`` scope,
-    the saves whose formatted blocks are not yet written, and the sha256
-    of each file saved complete.
+    the saves not yet complete, and the sha256 of each file saved complete.
 
     The pool is opened at the first call with 2+ tasks that
     ``_pool_workers`` allows and serves every later call; without it, each
-    call does its tasks in-process, in order.
+    call does its tasks in-process, in order.  With it, each block of a
+    save is written and hashed as soon as it and every earlier block of its
+    file are formatted, by the done-callback of its future (on the pool's
+    thread), and the file is closed after its last block; ``lock`` guards
+    ``saves``, their files and ``digests``.
     """
 
     def __init__(self):
         self.pool = None
-        # (path, open file, its running sha256, block futures)
-        self.saves = collections.deque()
+        self.saves = []  # _Save of each file not yet complete, in save order
         self.digests = {}  # Path of a complete file -> sha256 hex digest
+        self.lock = threading.Condition()  # notified as a save progresses
 
     def submit(self, fn, tasks, verb, path):
         """Futures of ``fn(*task)`` for each task, or None without a pool."""
@@ -599,28 +619,42 @@ class _Scope:
         self.flush(wait=True)  # raises for such a save
         return _FileError(verb, path, _DEAD)
 
-    def flush(self, wait=False):
-        """Write the formatted blocks of unwritten saves, in order, and
-        close each file that is complete; with ``wait``, all of them."""
-        while self.saves:
-            path, fh, digest, futures = self.saves[0]
+    def _write_done(self, save, _future):
+        """Write the formatted blocks at the head of ``save``, in order, and
+        close and hash its file after the last; a failure stops its writes."""
+        with self.lock:
             try:
-                while futures and (wait or futures[0].done()):
-                    _write_hashed(fh, digest, futures[0].result())
-                    futures.popleft()
-                if futures:
-                    return
-                fh.close()
-            except BrokenProcessPool as exc:
-                raise _FileError("write", path, _DEAD) from exc
-            except OSError as exc:
-                raise _FileError("write", path, exc) from exc
-            self.saves.popleft()
-            self.digests[Path(path)] = digest.hexdigest()
+                while save.error is None and save.futures and save.futures[0].done():
+                    _write_hashed(save.fh, save.digest, save.futures.popleft().result())
+                if save.error is None and not save.futures:
+                    save.fh.close()
+                    self.digests[save.path] = save.digest.hexdigest()
+                    self.saves.remove(save)
+            except Exception as exc:  # raised in the caller's thread by flush
+                save.error = exc
+            self.lock.notify_all()
+
+    def flush(self, wait=False):
+        """Raise the error of the first save whose writes failed, once every
+        save is complete or failed; with ``wait``, wait for that also when
+        none has failed."""
+        with self.lock:
+            if not wait and all(save.error is None for save in self.saves):
+                return
+            self.lock.wait_for(
+                lambda: all(save.error is not None for save in self.saves))
+            if not self.saves:
+                return
+            path, error = self.saves[0].path, self.saves[0].error
+        if isinstance(error, (BrokenProcessPool, CancelledError)):
+            raise _FileError("write", path, _DEAD) from error
+        if isinstance(error, OSError):
+            raise _FileError("write", path, error) from error
+        raise error  # what the worker raised
 
     def save(self, path, header, blocks):
-        """Open ``path`` and write ``header`` now; the blocks' rows follow in
-        later calls and at the end of the scope, or now without a pool."""
+        """Open ``path`` and write ``header`` now; the blocks' rows follow as
+        they are formatted, or now without a pool."""
         self.flush()
         fh, digest = open(path, "wb"), hashlib.sha256()
         try:
@@ -634,8 +668,12 @@ class _Scope:
                 for data in itertools.starmap(_format_block, blocks):
                     _write_hashed(fh, digest, data)
             self.digests[Path(path)] = digest.hexdigest()
-        else:
-            self.saves.append((path, fh, digest, collections.deque(futures)))
+            return
+        save = _Save(Path(path), fh, digest, collections.deque(futures))
+        with self.lock:
+            self.saves.append(save)
+        for future in futures:
+            future.add_done_callback(functools.partial(self._write_done, save))
 
     def results(self, fn, tasks, verb, path):
         """``fn(*task)`` for each task, in order, as each is needed."""
@@ -653,11 +691,12 @@ class _Scope:
 
     def close(self):
         """Stop the pool and close the files an error left unwritten."""
-        if self.pool is not None:
+        if self.pool is not None:  # cancelled blocks fail their saves
             self.pool.shutdown(cancel_futures=True)
-        for _, fh, _, _ in self.saves:
-            with contextlib.suppress(OSError):
-                fh.close()
+        with self.lock:
+            for save in self.saves:
+                with contextlib.suppress(OSError):
+                    save.fh.close()
 
 
 _open_scope = threading.local()  # .scope: this thread's _Scope, if any
@@ -667,11 +706,13 @@ _open_scope = threading.local()  # .scope: this thread's _Scope, if any
 def _write_behind():
     """Yield this thread's open ``_Scope``, or a new one for the block.
 
-    Inside it a save returns once its blocks are submitted, and every
-    later save or load first writes the blocks finished so far.  A new
-    scope waits for all of them at its end, also when the block raised,
-    so earlier saves are complete before the error propagates; no worker
-    outlives it.  A file saved in a scope is complete only at its end.
+    Inside it a save returns once its blocks are submitted, and each
+    block is written as soon as it and the blocks before it in its file
+    are formatted; a later save or load first raises for a save whose
+    writes failed.  A new scope waits for all saves at its end, also when
+    the block raised, so earlier saves are complete before the error
+    propagates; no worker outlives it.  A file saved in a scope is complete
+    at the latest at its end.
     """
     scope = getattr(_open_scope, "scope", None)
     if scope is not None:
@@ -699,8 +740,9 @@ def save_timeseries(ts: TimeSeries, path) -> None:
     Once the file is complete, the scope's ``digests`` hold its sha256.
     """
     header = "time_s," + ",".join(f"{n}[{u}]" for n, u in ts.channels)
-    data = np.column_stack([ts.time(), ts.samples])
-    blocks = [(data[i:i + _BLOCK_ROWS],) for i in range(0, len(data), _BLOCK_ROWS)]
+    # views of the record: each task builds its own rows' time column
+    blocks = [(ts.samples[i:i + _BLOCK_ROWS], ts.start_time, ts.dt, i)
+              for i in range(0, ts.n_samples, _BLOCK_ROWS)]
     with _write_behind() as scope:
         scope.save(path, header, blocks)
 

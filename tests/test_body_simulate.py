@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ridecomfort.body import BodyParams, COORDINATE_NAMES, PostureConfig, build_model
+from ridecomfort.body import integrate
 from ridecomfort.body.integrate import (
-    SEAT_INPUT_CHANNELS, _advance, _get_kernel, _literal_rk4, create_state,
-    mechanical_energy, simulate, step)
+    SEAT_INPUT_CHANNELS, _advance, _get_kernel, _literal_rk4, _outputs,
+    create_state, mechanical_energy, simulate, step)
 from ridecomfort.errors import NonFiniteState
 from ridecomfort.timeseries import from_arrays
 
@@ -196,6 +197,40 @@ def test_block_advance_matches_per_step_loop_exactly(name):
             assert all(np.array_equal(s, r) for s, r in zip(S, S_ref))
 
 
+def _one_shot_outputs(model, kernel, state, A):
+    """simulate's output rows before it ran in chunks, kept as its oracle:
+    one ``_advance`` over the whole record, then ``_outputs``."""
+    Z, S = _advance(model, kernel, state, A, 0.0)
+    return _outputs(model, kernel, Z, S, A)
+
+
+@pytest.mark.parametrize("name", sorted(_EXACTNESS_CASES))
+def test_chunked_simulate_matches_one_shot_path_exactly(name, monkeypatch):
+    model = _EXACTNESS_CASES[name][0]()
+    dt = 0.001
+    kernel = _get_kernel(model, dt)
+    rng = np.random.default_rng(17)
+    A = 0.5 * rng.standard_normal((800, 3))
+    fresh = create_state(model, dt)
+    Z0, S0 = _per_step_advance(kernel, fresh, A[:300])
+    resumed = create_state(model, dt)
+    resumed.q, resumed.qd = Z0[-1, :model.n], Z0[-1, model.n:]
+    resumed.history = [s[-tap.N:] for s, tap in zip(S0, kernel.taps)]
+    before = [resumed.q.copy(), resumed.qd.copy()] + [h.copy() for h in resumed.history]
+
+    # shorter and longer than the default model's shortest delay, 25 steps
+    for chunk in (16, 40):
+        monkeypatch.setattr(integrate, "_CHUNK_ROWS", chunk)
+        for state, rows in ((fresh, A), (resumed, A[300:])):
+            for length in (1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk // 2,
+                           3 * chunk + 1):
+                got = simulate(model, _seat_xyz(dt, rows[:length]), initial_state=state)
+                want = _one_shot_outputs(model, kernel, state, rows[:length])
+                assert np.array_equal(got.samples, want), (chunk, length)
+    after = [resumed.q, resumed.qd] + resumed.history
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 @pytest.mark.parametrize("amplitude, first_bad_row", [(1e300, 335), (4.2e302, 255)])
 def test_diverging_run_reports_first_non_finite_row(amplitude, first_bad_row):
     # dt = 15 ms is beyond the explicit step's stability limit for this
@@ -216,6 +251,27 @@ def test_diverging_run_reports_first_non_finite_row(amplitude, first_bad_row):
     assert (rows[0], model.coords[cols[0] % model.n]) == (first_bad_row, "pelvis_roll")
     assert info.value.time == t0 + first_bad_row * dt
     assert info.value.coordinate == "pelvis_roll"
+
+
+@pytest.mark.parametrize("chunk", [100, 7])
+@pytest.mark.parametrize("amplitude", [1e300, 4.2e302])
+def test_divergence_in_a_later_chunk_is_dated_like_the_one_shot_path(amplitude, chunk,
+                                                                      monkeypatch):
+    # the runs of the test above, whose first non-finite rows (335 and 255)
+    # lie in a later chunk than the first with chunks of 100 or 7 steps
+    monkeypatch.setattr(integrate, "_CHUNK_ROWS", chunk)
+    model = _default_model(prop_delay_s=0.06)
+    dt, t0 = 0.015, 2.5
+    kernel = _get_kernel(model, dt)
+    A = np.full((1000, 3), amplitude)
+    seat = from_arrays(dt, A, [(n, "m/s^2") for n in SEAT_INPUT_CHANNELS], start_time=t0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState) as chunked:
+            simulate(model, seat)
+        with pytest.raises(NonFiniteState) as one_shot:
+            _advance(model, kernel, create_state(model, dt), A, t0)
+    assert (chunked.value.time, chunked.value.coordinate) == \
+        (one_shot.value.time, one_shot.value.coordinate)
 
 
 def test_simulate_rejects_state_for_another_dt():

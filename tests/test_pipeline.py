@@ -5,12 +5,15 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ridecomfort
 from ridecomfort import timeseries
 from ridecomfort.body import BodyParams, PostureConfig, build_model
 from ridecomfort.body.params import COORDINATE_NAMES, JOINT_NAMES
@@ -516,3 +519,37 @@ def test_accumulator_threshold_reaches_the_sickness_summary(tmp_path):
     assert plain["time_to_threshold_s"] is None
     for name in ("sickness.csv", "conflict.csv", "comfort.json"):
         assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+# Peak-RSS growth per extra sample of run_pipeline, measured on scenario_default
+# between its 20 s and 200 s variants (2-core Linux box): about 965 B/sample
+# while simulate and the trace writer held whole-record copies, about 545 after
+# both worked in chunks.  The bound lies between the two.
+_RSS_SLOPE_BOUND = 750  # bytes per sample
+
+_PEAK_RSS = """
+import sys
+from ridecomfort.pipeline import parse_config, run_pipeline
+print(run_pipeline(parse_config(sys.argv[1]), sys.argv[2]).peak_rss_mb)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+def test_run_memory_grows_less_than_the_bound_per_sample(tmp_path):
+    raw = json.loads((SHIPPED / "scenario_default.json").read_text())
+    raw["input"]["band_hz"] = [0.5, 12.0]  # 10 cycles of its low edge in 20 s
+    src = str(Path(ridecomfort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    peak_mb = {}
+    for duration_s in (20.0, 200.0):
+        raw["input"]["duration_s"] = duration_s
+        config = _write(tmp_path, raw, f"run_{duration_s:g}.json")
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(config), str(tmp_path / config.stem)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        peak_mb[duration_s] = float(done.stdout)
+    extra_samples = (200.0 - 20.0) / raw["input"]["dt_s"]
+    slope = (peak_mb[200.0] - peak_mb[20.0]) * 1e6 / extra_samples
+    assert slope < _RSS_SLOPE_BOUND, (slope, peak_mb)

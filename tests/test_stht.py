@@ -1,5 +1,6 @@
 """Transmissibility estimation from simulated noise runs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -68,6 +69,16 @@ def test_save_and_reload_round_trip(z_result, tmp_path):
     res = json.loads((tmp_path / "stht_z_resonances.json").read_text())
     assert "head_acc_z" in res["resonances"]
     assert res["axis"] == "z"
+
+
+def test_saved_result_holds_no_wall_clock(z_result, tmp_path):
+    slower = dataclasses.replace(z_result, runtime_s=z_result.runtime_s + 1.0)
+    for result, out in ((z_result, tmp_path / "a"), (slower, tmp_path / "b")):
+        save_stht_result(result, out)
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+        sorted(p.name for p in (tmp_path / "b").iterdir())
+    for path in (tmp_path / "a").iterdir():
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
 def test_custom_welch_band_and_prominence():

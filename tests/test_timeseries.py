@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -291,6 +292,53 @@ def test_writer_worker_death_is_an_os_error(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="dead.csv"):
         save_timeseries(_demo(n=2 * BLOCK), path)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not POOLED, reason="rows are formatted in-process here")
+def test_finished_blocks_are_written_before_the_scope_ends(tmp_path, monkeypatch):
+    ts = _demo(n=3 * BLOCK + 5, dt=0.002)
+    ts = TimeSeries(1.25, ts.dt, ts.channels, ts.samples)  # rows start off zero
+    _savetxt_writer(ts, tmp_path / "old.csv")
+    want = (tmp_path / "old.csv").read_bytes()
+    path, next_path = tmp_path / "eager.csv", tmp_path / "next.csv"
+    with timeseries._write_behind() as scope:
+        save_timeseries(ts, path)
+        # every block reaches the file before the scope's next save or its end
+        deadline = time.monotonic() + 30
+        while path.stat().st_size < len(want) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert path.read_bytes() == want
+        save_timeseries(ts, next_path)
+    assert multiprocessing.active_children() == []
+    assert scope.digests[path] == hashlib.sha256(want).hexdigest()
+    assert path.read_bytes() == want == next_path.read_bytes()
+
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
+    save_timeseries(ts, tmp_path / "in_process.csv")
+    assert (tmp_path / "in_process.csv").read_bytes() == want
+
+
+@pytest.mark.skipif(not POOLED, reason="rows are formatted in-process here")
+def test_failed_eager_write_is_an_os_error_naming_its_file(tmp_path, monkeypatch):
+    write = timeseries._write_hashed
+
+    def disk_full(fh, digest, data):
+        if fh.name.endswith("full.csv") and not data.startswith(b"time_s"):
+            raise OSError("no space left on device")
+        write(fh, digest, data)
+
+    monkeypatch.setattr(timeseries, "_write_hashed", disk_full)
+    ts = _demo(n=2 * BLOCK)
+    with pytest.raises(timeseries._FileError,
+                       match="cannot write .*full.csv: no space left") as info:
+        with timeseries._write_behind():
+            save_timeseries(ts, tmp_path / "ok.csv")
+            save_timeseries(ts, tmp_path / "full.csv")
+            save_timeseries(ts, tmp_path / "after.csv")
+    assert info.value.path == tmp_path / "full.csv"
+    assert multiprocessing.active_children() == []
+    _savetxt_writer(ts, tmp_path / "old.csv")
+    assert (tmp_path / "ok.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def _streamed_lines(fh):
