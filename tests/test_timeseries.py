@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import warnings
@@ -316,6 +317,29 @@ def test_finished_blocks_are_written_before_the_scope_ends(tmp_path, monkeypatch
     monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
     save_timeseries(ts, tmp_path / "in_process.csv")
     assert (tmp_path / "in_process.csv").read_bytes() == want
+
+
+@pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
+def test_many_eager_saves_write_every_block_once_in_order(tmp_path, monkeypatch):
+    # more workers than cores, small blocks and frequent thread switches:
+    # the pool's thread writes blocks while this one saves and flushes
+    monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 4)
+    records = [_demo(n=200 + i, seed=i) for i in range(20)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with timeseries._write_behind() as scope:
+            for i, ts in enumerate(records):
+                save_timeseries(ts, tmp_path / f"{i}.csv")
+    finally:
+        sys.setswitchinterval(interval)
+    assert multiprocessing.active_children() == []
+    for i, ts in enumerate(records):
+        _savetxt_writer(ts, tmp_path / "old.csv")
+        want = (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / f"{i}.csv").read_bytes() == want
+        assert scope.digests[tmp_path / f"{i}.csv"] == hashlib.sha256(want).hexdigest()
 
 
 @pytest.mark.skipif(not POOLED, reason="rows are formatted in-process here")
