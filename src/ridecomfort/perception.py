@@ -10,6 +10,13 @@ to acceleration units.
 Conventions (z up, small head angles): specific force is a + (0, 0, -g),
 so a resting otolith reads (0, 0, -g) and the sensed vertical is the
 negated, normalized specific force.
+
+``perceive`` runs the chain over chunks of at most ``_CHUNK_ROWS`` rows,
+filling one preallocated perceived and one conflict array, and carries
+the canal filter states, the subjective vertical and the vision delay's
+tail from one chunk to the next, so beyond its outputs it holds one
+chunk's work, with the same bits as one pass.  Each component function
+is that core's code run on a whole record.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal as sps
 
+from ridecomfort.errors import NonFiniteSample
 from ridecomfort.timeseries import TimeSeries, from_arrays
 
 GRAVITY = 9.81
@@ -29,6 +37,9 @@ GRAVITY = 9.81
 # previous subjective-vertical estimate is carried and the sample flagged.
 DEGENERATE_SF_M_S2 = 0.1
 
+# rows per chunk of perceive; at 65 536 rows a 90 s, 1 kHz record would
+# still hold most of its whole-record temporaries
+_CHUNK_ROWS = 8192
 # samples per chunk of the subjective-vertical loop
 _SV_CHUNK = 256
 
@@ -37,6 +48,13 @@ ACC_CHANNELS = ("head_acc_x", "head_acc_y", "head_acc_z")
 ANGLE_CHANNELS = ("head_angle_roll", "head_angle_pitch")
 # the body-response channels that perceive reads
 BODY_CHANNELS = ROTVEL_CHANNELS + ACC_CHANNELS + ANGLE_CHANNELS
+
+SENSED_ROTVEL = tuple((n.replace("head_", "sensed_"), "rad/s") for n in ROTVEL_CHANNELS)
+SENSED_SF = tuple((f"sensed_sf_{ax}", "m/s^2") for ax in "xyz")
+SENSED_VERT = tuple((f"sensed_vert_{ax}", "1") for ax in "xyz")
+EXPECTED_VERT = tuple((f"expected_vert_{ax}", "1") for ax in "xyz")
+# the channels of perceive's perceived record, in its column order
+PERCEIVED_CHANNELS = SENSED_ROTVEL + SENSED_SF + SENSED_VERT + EXPECTED_VERT
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,67 @@ class VestibularParams:
         self.vision.validate()
 
 
+def _columns(ts: TimeSeries, names) -> np.ndarray:
+    return ts.samples[:, [ts.index(n) for n in names]]
+
+
+def _canal_filter(dt: float, params: VestibularParams):
+    """(b, a) of the canal dynamics at step dt."""
+    t1, t2 = params.canal_tau_long_s, params.canal_tau_short_s
+    if dt > t2:
+        warnings.warn(f"dt={dt} s undersamples the canal fast pole (tau2={t2} s)",
+                      RuntimeWarning, stacklevel=3)
+    return sps.bilinear([t1, 0.0], [t1 * t2, t1 + t2, 1.0], fs=1.0 / dt)
+
+
+def _canal_rows(b, a, rotvel, zi, out) -> None:
+    """Filter (m, 3) rotation rates into out; zi[k] carries axis k's state."""
+    for k in range(3):
+        out[:, k], zi[k] = sps.lfilter(b, a, rotvel[:, k], zi=zi[k])
+
+
+def _specific_force_rows(acc, angles, gain, out) -> None:
+    """(m, 3) accelerations and (m, 2) roll/pitch to head-frame specific force."""
+    f_lab = acc + np.array([0.0, 0.0, -GRAVITY])
+    theta = np.column_stack([angles[:, 0], angles[:, 1], np.zeros(len(angles))])
+    np.subtract(f_lab, np.cross(theta, f_lab), out=out)
+    out *= gain
+
+
+def _vision_lag(vision: VisionParams, dt: float) -> int | None:
+    """Rows of visual delay, or None when vision leaves the prior as it is."""
+    if vision.enabled and vision.rotation_gain > 0.0:
+        return int(round(vision.delay_s / dt))
+    return None
+
+
+def _expected_rows(angles, vision, lag, tail, out):
+    """Expected vertical of m rows into out; returns the next chunk's tail.
+
+    tail holds the true vertical of the `lag` rows before this chunk; None
+    before the first row, which the delay fills with the first row's.
+    """
+    out[:, :2] = 0.0
+    out[:, 2] = 1.0
+    if lag is None:
+        return tail
+    m = len(angles)
+    v_true = np.column_stack([-angles[:, 1], angles[:, 0], np.ones(m)])
+    v_true /= np.linalg.norm(v_true, axis=1, keepdims=True)
+    if lag > 0:
+        if tail is None:
+            tail = np.repeat(v_true[:1], lag, axis=0)
+        delayed = np.vstack([tail, v_true])
+        v_true, tail = delayed[:m], delayed[m:].copy()
+    out += vision.rotation_gain * (v_true - out)
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    return tail
+
+
+def _conflict_rows(sensed, expected, out) -> None:
+    out[:, 0] = GRAVITY * np.linalg.norm(sensed - expected, axis=1)
+
+
 def scc_response(rotvel: TimeSeries, params: VestibularParams) -> TimeSeries:
     """Canal dynamics tau1*s / ((1 + tau1*s)(1 + tau2*s)) per axis.
 
@@ -79,18 +158,10 @@ def scc_response(rotvel: TimeSeries, params: VestibularParams) -> TimeSeries:
     constant; sustained rotation washes out to zero.
     """
     params.validate()
-    t1, t2 = params.canal_tau_long_s, params.canal_tau_short_s
-    if rotvel.dt > t2:
-        warnings.warn(
-            f"dt={rotvel.dt} s undersamples the canal fast pole (tau2={t2} s)",
-            RuntimeWarning, stacklevel=2)
-    b, a = sps.bilinear([t1, 0.0], [t1 * t2, t1 + t2, 1.0], fs=1.0 / rotvel.dt)
-    data = {}
-    for name in ROTVEL_CHANNELS:
-        out_name = name.replace("head_", "sensed_")
-        data[out_name] = sps.lfilter(b, a, rotvel.channel(name))
-    channels = [(n, "rad/s") for n in data]
-    return from_arrays(rotvel.dt, data, channels, start_time=rotvel.start_time)
+    b, a = _canal_filter(rotvel.dt, params)
+    out = np.empty((rotvel.n_samples, 3))
+    _canal_rows(b, a, _columns(rotvel, ROTVEL_CHANNELS), np.zeros((3, len(a) - 1)), out)
+    return from_arrays(rotvel.dt, out, SENSED_ROTVEL, start_time=rotvel.start_time)
 
 
 def otolith_response(head_acc: TimeSeries, head_angles: TimeSeries,
@@ -99,25 +170,23 @@ def otolith_response(head_acc: TimeSeries, head_angles: TimeSeries,
     params.validate()
     if head_acc.dt != head_angles.dt or head_acc.n_samples != head_angles.n_samples:
         raise ValueError("acceleration and angle records must share one grid")
-    f_lab = np.column_stack([head_acc.channel(n) for n in ACC_CHANNELS])
-    f_lab = f_lab + np.array([0.0, 0.0, -GRAVITY])
-    roll = head_angles.channel("head_angle_roll")
-    pitch = head_angles.channel("head_angle_pitch")
-    theta = np.column_stack([roll, pitch, np.zeros_like(roll)])
-    f_head = f_lab - np.cross(theta, f_lab)
-    f_head *= params.otolith_gain
-    channels = [("sensed_sf_x", "m/s^2"), ("sensed_sf_y", "m/s^2"), ("sensed_sf_z", "m/s^2")]
-    return from_arrays(head_acc.dt, f_head, channels, start_time=head_acc.start_time)
+    out = np.empty((head_acc.n_samples, 3))
+    _specific_force_rows(_columns(head_acc, ACC_CHANNELS),
+                         _columns(head_angles, ANGLE_CHANNELS), params.otolith_gain, out)
+    return from_arrays(head_acc.dt, out, SENSED_SF, start_time=head_acc.start_time)
 
 
 def subjective_vertical(sensed_sf: TimeSeries, sensed_rotvel: TimeSeries,
-                        params: VestibularParams) -> TimeSeries:
+                        params: VestibularParams, *,
+                        vertical: tuple = (0.0, 0.0, 1.0)) -> TimeSeries:
     """Low-passed gravity-direction estimate steered by sensed rotation.
 
     Each step rotates the previous estimate with the sensed angular
     velocity, then pulls it toward the negated specific-force direction
     with time constant sv_time_constant_s.  Near-zero specific force keeps
     the previous direction and is counted in meta["degenerate_samples"].
+    The estimate before the first row is `vertical`: upright, or the last
+    row of the record this one continues.
     """
     params.validate()
     if sensed_sf.dt != sensed_rotvel.dt or sensed_sf.n_samples != sensed_rotvel.n_samples:
@@ -127,7 +196,7 @@ def subjective_vertical(sensed_sf: TimeSeries, sensed_rotvel: TimeSeries,
     F = sensed_sf.samples
     W = sensed_rotvel.samples
     out = np.empty((sensed_sf.n_samples, 3))
-    vx, vy, vz = 0.0, 0.0, 1.0
+    vx, vy, vz = vertical
     degenerate = 0
     k = dt / tau
     # Python floats are faster here than numpy scalars and round alike;
@@ -159,8 +228,7 @@ def subjective_vertical(sensed_sf: TimeSeries, sensed_rotvel: TimeSeries,
             vz /= norm
             rows.append((vx, vy, vz))
         out[start:stop] = rows
-    channels = [("sensed_vert_x", "1"), ("sensed_vert_y", "1"), ("sensed_vert_z", "1")]
-    return from_arrays(dt, out, channels, start_time=sensed_sf.start_time,
+    return from_arrays(dt, out, SENSED_VERT, start_time=sensed_sf.start_time,
                        meta={"degenerate_samples": degenerate})
 
 
@@ -172,22 +240,11 @@ def internal_expectation(head_angles: TimeSeries, params: VestibularParams) -> T
     visual latency and weighted by the rotation gain.
     """
     params.validate()
-    n = head_angles.n_samples
-    expected = np.zeros((n, 3))
-    expected[:, 2] = 1.0
-    if params.vision.enabled and params.vision.rotation_gain > 0.0:
-        roll = head_angles.channel("head_angle_roll")
-        pitch = head_angles.channel("head_angle_pitch")
-        v_true = np.column_stack([-pitch, roll, np.ones(n)])
-        v_true /= np.linalg.norm(v_true, axis=1, keepdims=True)
-        lag = int(round(params.vision.delay_s / head_angles.dt))
-        if lag > 0:
-            v_true = np.vstack([np.repeat(v_true[:1], min(lag, n), axis=0),
-                                v_true[:max(n - lag, 0)]])
-        expected += params.vision.rotation_gain * (v_true - expected)
-        expected /= np.linalg.norm(expected, axis=1, keepdims=True)
-    channels = [("expected_vert_x", "1"), ("expected_vert_y", "1"), ("expected_vert_z", "1")]
-    return from_arrays(head_angles.dt, expected, channels,
+    lag = _vision_lag(params.vision, head_angles.dt)
+    angles = None if lag is None else _columns(head_angles, ANGLE_CHANNELS)
+    out = np.empty((head_angles.n_samples, 3))
+    _expected_rows(angles, params.vision, lag, None, out)
+    return from_arrays(head_angles.dt, out, EXPECTED_VERT,
                        start_time=head_angles.start_time)
 
 
@@ -195,9 +252,9 @@ def conflict(sensed_vert: TimeSeries, expected_vert: TimeSeries) -> TimeSeries:
     """Conflict magnitude g * |v_sensed - v_expected| in m/s^2."""
     if sensed_vert.dt != expected_vert.dt or sensed_vert.n_samples != expected_vert.n_samples:
         raise ValueError("sensed and expected records must share one grid")
-    d = sensed_vert.samples - expected_vert.samples
-    c = GRAVITY * np.linalg.norm(d, axis=1)
-    return from_arrays(sensed_vert.dt, c[:, None], [("conflict", "m/s^2")],
+    out = np.empty((sensed_vert.n_samples, 1))
+    _conflict_rows(sensed_vert.samples, expected_vert.samples, out)
+    return from_arrays(sensed_vert.dt, out, [("conflict", "m/s^2")],
                        start_time=sensed_vert.start_time,
                        meta=dict(sensed_vert.meta))
 
@@ -210,24 +267,36 @@ def perceive(body_response: TimeSeries, params: VestibularParams) -> tuple:
     expected vertical.
     """
     params.validate()
-    rotvel = body_response.select(ROTVEL_CHANNELS)
-    acc = body_response.select(ACC_CHANNELS)
-    angles = body_response.select(ANGLE_CHANNELS)
-
-    sensed_rv = scc_response(rotvel, params)
-    sensed_sf = otolith_response(acc, angles, params)
-    sensed_v = subjective_vertical(sensed_sf, sensed_rv, params)
-    expected_v = internal_expectation(angles, params)
-    c = conflict(sensed_v, expected_v)
-
-    merged = np.hstack([sensed_rv.samples, sensed_sf.samples,
-                        sensed_v.samples, expected_v.samples])
-    channels = (tuple(sensed_rv.channels) + tuple(sensed_sf.channels)
-                + tuple(sensed_v.channels) + tuple(expected_v.channels))
-    perceived = TimeSeries(
-        start_time=body_response.start_time, dt=body_response.dt,
-        channels=channels, samples=merged,
-        meta={"degenerate_samples": sensed_v.meta["degenerate_samples"],
-              "vision": params.vision.enabled},
-    )
-    return perceived, c
+    n, dt, t0 = body_response.n_samples, body_response.dt, body_response.start_time
+    b, a = _canal_filter(dt, params)
+    lag = _vision_lag(params.vision, dt)
+    cols = [body_response.index(name) for name in BODY_CHANNELS]
+    perceived = np.empty((n, len(PERCEIVED_CHANNELS)))
+    c = np.empty((n, 1))
+    # carried from one chunk to the next: canal filter states, subjective
+    # vertical and degenerate count, true vertical of the last `lag` rows
+    zi = np.zeros((3, len(a) - 1))
+    vertical, degenerate, tail = (0.0, 0.0, 1.0), 0, None
+    for c0 in range(0, n, _CHUNK_ROWS):
+        rows = body_response.samples[c0:c0 + _CHUNK_ROWS, cols]
+        out = perceived[c0:c0 + _CHUNK_ROWS]
+        _canal_rows(b, a, rows[:, 0:3], zi, out[:, 0:3])
+        _specific_force_rows(rows[:, 3:6], rows[:, 6:8], params.otolith_gain, out[:, 3:6])
+        start = t0 + c0 * dt
+        try:
+            v = subjective_vertical(TimeSeries(start, dt, SENSED_SF, out[:, 3:6]),
+                                    TimeSeries(start, dt, SENSED_ROTVEL, out[:, 0:3]),
+                                    params, vertical=vertical)
+        except NonFiniteSample as e:
+            # the chunk counts rows from its own start
+            raise NonFiniteSample(e.channel, c0 + e.row) from None
+        out[:, 6:9] = v.samples
+        vertical = tuple(v.samples[-1].tolist())
+        degenerate += v.meta["degenerate_samples"]
+        tail = _expected_rows(rows[:, 6:8], params.vision, lag, tail, out[:, 9:12])
+        _conflict_rows(out[:, 6:9], out[:, 9:12], c[c0:c0 + _CHUNK_ROWS])
+    return (TimeSeries(t0, dt, PERCEIVED_CHANNELS, perceived,
+                       meta={"degenerate_samples": degenerate,
+                             "vision": params.vision.enabled}),
+            TimeSeries(t0, dt, (("conflict", "m/s^2"),), c,
+                       meta={"degenerate_samples": degenerate}))

@@ -65,8 +65,8 @@ _QUIET_INPUT_RMS = 1e-10
 # Longest synthetic input in samples: 10 000 s at 1 kHz, 111 times the
 # 90 001 samples of scenario_curved.  The body response alone holds 24
 # float64 channels per sample (about 1.9 GB at the cap), and the peak RSS of
-# a `pipeline` run grows by about 540 B per sample (scenario_default at 60 s
-# against 600 s, 2-core Linux; about 5.4 GB at the cap), so a typo such as
+# a `pipeline` run grows by about 360 B per sample (scenario_default at 20 s
+# against 200 s, 2-core Linux; about 3.6 GB at the cap), so a typo such as
 # duration_s: 1e12 is refused before anything is allocated.
 MAX_INPUT_SAMPLES = 10_000_000
 

@@ -4,7 +4,9 @@ A saturating (Hill) nonlinearity converts conflict magnitude to an
 instantaneous drive in [0, 1); two identical cascaded first-order lags
 spread it over the slow accumulation time constant; a population scale
 maps the result to a percentage.  The lags are discretized exactly for
-zero-order-hold input, so the trace is dt-robust.
+zero-order-hold input, so the trace is dt-robust.  ``accumulate`` works
+in chunks of at most ``_CHUNK_ROWS`` rows and carries the lags' filter
+states between them, with the same bits as one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import numpy as np
 import scipy.signal as sps
 
 from ridecomfort.timeseries import TimeSeries, from_arrays
+
+# rows per chunk of accumulate, as perception's
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -54,19 +59,23 @@ def accumulate(conflict: TimeSeries, params: AccumulatorParams | None = None,
         raise ValueError("conflict magnitudes must be non-negative")
 
     n_exp = params.hill_exponent
-    cn = c ** n_exp
-    h = cn / (cn + params.half_saturation_m_s2 ** n_exp)
-
+    saturation = params.half_saturation_m_s2 ** n_exp
     # exact ZOH step of 1/(mu*s + 1), input held from the step start
     alpha = float(np.exp(-conflict.dt / params.time_constant_s))
     b, a = [0.0, 1.0 - alpha], [1.0, -alpha]
-    y1 = sps.lfilter(b, a, h)
-    y2 = sps.lfilter(b, a, y1)
-    msi = np.clip(params.ceiling_percent * y2, 0.0, 100.0)
+    zi1, zi2 = np.zeros(1), np.zeros(1)
+    msi = np.empty((len(c), 1))
+    for c0 in range(0, len(c), _CHUNK_ROWS):
+        c1 = c0 + _CHUNK_ROWS
+        cn = c[c0:c1] ** n_exp
+        h = cn / (cn + saturation)
+        y1, zi1 = sps.lfilter(b, a, h, zi=zi1)
+        y2, zi2 = sps.lfilter(b, a, y1, zi=zi2)
+        np.clip(params.ceiling_percent * y2, 0.0, 100.0, out=msi[c0:c1, 0])
 
     meta = dict(conflict.meta)
     meta["accumulator"] = asdict(params)
-    return from_arrays(conflict.dt, msi[:, None], [("msi", "percent")],
+    return from_arrays(conflict.dt, msi, [("msi", "percent")],
                        start_time=conflict.start_time, meta=meta)
 
 

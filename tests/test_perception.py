@@ -1,8 +1,11 @@
 """Vestibular sensing, subjective vertical and conflict generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ridecomfort import perception
 from ridecomfort.perception import (
     ACC_CHANNELS, ANGLE_CHANNELS, GRAVITY, ROTVEL_CHANNELS, VestibularParams,
     VisionParams, conflict, internal_expectation, otolith_response, perceive,
@@ -174,3 +177,147 @@ def test_perceive_bundles_channels():
         assert name in perceived.channel_names
     assert c.channel_names == ("conflict",)
     assert np.all(c.channel("conflict") >= 0.0)
+
+
+# -- chunked perceive --------------------------------------------------------
+
+_N = 5000
+_DT = 0.001
+_CHUNKS = (1, 7, 256, 4096)
+# free-fall rows on both sides of chunk boundaries (7, 256 and 4096 among them)
+_FREE_FALL = [(0, 3), (250, 262), (1021, 1030), (4090, 4101)]
+
+
+def _moving_body():
+    """Body record with rotation, acceleration and tilt on every axis."""
+    t = np.arange(_N) * _DT
+    rng = np.random.default_rng(7)
+
+    def waves(width, amp):
+        f = rng.uniform(0.3, 8.0, (3, width))
+        phase = rng.uniform(0.0, 2 * np.pi, (3, width))
+        return amp * np.sin(2 * np.pi * f[:, None, :] * t[None, :, None]
+                            + phase[:, None, :]).sum(axis=0)
+
+    acc = waves(3, 0.8)
+    for r0, r1 in _FREE_FALL:
+        acc[r0:r1] = (0.0, 0.0, GRAVITY)  # zero specific force
+    return _body_record(_DT, _N, acc=acc, rotvel=waves(3, 0.2), angles=waves(2, 0.03))
+
+
+def _rows(ts, start, stop=None):
+    """Rows start:stop of a record, on its grid."""
+    return from_arrays(ts.dt, ts.samples[start:stop], ts.channels)
+
+
+def _set_chunk(monkeypatch, rows):
+    monkeypatch.setattr(perception, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(perception, "_SV_CHUNK", rows)
+
+
+_VISION = {
+    "off": VestibularParams(),
+    # 300 rows of delay: longer than every chunk but the largest
+    "short_delay": VestibularParams(vision=VisionParams(enabled=True, delay_s=0.3)),
+    # 4500 rows: longer than a 4096-row chunk
+    "long_delay": VestibularParams(vision=VisionParams(enabled=True, rotation_gain=0.7,
+                                                       delay_s=4.5)),
+    # longer than the record: every row sees the first row's vertical
+    "past_the_end": VestibularParams(vision=VisionParams(enabled=True, delay_s=6.0)),
+}
+
+
+@pytest.mark.parametrize("vision", sorted(_VISION))
+def test_perceive_is_bit_identical_for_every_chunk_size(monkeypatch, vision):
+    params = _VISION[vision]
+    body = _moving_body()
+    _set_chunk(monkeypatch, _N)
+    ref_perceived, ref_conflict = perceive(body, params)
+    assert ref_perceived.meta["degenerate_samples"] == sum(b - a for a, b in _FREE_FALL)
+    for rows in _CHUNKS:
+        _set_chunk(monkeypatch, rows)
+        perceived, c = perceive(body, params)
+        assert np.array_equal(perceived.samples, ref_perceived.samples), rows
+        assert np.array_equal(c.samples, ref_conflict.samples), rows
+        assert perceived.meta == ref_perceived.meta, rows
+        assert c.meta == ref_conflict.meta, rows
+
+
+@pytest.mark.parametrize("rows", _CHUNKS)
+def test_perceive_records_around_one_chunk_long(monkeypatch, rows):
+    params = _VISION["short_delay"]
+    body = _moving_body()
+    for n in sorted({1, max(rows - 1, 1), rows, rows + 1}):
+        part = _rows(body, 0, n)
+        _set_chunk(monkeypatch, n)
+        ref_perceived, ref_conflict = perceive(part, params)
+        _set_chunk(monkeypatch, rows)
+        perceived, c = perceive(part, params)
+        assert np.array_equal(perceived.samples, ref_perceived.samples), n
+        assert np.array_equal(c.samples, ref_conflict.samples), n
+        assert perceived.meta == ref_perceived.meta, n
+
+
+def test_perceive_columns_equal_the_component_functions():
+    params = _VISION["short_delay"]
+    body = _moving_body()
+    perceived, c = perceive(body, params)
+    rv = scc_response(body.select(ROTVEL_CHANNELS), params)
+    sf = otolith_response(body.select(ACC_CHANNELS), body.select(ANGLE_CHANNELS), params)
+    v = subjective_vertical(sf, rv, params)
+    expected = internal_expectation(body.select(ANGLE_CHANNELS), params)
+    whole = conflict(v, expected)
+    parts = np.hstack([rv.samples, sf.samples, v.samples, expected.samples])
+    assert perceived.channels == rv.channels + sf.channels + v.channels + expected.channels
+    assert np.array_equal(perceived.samples, parts)
+    assert np.array_equal(c.samples, whole.samples)
+    assert c.meta == whole.meta == {"degenerate_samples": v.meta["degenerate_samples"]}
+
+
+def test_subjective_vertical_continues_from_a_given_vertical():
+    params = VestibularParams()
+    body = _moving_body()
+    rv = scc_response(body.select(ROTVEL_CHANNELS), params)
+    sf = otolith_response(body.select(ACC_CHANNELS), body.select(ANGLE_CHANNELS), params)
+    whole = subjective_vertical(sf, rv, params)
+    cut = 1000
+    head = subjective_vertical(_rows(sf, 0, cut), _rows(rv, 0, cut), params)
+    tail = subjective_vertical(_rows(sf, cut), _rows(rv, cut), params,
+                               vertical=tuple(head.samples[-1].tolist()))
+    assert np.array_equal(np.vstack([head.samples, tail.samples]), whole.samples)
+    assert (head.meta["degenerate_samples"] + tail.meta["degenerate_samples"]
+            == whole.meta["degenerate_samples"])
+
+
+@pytest.mark.parametrize("rows", _CHUNKS)
+def test_zero_norm_vertical_past_the_first_chunk_names_its_row(monkeypatch, rows):
+    # upright until row 300, then an upward specific force with dt / tau = 0.5
+    # takes the estimate to zero there, as in the test above
+    n, row = 600, 300
+    acc = np.zeros((n, 3))
+    acc[row:, 2] = GRAVITY + 5.0
+    body = _body_record(_DT, n, acc=acc)
+    params = VestibularParams(sv_time_constant_s=2 * _DT)
+    _set_chunk(monkeypatch, rows)
+    with pytest.raises(NonFiniteSample, match=f"'sensed_vert_x' at row {row}$"):
+        perceive(body, params)
+
+
+def test_perceive_peak_memory_stays_near_its_outputs():
+    # beyond its two output records, perceive holds one chunk's work, then the
+    # perceived record's finiteness check (12 B per sample): about 1.12x their
+    # bytes on this 200 s, 1 kHz record, against 2.66x when every component
+    # held a whole record.  Tracing slows the subjective-vertical loop ~40x.
+    n = 200_001
+    rng = np.random.default_rng(5)
+    body = _body_record(0.001, n, acc=rng.normal(0.0, 0.5, (n, 3)),
+                        rotvel=rng.normal(0.0, 0.1, (n, 3)),
+                        angles=rng.normal(0.0, 0.02, (n, 2)))
+    tracemalloc.start()
+    try:
+        perceived, c = perceive(body, _VISION["short_delay"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = perceived.samples.nbytes + c.samples.nbytes
+    assert peak <= 1.25 * outputs, (peak, outputs)

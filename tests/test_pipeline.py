@@ -524,8 +524,9 @@ def test_accumulator_threshold_reaches_the_sickness_summary(tmp_path):
 # Peak-RSS growth per extra sample of run_pipeline, measured on scenario_default
 # between its 20 s and 200 s variants (2-core Linux box): about 965 B/sample
 # while simulate and the trace writer held whole-record copies, about 545 after
-# both worked in chunks.  The bound lies between the two.
-_RSS_SLOPE_BOUND = 750  # bytes per sample
+# both worked in chunks, and about 360 since perceive and accumulate work in
+# chunks too.  The bound lies between the last two.
+_RSS_SLOPE_BOUND = 450  # bytes per sample
 
 _PEAK_RSS = """
 import sys

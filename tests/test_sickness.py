@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from ridecomfort import sickness
 from ridecomfort.sickness import AccumulatorParams, accumulate, summarize
 from ridecomfort.timeseries import from_arrays, save_json
 
@@ -110,3 +111,28 @@ def test_summary_json_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert data["final_percent"] == pytest.approx(summary.final_percent)
     assert data["threshold_percent"] == 1.0
+
+
+_CHUNKS = (1, 7, 256, 4096)
+
+
+def _rough_conflict(n, dt=0.001):
+    rng = np.random.default_rng(11)
+    return _conflict(dt, np.abs(rng.standard_normal(n)).cumsum() % 3.0)
+
+
+@pytest.mark.parametrize("params", [
+    AccumulatorParams(time_constant_s=2.0),
+    AccumulatorParams(hill_exponent=2.7, half_saturation_m_s2=0.3, time_constant_s=0.5),
+])
+def test_accumulate_is_bit_identical_for_every_chunk_size(monkeypatch, params):
+    conflict = _rough_conflict(5000)
+    monkeypatch.setattr(sickness, "_CHUNK_ROWS", conflict.n_samples)
+    ref = accumulate(conflict, params)
+    for rows in _CHUNKS:
+        monkeypatch.setattr(sickness, "_CHUNK_ROWS", rows)
+        for n in sorted({1, max(rows - 1, 1), rows, rows + 1, conflict.n_samples}):
+            part = _conflict(conflict.dt, conflict.samples[:n, 0])
+            trace = accumulate(part, params)
+            assert np.array_equal(trace.samples, ref.samples[:n]), (rows, n)
+            assert trace.meta == ref.meta
