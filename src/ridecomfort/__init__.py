@@ -44,6 +44,7 @@ from ridecomfort.spectral import (
     welch_spectrum,
     estimate_frf,
     detect_peaks,
+    resonance_scan,
 )
 from ridecomfort.body import (
     BodyParams,

@@ -46,7 +46,8 @@ from .excitation import SEAT_CHANNELS, ExcitationSpec, generate_excitation
 from .perception import BODY_CHANNELS as _PERCEPTION_CHANNELS
 from .perception import VestibularParams, perceive
 from .sickness import AccumulatorParams, accumulate, summarize
-from .spectral import detect_peaks, estimate_frf
+# not called here: benchmarks/spans.py getattr-wraps both names on this module
+from .spectral import detect_peaks, estimate_frf, resonance_scan  # noqa: F401
 from .stht import STHTOptions, default_welch_params
 from .timeseries import (
     TimeSeries, _FileError, _write_behind, count_samples, load_timeseries,
@@ -441,11 +442,9 @@ def stage_input(config):
 
 
 def _resonance_scan(config, seat, body):
-    """Peaks of measured head FRFs against the dominant input axis.
-
-    Quiet inputs, or inputs without broadband content, yield no valid bins
-    and therefore an empty peak table.
-    """
+    """Peaks of measured head FRFs against the dominant input axis, by
+    ``resonance_scan``'s rule; channels without peaks are left out, and a
+    quiet input gives an empty table."""
     rms = {axis: float(np.sqrt(np.mean(seat.channel(f"seat_acc_{axis}") ** 2)))
            for axis in ("x", "y", "z")}
     axis = max(rms, key=rms.get)
@@ -453,24 +452,13 @@ def _resonance_scan(config, seat, body):
         return {"axis_used": None, "band_hz": None, "peaks": {}}
     welch = config.stht.welch or default_welch_params(seat.n_samples, seat.dt)
     band = config.stht.band_hz or _DEFAULT_RESONANCE_BAND
-    x = seat.channel(f"seat_acc_{axis}")
-    peaks = {}
-    lo, hi = band
-    for name in _RESONANCE_CHANNELS:
-        frf = estimate_frf(x, body.channel(name), seat.dt, welch,
-                           input_channel=f"seat_acc_{axis}",
-                           output_channel=name)
-        lo_c = max(lo, float(frf.freqs[1]))
-        hi_c = min(hi, float(frf.freqs[-1]))
-        if lo_c >= hi_c:
-            continue
-        in_band = frf.band(lo_c, hi_c)
-        if np.count_nonzero(frf.valid & in_band) < 0.5 * np.count_nonzero(in_band):
-            continue
-        found = detect_peaks(frf, (lo_c, hi_c), config.stht.min_prominence)
-        if found:
-            peaks[name] = [[f, g] for f, g in found]
-    return {"axis_used": axis, "band_hz": [lo, hi], "peaks": peaks}
+    drive = f"seat_acc_{axis}"
+    scan = resonance_scan(seat.channel(drive),
+                          [(name, body.channel(name)) for name in _RESONANCE_CHANNELS],
+                          seat.dt, welch, band, config.stht.min_prominence, drive)
+    peaks = {name: [[f, g] for f, g in found]
+             for name, (_, found) in scan.items() if found}
+    return {"axis_used": axis, "band_hz": list(band), "peaks": peaks}
 
 
 def stage_body(config, seat):

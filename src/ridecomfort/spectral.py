@@ -245,3 +245,22 @@ def detect_peaks(frf: FrequencyResponseFunction, band, min_prominence: float):
         peaks.append((float(f_pk), float(g_pk)))
     peaks.sort(key=lambda p: -p[1])
     return peaks
+
+
+def resonance_scan(x, responses, dt: float, params: WelchParams, band,
+                   min_prominence: float, input_channel: str = "input") -> dict:
+    """``{name: (frf, peaks)}``: the H1 FRF of each ``(name, y)`` in
+    ``responses`` against the drive ``x``, and its peaks in ``band`` clamped
+    to the grid's nonzero bins.  The peaks are ``[]`` where the clamped band
+    is empty or fewer than half of its bins are valid (little input power).
+    """
+    scan = {}
+    for name, y in responses:
+        frf = estimate_frf(x, y, dt, params, input_channel=input_channel,
+                           output_channel=name)
+        lo, hi = max(band[0], float(frf.freqs[1])), min(band[1], float(frf.freqs[-1]))
+        in_band = frf.band(lo, hi)
+        usable = lo < hi and \
+            np.count_nonzero(frf.valid & in_band) >= 0.5 * np.count_nonzero(in_band)
+        scan[name] = (frf, detect_peaks(frf, (lo, hi), min_prominence) if usable else [])
+    return scan

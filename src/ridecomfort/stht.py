@@ -8,17 +8,15 @@ and locates resonance peaks.  Results can be written as one CSV per channel
 
 from __future__ import annotations
 
-import csv
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ridecomfort.body.integrate import simulate
 from ridecomfort.excitation import ExcitationSpec, generate_excitation
-from ridecomfort.spectral import WelchParams, detect_peaks, estimate_frf
-from ridecomfort.timeseries import save_json
+from ridecomfort.spectral import WelchParams, resonance_scan
+from ridecomfort.timeseries import _format_rows, save_json
 
 # Channels a transmissibility run reports against the driven seat axis.
 RESPONSE_CHANNELS = (
@@ -59,7 +57,6 @@ class STHTResult:
     resonances: dict
     band_hz: tuple
     runtime_s: float
-    meta: dict = field(default_factory=dict)
 
     def channels(self) -> tuple:
         return tuple(self.frfs)
@@ -81,52 +78,38 @@ def run_stht(model, spec: ExcitationSpec, welch: WelchParams | None = None,
     """Simulate the excitation and estimate all response-channel FRFs.
 
     ``band_hz`` restricts resonance peak hunting (defaults to the excited
-    band).  Runtime covers only the body-model integration.
+    band) by ``resonance_scan``'s rule; a channel without peaks keeps an
+    empty list.  ``runtime_s`` is ``simulate``'s own wall clock.
     """
     spec.validate()
     seat = generate_excitation(spec)
-    t0 = time.perf_counter()
     response = simulate(model, seat)
-    runtime = time.perf_counter() - t0
-
     welch = welch or default_welch_params(seat.n_samples, seat.dt)
     band = tuple(band_hz) if band_hz is not None else tuple(spec.band_hz)
-    drive_name = f"seat_acc_{spec.axis}"
-    drive = seat.channel(drive_name)
-
-    frfs, resonances = {}, {}
-    for name in channels:
-        frf = estimate_frf(drive, response.channel(name), seat.dt, welch,
-                           input_channel=drive_name, output_channel=name)
-        frfs[name] = frf
-        resonances[name] = detect_peaks(frf, band, min_prominence)
+    drive = f"seat_acc_{spec.axis}"
+    scan = resonance_scan(seat.channel(drive),
+                          [(name, response.channel(name)) for name in channels],
+                          seat.dt, welch, band, min_prominence, drive)
     return STHTResult(
-        axis=spec.axis, frfs=frfs, resonances=resonances, band_hz=band,
-        runtime_s=runtime,
-        meta={
-            "excitation": seat.meta,
-            "welch_segment_length": welch.segment_length,
-            "simulated_s": seat.duration,
-            "realtime_factor": response.meta["realtime_factor"],
-        },
-    )
+        axis=spec.axis, frfs={name: frf for name, (frf, _) in scan.items()},
+        resonances={name: peaks for name, (_, peaks) in scan.items()},
+        band_hz=band, runtime_s=response.meta["wall_clock_s"])
 
 
 def save_stht_result(result: STHTResult, out_dir) -> list:
     """One CSV per channel plus a resonance/metadata JSON; returns paths.
 
-    The wall clock ``runtime_s`` is left out, so repeat runs of one config
-    write the same bytes."""
+    The CSVs hold ``%.17g`` cells and end lines with CRLF.  The wall clock
+    ``runtime_s`` is left out, so repeat runs of one config write the same
+    bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name, frf in result.frfs.items():
         path = out / f"stht_{result.axis}_{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["freq_hz", "gain", "phase_deg", "coherence"])
-            for f, g, p, c in zip(frf.freqs, frf.gain, frf.phase_deg, frf.coherence):
-                writer.writerow([f"{f:.17g}", f"{g:.17g}", f"{p:.17g}", f"{c:.17g}"])
+        text = "freq_hz,gain,phase_deg,coherence\n" + _format_rows(
+            np.column_stack([frf.freqs, frf.gain, frf.phase_deg, frf.coherence]))
+        path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
         written.append(path)
     summary = {
         "axis": result.axis,

@@ -88,9 +88,10 @@ class TimeSeries:
                 f"{len(self.channels)} channels declared but samples have "
                 f"{samples.shape[1]} columns"
             )
-        bad = ~np.isfinite(samples)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(samples.sum())  # no whole-record mask
+        if not finite and (bad := np.argwhere(~np.isfinite(samples))).size:
+            row, col = bad[0]
             raise NonFiniteSample(self.channels[col][0], int(row))
         samples.setflags(write=False)
 

@@ -1,9 +1,15 @@
-"""Shared fixtures: small scenario configs that keep test runtime low."""
+"""Shared fixtures: small scenario configs that keep test runtime low, and
+the runs of the shipped scenarios that several test modules read."""
 
 import json
 import copy
+from pathlib import Path
 
 import pytest
+
+from ridecomfort.pipeline import parse_config, run_pipeline
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
 
 _ACCEPTANCE_LINES = []
 
@@ -67,3 +73,28 @@ def write_scenario(tmp_path):
         path.write_text(json.dumps(make_scenario(**tweaks)))
         return path
     return _write
+
+
+@pytest.fixture(scope="session")
+def default_runs(tmp_path_factory):
+    """Two runs of the shipped default scenario (realtime + determinism)."""
+    base = tmp_path_factory.mktemp("default_runs")
+    config = parse_config(EXAMPLES / "scenario_default.json")
+    dirs = (base / "r1", base / "r2")
+    for d in dirs:
+        run_pipeline(config, d)
+    return dirs
+
+
+@pytest.fixture(scope="session")
+def curved_runs(tmp_path_factory):
+    """Two vision-off runs plus one vision-on run of the curved scenario."""
+    base = tmp_path_factory.mktemp("curved_runs")
+    path = EXAMPLES / "scenario_curved.json"
+    off = parse_config(path, vision="off")
+    on = parse_config(path, vision="on")
+    dirs = {"off1": base / "off1", "off2": base / "off2", "on": base / "on"}
+    run_pipeline(off, dirs["off1"])
+    run_pipeline(off, dirs["off2"])
+    run_pipeline(on, dirs["on"])
+    return dirs

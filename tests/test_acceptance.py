@@ -2,13 +2,13 @@
 
 Each test prints its verdict on the real stdout so the lines survive
 pytest capture, then asserts. Expensive artifacts (pipeline runs, noise
-STHT sweeps) are shared through module-scoped fixtures.
+STHT sweeps) are shared through fixtures: the pipeline runs are session
+fixtures of conftest.py, which the artifact digest test reads too.
 """
 
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,15 +26,10 @@ from ridecomfort.excitation import ExcitationSpec
 from ridecomfort.perception import (
     ACC_CHANNELS, ANGLE_CHANNELS, GRAVITY, ROTVEL_CHANNELS, VestibularParams,
     VisionParams, perceive, scc_response)
-from ridecomfort.pipeline import parse_config, run_pipeline
 from ridecomfort.sickness import AccumulatorParams, accumulate
 from ridecomfort.spectral import WelchParams
 from ridecomfort.stht import run_stht
 from ridecomfort.timeseries import from_arrays
-
-EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
-DEFAULT_CONFIG = EXAMPLES / "scenario_default.json"
-CURVED_CONFIG = EXAMPLES / "scenario_curved.json"
 
 
 def _verdict(num, ok, text):
@@ -45,30 +40,6 @@ def _verdict(num, ok, text):
 
 
 # -- shared artifacts --------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def default_runs(tmp_path_factory):
-    """Two runs of the shipped default scenario (realtime + determinism)."""
-    base = tmp_path_factory.mktemp("default_runs")
-    config = parse_config(DEFAULT_CONFIG)
-    dirs = (base / "r1", base / "r2")
-    for d in dirs:
-        run_pipeline(config, d)
-    return dirs
-
-
-@pytest.fixture(scope="module")
-def curved_runs(tmp_path_factory):
-    """Two vision-off runs plus one vision-on run of the curved scenario."""
-    base = tmp_path_factory.mktemp("curved_runs")
-    off = parse_config(CURVED_CONFIG, vision="off")
-    on = parse_config(CURVED_CONFIG, vision="on")
-    dirs = {"off1": base / "off1", "off2": base / "off2", "on": base / "on"}
-    run_pipeline(off, dirs["off1"])
-    run_pipeline(off, dirs["off2"])
-    run_pipeline(on, dirs["on"])
-    return dirs
-
 
 @pytest.fixture(scope="module")
 def noise_stht():

@@ -18,7 +18,7 @@ from ridecomfort.excitation import generate_excitation
 from ridecomfort.perception import BODY_CHANNELS as PERCEPTION_CHANNELS
 from ridecomfort.pipeline import parse_config
 from ridecomfort.timeseries import load_timeseries, save_timeseries
-from conftest import make_scenario
+from conftest import EXAMPLES, make_scenario
 
 
 def _write(tmp_path, raw, name="scenario.json"):
@@ -328,6 +328,22 @@ def test_stht_subcommand_writes_frf_files(tiny_config, tmp_path):
                  "--axis", "z"]) == 0
     assert (out / "stht_z_resonances.json").exists()
     assert (out / "stht_z_head_acc_z.csv").exists()
+
+
+def test_a_band_past_nyquist_validates_and_runs(tmp_path, capsys):
+    """validate, stht and pipeline agree on a band reaching past the FRF
+    grid: each clamps it there (the shipped default, at 1 kHz)."""
+    raw = json.loads((EXAMPLES / "scenario_default.json").read_text())
+    raw["stht"] = {"band_hz": [1, 800]}
+    path = _write(tmp_path, raw)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"
+    for command in ("stht", "pipeline"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / command)]) == 0, capsys.readouterr().err
+    table = json.loads((tmp_path / "stht" / "stht_z_resonances.json").read_text())
+    assert table["band_hz"] == [1, 800]
+    assert sorted(table["resonances"]) == sorted(cli.RESPONSE_CHANNELS)
 
 
 def test_stht_rejects_csv_input(tmp_path):

@@ -22,10 +22,11 @@ from ridecomfort.errors import ConfigError
 from ridecomfort.excitation import ExcitationSpec
 from ridecomfort.perception import VestibularParams, VisionParams
 from ridecomfort.pipeline import (
-    _STAGE_FILES, build_config, parse_config, run_pipeline, validate_config)
+    _RESONANCE_CHANNELS, _STAGE_FILES, build_config, parse_config, run_pipeline,
+    validate_config)
 from ridecomfort.sickness import AccumulatorParams
 from ridecomfort.spectral import WelchParams
-from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions
+from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions, run_stht
 from ridecomfort.timeseries import count_samples
 from conftest import make_scenario
 
@@ -189,6 +190,25 @@ def test_quiet_input_reports_no_resonances(tmp_path):
     assert report.summary["head_rms_m_s2"] == {"x": 0.0, "y": 0.0, "z": 0.0}
     rms = report.summary["comfort"]["weighted_rms_m_s2"]
     assert all(v == 0.0 for v in rms.values())
+
+
+def test_pipeline_resonances_equal_run_stht(tmp_path):
+    """One peak rule: the run's resonance table is run_stht's for the same
+    axis, channels, band and Welch settings, channels without peaks left out."""
+    raw = make_scenario(stht={"band_hz": [0.5, 20.0], "min_prominence": 0.05,
+                              "welch": {"segment_length": 512}})
+    config = parse_config(_write(tmp_path, raw))
+    report = run_pipeline(config, tmp_path / "run")
+    table = json.loads((tmp_path / "run" / "resonances.json").read_text())
+    assert table == report.summary["resonances"]
+    assert table["axis_used"] == config.excitation.axis == "z"
+    result = run_stht(build_model(config.body, config.posture), config.excitation,
+                      welch=config.stht.welch, band_hz=config.stht.band_hz,
+                      min_prominence=config.stht.min_prominence,
+                      channels=_RESONANCE_CHANNELS)
+    assert table["peaks"] == {name: [list(p) for p in peaks]
+                              for name, peaks in result.resonances.items() if peaks}
+    assert table["peaks"] and len(table["peaks"]) < len(_RESONANCE_CHANNELS)
 
 
 def _csv_scenario(tmp_path, n_rows, welch=None):

@@ -7,7 +7,7 @@ import scipy.signal as sps
 from ridecomfort.errors import SegmentTooLong, TooFewSegments
 from ridecomfort.spectral import (
     ZERO_POWER_REL, FrequencyResponseFunction, Spectrum, WelchParams,
-    detect_peaks, estimate_frf, welch_spectrum)
+    detect_peaks, estimate_frf, resonance_scan, welch_spectrum)
 
 
 def test_welch_params_validation():
@@ -167,3 +167,61 @@ def test_detect_peaks_band_outside_grid():
     frf = _bump_frf()
     with pytest.raises(ValueError):
         detect_peaks(frf, (50.0, 80.0), min_prominence=0.1)
+
+
+# -- resonance_scan: the one FRF-and-peaks rule ------------------------------
+
+def _resonator(x, dt, f_n=3.0, zeta=0.1):
+    """x through a second-order resonance at f_n (peak gain about 5)."""
+    w = 2 * np.pi * f_n
+    b, a = sps.bilinear([w * w], [1.0, 2 * zeta * w, w * w], fs=1 / dt)
+    return sps.lfilter(b, a, x)
+
+
+def test_resonance_scan_is_estimate_frf_plus_detect_peaks():
+    dt, params = 0.01, WelchParams(1024)
+    x = np.random.default_rng(5).standard_normal(20_000)
+    responses = [("a", _resonator(x, dt)), ("b", _resonator(x, dt, f_n=6.0))]
+    scan = resonance_scan(x, responses, dt, params, (0.5, 10.0), 0.1, "drive")
+    assert list(scan) == ["a", "b"]
+    for name, y in responses:
+        frf, peaks = scan[name]
+        ref = estimate_frf(x, y, dt, params, input_channel="drive", output_channel=name)
+        for field in ("freqs", "response", "coherence", "valid"):
+            assert np.array_equal(getattr(frf, field), getattr(ref, field))
+        assert (frf.input_channel, frf.output_channel) == ("drive", name)
+        assert peaks == detect_peaks(ref, (0.5, 10.0), 0.1)
+        assert peaks
+    assert scan["a"][1][0][0] == pytest.approx(3.0, abs=0.1)
+
+
+def test_resonance_scan_clamps_a_band_past_nyquist():
+    dt, params = 0.01, WelchParams(1024)
+    x = np.random.default_rng(6).standard_normal(20_000)
+    y = _resonator(x, dt)
+    frf = estimate_frf(x, y, dt, params)
+    with pytest.raises(ValueError, match="outside FRF grid"):
+        detect_peaks(frf, (0.5, 80.0), 0.1)  # Nyquist is 50 Hz
+    peaks = resonance_scan(x, [("y", y)], dt, params, (0.5, 80.0), 0.1)["y"][1]
+    assert peaks == detect_peaks(frf, (0.5, float(frf.freqs[-1])), 0.1)
+    assert peaks[0][0] == pytest.approx(3.0, abs=0.1)
+    # wholly past Nyquist, the clamped band is empty
+    assert resonance_scan(x, [("y", y)], dt, params, (60.0, 80.0), 0.1)["y"][1] == []
+
+
+def test_resonance_scan_skips_an_under_excited_band():
+    # sines on whole bins 2..20 of a 256-sample segment: every Hann-windowed
+    # segment holds them exactly, so input power vanishes above bin 21
+    dt, params = 0.01, WelchParams(256)
+    n = np.arange(25_600)
+    x = sum(np.sin(2 * np.pi * k * n / 256 + k) for k in range(2, 21))
+    y = _resonator(x, dt)
+    frf = estimate_frf(x, y, dt, params)
+    band = (0.5, 25.0)
+    in_band = frf.band(*band)
+    assert 0 < np.count_nonzero(frf.valid & in_band) < 0.5 * np.count_nonzero(in_band)
+    assert detect_peaks(frf, band, 0.1)  # the valid bins alone show the peak
+    assert resonance_scan(x, [("y", y)], dt, params, band, 0.1)["y"][1] == []
+    # the excited bins alone are a usable band
+    assert resonance_scan(x, [("y", y)], dt, params, (0.5, 7.0), 0.1)["y"][1] == \
+        detect_peaks(frf, (0.5, 7.0), 0.1)

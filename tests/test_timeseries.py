@@ -55,6 +55,17 @@ def test_from_arrays_rejects_bad_input():
         from_arrays(0.01, np.array([[0.0], [np.nan]]), [("a", "1")])
 
 
+def test_finite_values_whose_sum_overflows_are_accepted():
+    big = from_arrays(0.01, np.array([[1e308], [1e308]]), [("a", "1")])
+    assert big.samples[1, 0] == 1e308
+    samples = np.full((5, 3), 1e308)
+    samples[3, 2] = -np.inf
+    samples[4, 1] = np.nan
+    with pytest.raises(NonFiniteSample) as info:
+        from_arrays(0.01, samples, [("a", "1"), ("b", "1"), ("c", "1")])
+    assert (info.value.channel, info.value.row) == ("c", 3)
+
+
 def test_select_preserves_order_and_units():
     ts = _demo()
     sel = ts.select(["acc_y"])
