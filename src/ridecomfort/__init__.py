@@ -11,7 +11,8 @@ Core pieces:
 - perception: vestibular dynamics, subjective vertical and sensory conflict.
 - sickness: conflict-driven accumulation to a motion-sickness index.
 - comfort: frequency-weighted ride metrics.
-- pipeline / cli: end-to-end scenario runs with on-disk artifacts.
+- pipeline / cli: end-to-end scenario runs with on-disk artifacts, and the
+  chain that runs a scenario a few seat rows at a time.
 """
 
 from ridecomfort.errors import (
@@ -74,10 +75,12 @@ from ridecomfort.perception import (
     internal_expectation,
     conflict,
     perceive,
+    PerceptionState,
 )
 from ridecomfort.sickness import (
     AccumulatorParams,
     SicknessSummary,
+    AccumulatorState,
     accumulate,
     summarize,
 )
@@ -93,6 +96,7 @@ from ridecomfort.comfort import (
 from ridecomfort.pipeline import (
     ScenarioConfig,
     RunReport,
+    Chain,
     validate_config,
     parse_config,
     run_pipeline,

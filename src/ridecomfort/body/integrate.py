@@ -26,12 +26,15 @@ difference of two, so the block product adds only exact zeros and rounds
 like the per-row one.  Blocks hold at most ``_CHECK_EVERY`` steps, and a
 model without delayed taps takes blocks of that size.
 
-``simulate`` runs that loop and the output evaluation over chunks of at
-most ``_CHUNK_ROWS`` steps, carrying a ``BodyState`` from one chunk to the
-next, so the trajectory and delay records it holds at a time are one
-chunk's, whatever the record's length.  Each output row is a product of its
-own trajectory, delayed and input rows, so chunking changes no output bit
-(the tests compare it with one pass over the whole record).
+One core, ``_run``, runs that loop and the output evaluation over chunks
+of at most ``_CHUNK_ROWS`` steps, carrying a ``BodyState`` from one chunk
+to the next, so the trajectory and delay records it holds at a time are
+one chunk's, whatever the record's length.  Each output row is a product
+of its own trajectory, delayed and input rows, so chunking changes no
+output bit (the tests compare it with one pass over the whole record).
+``simulate`` runs it on a record and ``step`` on the two rows of one
+step; a record that continues another starts from the ``BodyState`` that
+``simulate`` leaves in its result's ``meta["final_state"]``.
 """
 
 from __future__ import annotations
@@ -251,8 +254,8 @@ def _advance(model, kernel: _StepKernel, state: BodyState, A, t0: float,
 
     if not np.isfinite(Z).all():
         rows, cols = np.nonzero(~np.isfinite(Z))
-        raise NonFiniteState(t0 + (first_row + rows[0]) * kernel.dt,
-                             model.coords[cols[0] % kernel.n])
+        row = first_row + int(rows[0])
+        raise NonFiniteState(t0 + row * kernel.dt, model.coords[cols[0] % kernel.n], row)
     return Z, S
 
 
@@ -266,6 +269,26 @@ def _outputs(model, kernel: _StepKernel, Z, S, A):
     return model.outputs.evaluate(Q, Qd, QDD, A)
 
 
+def _run(model, kernel: _StepKernel, state: BodyState, A, t0: float, Y) -> BodyState:
+    """Step from ``state``, the state at row 0 of ``A``, across the rest of
+    ``A``'s rows, writing each row's outputs to ``Y``; returns the state at
+    the last row.  Chunk c steps from row c0 to row c1 and evaluates the
+    outputs of rows c0..c1; the next chunk starts from the state at row c1.
+    A ``NonFiniteState`` is dated at its row of a record starting at ``t0``.
+    """
+    n, dt = kernel.n, kernel.dt
+    for c0 in range(0, max(len(A) - 1, 1), _CHUNK_ROWS):
+        c1 = min(c0 + _CHUNK_ROWS, len(A) - 1)
+        rows = A[c0:c1 + 1]
+        Z, S = _advance(model, kernel, state, rows, t0, c0)
+        Y[c0:c1 + 1] = _outputs(model, kernel, Z, S, rows)
+        state = BodyState(q=Z[-1, :n], qd=Z[-1, n:], kernel_dt=dt,
+                          time=state.time + (c1 - c0) * dt,
+                          step_count=state.step_count + c1 - c0,
+                          history=[s[-tap.N - 1:-1] for s, tap in zip(S, kernel.taps)])
+    return state
+
+
 def step(model, state: BodyState, seat_accel, dt: float, seat_accel_next=None):
     """Advance one step; returns the state and head kinematics at the new time.
 
@@ -277,15 +300,12 @@ def step(model, state: BodyState, seat_accel, dt: float, seat_accel_next=None):
     kernel = _get_kernel(model, dt)
     a1 = seat_accel if seat_accel_next is None else seat_accel_next
     A = np.array([seat_accel, a1], dtype=float)
+    Y = np.empty((2, len(model.outputs.names)))
+    new = _run(model, kernel, state, A, state.time, Y)
+    state.q, state.qd, state.history = new.q, new.qd, new.history
+    state.time, state.step_count = new.time, new.step_count
 
-    Z, S = _advance(model, kernel, state, A, state.time)
-    y = _outputs(model, kernel, Z, S, A)[-1]
-    state.q, state.qd = Z[-1, :kernel.n], Z[-1, kernel.n:]
-    state.history = [s[1:-1] for s in S]
-    state.time += dt
-    state.step_count += 1
-
-    head = y[kernel.head_rows]
+    head = Y[-1, kernel.head_rows]
     return state, {"acc": head[:3], "rotvel": head[3:6], "angle": head[6:]}
 
 
@@ -296,9 +316,10 @@ def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = N
     Returns the body response sampled on the input grid: segment
     accelerations, trunk/head rotational velocities and joint/head angles.
     Without ``initial_state`` the model starts at rest with a quiescent
-    delay history; with one (from ``create_state`` or ``step``, for the
-    record's dt) it resumes from its coordinates and delay history, and the
-    state passed in is left unchanged.
+    delay history; with one (from ``create_state``, ``step`` or an earlier
+    result's ``meta["final_state"]``, for the record's dt) it resumes from
+    its coordinates and delay history, and the state passed in is left
+    unchanged.  ``meta["final_state"]`` is the state at the last row.
     """
     A = seat_motion.select(SEAT_INPUT_CHANNELS).samples
     dt, t0 = seat_motion.dt, seat_motion.start_time
@@ -306,17 +327,9 @@ def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = N
     state = create_state(model, dt) if initial_state is None else initial_state
     _check_dt(state, dt)
 
-    # chunk c steps from row c0 to row c1 and evaluates the outputs of rows
-    # c0..c1; the next chunk starts from the state at row c1
     Y = np.empty((len(A), len(model.outputs.names)))
     t_begin = _time.perf_counter()
-    for c0 in range(0, max(len(A) - 1, 1), _CHUNK_ROWS):
-        c1 = min(c0 + _CHUNK_ROWS, len(A) - 1)
-        rows = A[c0:c1 + 1]
-        Z, S = _advance(model, kernel, state, rows, t0, c0)
-        Y[c0:c1 + 1] = _outputs(model, kernel, Z, S, rows)
-        state = BodyState(q=Z[-1, :kernel.n], qd=Z[-1, kernel.n:], kernel_dt=dt,
-                          history=[s[-tap.N - 1:-1] for s, tap in zip(S, kernel.taps)])
+    final = _run(model, kernel, state, A, t0, Y)
     wall = _time.perf_counter() - t_begin
 
     meta = dict(seat_motion.meta)
@@ -325,6 +338,7 @@ def simulate(model, seat_motion: TimeSeries, initial_state: BodyState | None = N
         "realtime_factor": seat_motion.duration / wall if wall > 0 else float("inf"),
         "solver": "rk4",
         "dt_s": dt,
+        "final_state": final,
     })
     return TimeSeries(
         start_time=t0, dt=dt,

@@ -82,9 +82,12 @@ class NoEquilibrium(RideComfortError):
 
 
 class NonFiniteState(RideComfortError):
-    def __init__(self, time, coordinate):
+    """``row``: the row of the simulated record where it happened, if known."""
+
+    def __init__(self, time, coordinate, row=None):
         self.time = time
         self.coordinate = coordinate
+        self.row = row
         super().__init__(
             f"state diverged: non-finite value in coordinate {coordinate!r} "
             f"at t = {time:.6g} s"

@@ -12,15 +12,19 @@ so a resting otolith reads (0, 0, -g) and the sensed vertical is the
 negated, normalized specific force.
 
 ``perceive`` runs the chain over chunks of at most ``_CHUNK_ROWS`` rows,
-filling one preallocated perceived and one conflict array, and carries
-the canal filter states, the subjective vertical and the vision delay's
-tail from one chunk to the next, so beyond its outputs it holds one
-chunk's work, with the same bits as one pass.  Each component function
-is that core's code run on a whole record.
+filling one preallocated perceived and one conflict array, and carries a
+``PerceptionState`` (the canal filter states, the subjective vertical
+with its degenerate count, and the vision delay's tail) from one chunk to
+the next, so beyond its outputs it holds one chunk's work, with the same
+bits as one pass.  Given that state, a call continues where the call on
+the rows before it stopped, so a record perceived a few rows at a time
+gives the bits of one call on all of it.  Each component function is the
+core's code run on a whole record.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -90,6 +94,22 @@ class VestibularParams:
         self.vision.validate()
 
 
+@dataclass
+class PerceptionState:
+    """What ``perceive`` carries from a record's last row to the next row.
+
+    ``zi`` holds the canal filter states per axis (None before the first
+    row), ``vertical`` the subjective vertical, ``degenerate`` the rows so
+    far whose specific force gave no direction, and ``tail`` the true
+    vertical of the last vision-delay rows (None before the first row).
+    """
+
+    zi: np.ndarray | None = None
+    vertical: tuple = (0.0, 0.0, 1.0)
+    degenerate: int = 0
+    tail: np.ndarray | None = field(default=None, repr=False)
+
+
 def _columns(ts: TimeSeries, names) -> np.ndarray:
     return ts.samples[:, [ts.index(n) for n in names]]
 
@@ -100,7 +120,18 @@ def _canal_filter(dt: float, params: VestibularParams):
     if dt > t2:
         warnings.warn(f"dt={dt} s undersamples the canal fast pole (tau2={t2} s)",
                       RuntimeWarning, stacklevel=3)
-    return sps.bilinear([t1, 0.0], [t1 * t2, t1 + t2, 1.0], fs=1.0 / dt)
+    return _bilinear_canal(dt, t1, t2)
+
+
+@functools.lru_cache(maxsize=64)
+def _bilinear_canal(dt, t1, t2):
+    """The canal filter's coefficients, designed once per step and time
+    constants: a record perceived a few rows at a time asks for them at
+    every call."""
+    coefficients = sps.bilinear([t1, 0.0], [t1 * t2, t1 + t2, 1.0], fs=1.0 / dt)
+    for c in coefficients:  # shared by every caller
+        c.setflags(write=False)
+    return coefficients
 
 
 def _canal_rows(b, a, rotvel, zi, out) -> None:
@@ -259,44 +290,48 @@ def conflict(sensed_vert: TimeSeries, expected_vert: TimeSeries) -> TimeSeries:
                        meta=dict(sensed_vert.meta))
 
 
-def perceive(body_response: TimeSeries, params: VestibularParams) -> tuple:
+def perceive(body_response: TimeSeries, params: VestibularParams, *,
+             state: PerceptionState | None = None) -> tuple:
     """Full perception chain on a body-response record.
 
     Returns (perceived, conflict): the perceived record bundles sensed
     rotational velocity, sensed specific force, sensed vertical and
-    expected vertical.
+    expected vertical.  A ``state`` left by the call on the rows before
+    this record is continued from and advanced to its last row; without
+    one the chain starts at rest, upright.  ``meta["degenerate_samples"]``
+    counts from the state's first row.
     """
     params.validate()
+    state = PerceptionState() if state is None else state
     n, dt, t0 = body_response.n_samples, body_response.dt, body_response.start_time
     b, a = _canal_filter(dt, params)
     lag = _vision_lag(params.vision, dt)
     cols = [body_response.index(name) for name in BODY_CHANNELS]
     perceived = np.empty((n, len(PERCEIVED_CHANNELS)))
     c = np.empty((n, 1))
-    # carried from one chunk to the next: canal filter states, subjective
-    # vertical and degenerate count, true vertical of the last `lag` rows
-    zi = np.zeros((3, len(a) - 1))
-    vertical, degenerate, tail = (0.0, 0.0, 1.0), 0, None
+    if state.zi is None:
+        state.zi = np.zeros((3, len(a) - 1))
     for c0 in range(0, n, _CHUNK_ROWS):
         rows = body_response.samples[c0:c0 + _CHUNK_ROWS, cols]
         out = perceived[c0:c0 + _CHUNK_ROWS]
-        _canal_rows(b, a, rows[:, 0:3], zi, out[:, 0:3])
+        _canal_rows(b, a, rows[:, 0:3], state.zi, out[:, 0:3])
         _specific_force_rows(rows[:, 3:6], rows[:, 6:8], params.otolith_gain, out[:, 3:6])
         start = t0 + c0 * dt
         try:
             v = subjective_vertical(TimeSeries(start, dt, SENSED_SF, out[:, 3:6]),
                                     TimeSeries(start, dt, SENSED_ROTVEL, out[:, 0:3]),
-                                    params, vertical=vertical)
+                                    params, vertical=state.vertical)
         except NonFiniteSample as e:
             # the chunk counts rows from its own start
             raise NonFiniteSample(e.channel, c0 + e.row) from None
         out[:, 6:9] = v.samples
-        vertical = tuple(v.samples[-1].tolist())
-        degenerate += v.meta["degenerate_samples"]
-        tail = _expected_rows(rows[:, 6:8], params.vision, lag, tail, out[:, 9:12])
+        state.vertical = tuple(v.samples[-1].tolist())
+        state.degenerate += v.meta["degenerate_samples"]
+        state.tail = _expected_rows(rows[:, 6:8], params.vision, lag, state.tail,
+                                    out[:, 9:12])
         _conflict_rows(out[:, 6:9], out[:, 9:12], c[c0:c0 + _CHUNK_ROWS])
     return (TimeSeries(t0, dt, PERCEIVED_CHANNELS, perceived,
-                       meta={"degenerate_samples": degenerate,
+                       meta={"degenerate_samples": state.degenerate,
                              "vision": params.vision.enabled}),
             TimeSeries(t0, dt, (("conflict", "m/s^2"),), c,
-                       meta={"degenerate_samples": degenerate}))
+                       meta={"degenerate_samples": state.degenerate}))

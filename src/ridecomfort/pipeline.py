@@ -2,22 +2,28 @@
 
 A scenario JSON file describes the seat-motion input, the body model and
 posture, perception and accumulation parameters, and metric selection.
-``STAGES`` declares what each stage reads and writes.  A ``stage_<name>``
-function only computes: ``run_stages`` writes each record it returns under
-the file name ``STAGES`` gives it, a trace as CSV and anything else as
-JSON, and ``stage_errors`` makes any failure a StageError of one stage.
-``run_pipeline`` runs all five stages in order (input, body, perception,
-sickness, metrics), as stage commands run some, through ``run_stages``,
-and writes a deterministic ``report.json`` (the manifest, the
-summary, and each trace's sample rows, dt and sha256) plus a volatile
-``timing.json`` holding wall clocks (each stage's total, the part of it
-spent writing artifacts, and the wait at the end for traces still being
-written), realtime factors and peak memory.  Keeping timing out of the
-report makes two runs of the same scenario byte-identical.
+``STAGES`` declares what each stage reads and writes.  ``run_stages``
+runs stages as one ``Chain``, fed the trace its first stage reads a chunk
+of rows at a time: the body, perception and sickness stages each open a
+core that advances by a push of rows with the state it carries, and each
+push hands every trace's rows to the trace writer under the file name
+``STAGES`` gives it.  At close the chain computes what needs whole
+records (the resonances, the sickness summary and the comfort report) and
+writes them as JSON; ``stage_errors`` makes any failure a StageError of
+one stage.  ``run_pipeline`` runs all five stages in order (input, body,
+perception, sickness, metrics), as stage commands run some, through
+``run_stages``, and writes a deterministic ``report.json`` (the manifest,
+the summary, and each trace's sample rows, dt and sha256) plus a volatile
+``timing.json`` holding wall clocks (each stage's total and the part of
+it spent writing artifacts, summed over pushes, and the wait at the end
+for traces still being written), realtime factors and peak memory.
+Keeping timing out of the report makes two runs of the same scenario
+byte-identical.
 
-A ``run_stages`` call is one write-behind scope: a trace save returns once
-its rows are handed to the writer's worker processes, so they are formatted
-while later stages compute.
+A ``run_stages`` call is one write-behind scope: a push returns once its
+rows are handed to the writer's worker processes, so they are formatted
+while later pushes compute, and a run holds a few chunks of rows rather
+than whole body, perceived and conflict records.
 
 The config reader is derived from the parameter dataclasses: each key's
 type is its field's annotation and each omitted key takes the field's
@@ -41,17 +47,20 @@ import numpy as np
 from .body import BodyParams, PostureConfig, build_model
 from .body.integrate import simulate
 from .comfort import BODY_CHANNELS as _COMFORT_CHANNELS, comfort_report
-from .errors import ConfigError, IoError, RideComfortError, StageError
+from .errors import (
+    ConfigError, IoError, NonFiniteSample, NonFiniteState, RideComfortError, StageError)
 from .excitation import SEAT_CHANNELS, ExcitationSpec, generate_excitation
 from .perception import BODY_CHANNELS as _PERCEPTION_CHANNELS
-from .perception import VestibularParams, perceive
-from .sickness import AccumulatorParams, accumulate, summarize
-# not called here: benchmarks/spans.py getattr-wraps both names on this module
-from .spectral import detect_peaks, estimate_frf, resonance_scan  # noqa: F401
+from .perception import PerceptionState, VestibularParams, perceive
+from .sickness import AccumulatorParams, AccumulatorState, accumulate, summarize
+from .spectral import resonance_scan
 from .stht import STHTOptions, default_welch_params
 from .timeseries import (
-    TimeSeries, _FileError, _write_behind, count_samples, load_timeseries,
-    save_json, save_timeseries)
+    _BLOCK_ROWS, TimeSeries, _FileError, _write_behind, count_samples, load_timeseries,
+    save_json, trace_header)
+# not called here: benchmarks/spans.py getattr-wraps these names on this module
+from .spectral import detect_peaks, estimate_frf  # noqa: F401
+from .timeseries import save_timeseries  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -64,11 +73,11 @@ _DEFAULT_RESONANCE_BAND = (0.5, 10.0)
 _QUIET_INPUT_RMS = 1e-10
 
 # Longest synthetic input in samples: 10 000 s at 1 kHz, 111 times the
-# 90 001 samples of scenario_curved.  The body response alone holds 24
-# float64 channels per sample (about 1.9 GB at the cap), and the peak RSS of
-# a `pipeline` run grows by about 360 B per sample (scenario_default at 20 s
-# against 200 s, 2-core Linux; about 3.6 GB at the cap), so a typo such as
-# duration_s: 1e12 is refused before anything is allocated.
+# 90 001 samples of scenario_curved.  A `pipeline` run streams the body,
+# perception and sickness records a chunk at a time, and its peak RSS grows
+# by about 113 B per sample (scenario_default at 20 s against 200 s, 2-core
+# Linux; about 1.1 GB at the cap), so a typo such as duration_s: 1e12 is
+# refused before anything is allocated.
 MAX_INPUT_SAMPLES = 10_000_000
 
 
@@ -431,6 +440,19 @@ def stage_errors(stage):
         raise StageError(stage, exc) from exc
 
 
+@contextlib.contextmanager
+def _rows_from(first, t0, dt):
+    """Errors of a call on the rows of a record from its row ``first`` on,
+    numbered (and a diverged state dated) in that record, from ``t0``."""
+    try:
+        yield
+    except NonFiniteSample as exc:
+        raise NonFiniteSample(exc.channel, first + exc.row) from None
+    except NonFiniteState as exc:
+        row = first + exc.row
+        raise NonFiniteState(t0 + row * dt, exc.coordinate, row) from None
+
+
 def stage_input(config):
     """The seat motion, generated or loaded and normalized."""
     if config.input_kind == "excitation":
@@ -461,20 +483,112 @@ def _resonance_scan(config, seat, body):
     return {"axis_used": axis, "band_hz": list(band), "peaks": peaks}
 
 
-def stage_body(config, seat):
-    """The seated-body response and its resonances."""
-    model = build_model(config.body, config.posture)
-    body = simulate(model, seat)
-    return body, _resonance_scan(config, seat, body)
+# A core is one stage run a push at a time: ``push(rows, first)`` takes the
+# rows of the trace the stage reads, from row ``first`` of that record on,
+# and returns the rows of each trace the stage writes, in STAGES order;
+# ``close(whole, grid)`` returns the records it keeps whole and its JSON
+# records, by file name.  ``whole`` holds the records kept whole so far
+# and ``grid`` is an empty-channel record on the run's grid.
+
+class _Body:
+    """The body stage: seat rows in, body-response rows out.
+
+    A push runs ``simulate`` from the ``BodyState`` at the last seat row of
+    the push before, on that row and the new ones, and drops the row given
+    already.  It keeps the six resonance channels whole (48 B per sample)
+    for the scan at close; they hold the head accelerations, the only body
+    channels comfort and the run summary read.
+    """
+
+    def __init__(self, config, rows):
+        self.config = config
+        self.model = build_model(config.body, config.posture)
+        self.state = self.last = None  # the BodyState at the last seat row, and that row
+        self.kept = np.empty((rows, len(_RESONANCE_CHANNELS)))
+        self.channels = self.t0 = None
+        self.wall = 0.0  # spent in simulate
+
+    def push(self, seat, first):
+        start, lead = seat.start_time, int(self.state is not None)
+        if lead:
+            seat = TimeSeries(start - seat.dt, seat.dt, seat.channels,
+                              np.vstack([self.last, seat.samples]))
+        else:
+            self.t0 = start
+        with _rows_from(first - lead, self.t0, seat.dt):
+            body = simulate(self.model, seat, initial_state=self.state)
+        self.state, self.last = body.meta["final_state"], seat.samples[-1:].copy()
+        self.wall += body.meta["wall_clock_s"]
+        if self.channels is None:
+            self.channels = body.channels
+            self.cols = [body.index(name) for name in _RESONANCE_CHANNELS]
+        rows = body.samples[lead:]
+        self.kept[first:first + len(rows)] = rows[:, self.cols]
+        return (TimeSeries(start, body.dt, body.channels, rows),)
+
+    def close(self, whole, grid):
+        body = TimeSeries(grid.start_time, grid.dt, [self.channels[i] for i in self.cols],
+                          self.kept[:grid.n_samples],
+                          meta={"realtime_factor": grid.duration / self.wall
+                                if self.wall > 0 else float("inf")})
+        return {"body_response.csv": body,
+                "resonances.json": _resonance_scan(self.config, whole["seat_motion.csv"],
+                                                   body)}
 
 
-def stage_perception(config, body):
-    return perceive(body, config.perception)
+class _Perception:
+    """The perception stage: body-response rows in, perceived and conflict
+    rows out, with its ``PerceptionState`` carried from push to push."""
+
+    def __init__(self, config, rows):
+        self.params = config.perception
+        self.state = PerceptionState()
+
+    def push(self, body, first):
+        with _rows_from(first, body.start_time, body.dt):
+            return perceive(body, self.params, state=self.state)
+
+    def close(self, whole, grid):
+        return {}
 
 
-def stage_sickness(config, conflict):
-    trace = accumulate(conflict, config.accumulator)
-    return trace, summarize(trace, config.accumulator.threshold_percent)
+class _Sickness:
+    """The sickness stage: conflict rows in, MSI rows out, with its
+    ``AccumulatorState`` carried from push to push.  It keeps the MSI trace
+    whole (8 B per sample) for ``summarize`` at close."""
+
+    def __init__(self, config, rows):
+        self.params = config.accumulator
+        self.state = AccumulatorState()
+        self.msi = np.empty((rows, 1))
+
+    def push(self, conflict, first):
+        with _rows_from(first, conflict.start_time, conflict.dt):
+            trace = accumulate(conflict, self.params, state=self.state)
+        self.msi[first:first + trace.n_samples] = trace.samples
+        self.channels = trace.channels
+        return (trace,)
+
+    def close(self, whole, grid):
+        trace = TimeSeries(grid.start_time, grid.dt, self.channels,
+                           self.msi[:grid.n_samples])
+        return {"sickness.csv": trace,
+                "sickness_summary.json": summarize(trace, self.params.threshold_percent)}
+
+
+def stage_body(config, rows):
+    """Open the body core for a record of at most ``rows`` seat rows."""
+    return _Body(config, rows)
+
+
+def stage_perception(config, rows):
+    """Open the perception core for a record of at most ``rows`` rows."""
+    return _Perception(config, rows)
+
+
+def stage_sickness(config, rows):
+    """Open the sickness core for a record of at most ``rows`` rows."""
+    return _Sickness(config, rows)
 
 
 def stage_metrics(config, seat, body):
@@ -483,10 +597,10 @@ def stage_metrics(config, seat, body):
 
 
 class Stage(typing.NamedTuple):
-    """What ``stage_<name>`` reads after its config, and what it returns."""
+    """What a stage reads and what it writes."""
 
     reads: tuple   # (trace file, the channels it uses or None for all), in order
-    writes: tuple  # files, in the order the stage function returns their records
+    writes: tuple  # its files, traces first, in the order it makes them
 
 
 STAGES = {
@@ -501,44 +615,230 @@ STAGES = {
                       ("body_response.csv", _COMFORT_CHANNELS)), ("comfort.json",)),
 }
 _STAGE_FILES = {stage: spec.writes for stage, spec in STAGES.items()}
+# the stages run by a core, a push at a time; each reads one trace
+_STREAMED = ("body", "perception", "sickness")
+# rows per push of run_stages: one block of the trace writer
+_CHUNK_ROWS = _BLOCK_ROWS
+
+
+def _traces(stage):
+    return tuple(name for name in STAGES[stage].writes if name.endswith(".csv"))
+
+
+class Chain:
+    """The stages of a run, fed the rows of their first trace a push at a time.
+
+    ``Chain(config, rows, stages, out, seat)`` runs ``stages`` (names in
+    STAGES, in order) on a record of at most ``rows`` rows.  ``push(rows)``
+    takes the next rows of the trace the first stage reads, as a TimeSeries
+    (seat rows for a chain from ``input`` or ``body``), advances the body,
+    perception and sickness cores by them with the state each carries, and
+    returns every trace's rows for those samples by file name; with an
+    output directory ``out``, it also hands each trace's rows to the trace
+    writer, in the thread's write-behind scope or in one that ``close``
+    ends.  ``close(load)`` computes what needs whole records (the
+    resonances, the sickness summary and the comfort report), writes them
+    as JSON to ``out``, and returns every record by file name: each JSON
+    record, and each trace as a TimeSeries of the channels kept whole.
+    Those are the seat (when the chain is fed seat rows), the six resonance
+    channels of the body response and the MSI trace; the perceived and
+    conflict records keep only their grid.  A caller that holds the whole
+    seat record passes it as ``seat`` and pushes its rows: the chain then
+    keeps that record rather than a copy of them.  ``load(file, channels)``
+    gives the whole traces the metrics stage reads that the chain does not
+    keep.
+
+    A stage that fails stops, and so does every stage after it, and their
+    files are removed; the stages before it run on, so their files
+    complete.  ``error`` is the first failure, a StageError, which
+    ``close`` raises.  ``wall`` and ``write`` hold each stage's time and
+    the part of it spent writing, summed over pushes and close; ``wait``
+    the wait at close for trace rows still being written.
+    """
+
+    def __init__(self, config, rows, stages=("body", "perception", "sickness", "metrics"),
+                 out=None, seat=None):
+        self.config, self.rows, self.stages = config, rows, tuple(stages)
+        self.out = None if out is None else Path(out)
+        self.wall = dict.fromkeys(self.stages, 0.0)
+        self.write = dict.fromkeys(self.stages, 0.0)
+        self.wait, self.error = 0.0, None
+        self.live = len(self.stages)  # stages[:live] still run
+        self.n = 0  # rows pushed
+        self.grid = None  # (start_time, dt) of the first push
+        # the seat rows, kept whole: (samples, channels) of the record given
+        # or of a copy made as rows are pushed
+        self.seat = None if seat is None else (seat.samples, seat.channels)
+        self.copy_seat = seat is None
+        self.saves, self.json = {}, []  # trace file -> its save; JSON files written
+        self._exit = contextlib.ExitStack()
+        self.scope = None if out is None else self._exit.enter_context(_write_behind())
+        # fed seat rows, or the trace its first stage reads
+        self.head = "seat_motion.csv" if self.stages[0] in ("input", "body") else \
+            STAGES[self.stages[0]].reads[0][0]
+        self.cores = {}
+        try:
+            for stage in self.stages:
+                if stage in _STREAMED:
+                    with self._stage(stage):
+                        # looked up at each call: a replaced stage function is the one run
+                        self.cores[stage] = globals()[f"stage_{stage}"](config, rows)
+        except BaseException:
+            self._exit.close()
+            raise
+
+    @contextlib.contextmanager
+    def _stage(self, stage):
+        """Run the block as ``stage``, whose failure stops it and the stages
+        after it; a failure blamed on an earlier stage's file (a dead writer)
+        stops that stage too."""
+        try:
+            with stage_errors(stage):
+                yield
+        except StageError as exc:
+            self.error = self.error or exc
+            first = min(self.stages.index(stage), self.stages.index(exc.stage)
+                        if exc.stage in self.stages else 0)
+            for dead in self.stages[first:self.live]:
+                for name in STAGES[dead].writes:
+                    if name in self.saves:
+                        self.scope.discard(self.saves.pop(name))
+                    elif name in self.json:
+                        (self.out / name).unlink(missing_ok=True)
+            self.live = min(self.live, first)
+
+    def push(self, rows):
+        """Advance the stages still running by ``rows``; returns the rows of
+        each trace they write, by file name."""
+        first, m = self.n, rows.n_samples
+        if first + m > self.rows:
+            raise ValueError(f"{first + m} rows pushed to a chain of {self.rows}")
+        if self.grid is None:
+            self.grid = (rows.start_time, rows.dt)
+            if self.head == "seat_motion.csv" and self.copy_seat:
+                self.seat = (np.empty((self.rows, rows.samples.shape[1])), rows.channels)
+        elif rows.dt != self.grid[1]:
+            raise ValueError(f"rows at dt={rows.dt}, the chain at dt={self.grid[1]}")
+        if self.seat is not None:  # kept whole; the writer reads these rows
+            kept = self.seat[0][first:first + m]
+            if self.copy_seat:
+                kept[:] = rows.samples
+            rows = TimeSeries(rows.start_time, rows.dt, rows.channels, kept)
+        traces = {self.head: rows}
+        for i, stage in enumerate(self.stages):
+            if i >= self.live:
+                break
+            t = time.perf_counter()
+            if stage in self.cores:
+                with self._stage(stage):
+                    fed = traces[STAGES[stage].reads[0][0]]
+                    traces.update(zip(_traces(stage), self.cores[stage].push(fed, first)))
+            t_write = time.perf_counter()
+            if self.out is not None:
+                for name in _traces(stage):
+                    if i < self.live:
+                        with self._stage(stage):
+                            self._append(name, traces[name], first)
+            done = time.perf_counter()
+            self.wall[stage] += done - t
+            self.write[stage] += done - t_write
+        self.n += m
+        return {name: traces[name] for stage in self.stages[:self.live]
+                for name in _traces(stage)}
+
+    def _append(self, name, ts, first):
+        if name not in self.saves:
+            self.saves[name] = self.scope.open(self.out / name, trace_header(ts.channels),
+                                               self.rows)
+        self.scope.append(self.saves[name], ts.samples, *self.grid, first)
+
+    def close(self, load=None):
+        """Finish the stages still running and write their JSON records;
+        returns every record by file name, or raises the first failure."""
+        try:
+            records = self._close(load)
+        finally:
+            self._exit.close()
+        if self.error is not None:
+            raise self.error
+        return records
+
+    def _close(self, load):
+        if self.cores and not self.n:
+            raise ValueError("the chain was closed before any push")
+        for name, save in list(self.saves.items()):  # no rows follow
+            with self._stage(next(s for s in self.stages if name in STAGES[s].writes)):
+                self.scope.done(save)
+        whole, grid = {}, None
+        if self.n:
+            grid = TimeSeries(*self.grid, (), np.empty((self.n, 0)))
+        if self.seat is not None:
+            whole[self.head] = TimeSeries(*self.grid, self.seat[1], self.seat[0][:self.n])
+        for i, stage in enumerate(self.stages):
+            if i >= self.live:
+                break
+            if stage == "metrics":  # read outside the stage, as a stage command's inputs
+                inputs = [whole[name] if name in whole else load(name, channels)
+                          for name, channels in STAGES[stage].reads]
+            t = time.perf_counter()
+            with self._stage(stage):
+                if stage in self.cores:
+                    whole.update(self.cores[stage].close(whole, grid))
+                elif stage == "metrics":
+                    whole.update(zip(STAGES[stage].writes,
+                                     stage_metrics(self.config, *inputs)))
+                t_write = time.perf_counter()
+                for name in STAGES[stage].writes:
+                    if self.out is not None and not name.endswith(".csv"):
+                        record = whole[name]
+                        save_json(asdict(record) if is_dataclass(record) else record,
+                                  self.out / name)
+                        self.json.append(name)
+                self.write[stage] += time.perf_counter() - t_write
+            self.wall[stage] += time.perf_counter() - t
+        t = time.perf_counter()
+        while self.scope is not None and self.live:  # until no save failed
+            with self._stage(self.stages[self.live - 1]):
+                self.scope.flush(wait=True)
+                break
+        self.wait = time.perf_counter() - t
+        return {name: whole.get(name, grid) for stage in self.stages
+                for name in STAGES[stage].writes}
 
 
 def run_stages(config, out, stages, load=None):
-    """Run ``stages``, names in STAGES in order, in one write-behind scope,
-    and write each record a stage returns to ``out`` under its file name.
+    """Run ``stages``, names in STAGES in order, as one Chain writing to
+    ``out``, in one write-behind scope.
 
-    Each trace a stage reads is the record an earlier stage of this call
-    produced, or else ``load(file, channels)``.  A TimeSeries is saved as a
-    trace, any other record as JSON.  The scope ends once every trace is
-    written, also when a stage fails; a save that fails behind is a
-    StageError of the stage that saved the file.  Returns the records by
-    file name, each stage's wall time and the part of it spent writing, the
-    wait at the end for trace writes, and the sha256 of each trace.
+    The chain is fed the trace its first stage reads, whole, in pushes of
+    ``_CHUNK_ROWS`` rows: the seat record ``stage_input`` makes, or else
+    ``load(file, channels)``, which also gives the traces the metrics stage
+    reads that no stage of this call keeps.  The scope ends once every
+    trace is written, also when a stage fails; a failure is a StageError of
+    the stage that failed, or that saved the file whose write failed.
+    Returns the records by file name, as ``Chain.close`` does, each stage's
+    wall time and the part of it spent writing, the wait at the end for
+    trace writes, and the sha256 of each trace.
     """
-    records, wall, write = {}, {}, {}
     with _write_behind() as scope:
-        for stage in stages:
-            reads, writes = STAGES[stage]
-            inputs = [records[name] if name in records else load(name, channels)
-                      for name, channels in reads]
-            t = time.perf_counter()
-            with stage_errors(stage):
-                # looked up at each call, so a replaced stage function is the one run
-                result = globals()[f"stage_{stage}"](config, *inputs)
-                t_write = time.perf_counter()
-                for name, record in zip(writes, result):
-                    if isinstance(record, TimeSeries):
-                        save_timeseries(record, out / name)
-                    else:
-                        save_json(asdict(record) if is_dataclass(record) else record,
-                                  out / name)
-                    records[name] = record
-                done = time.perf_counter()
-            wall[stage], write[stage] = done - t, done - t_write
-        t_wait = time.perf_counter()
-        with stage_errors(stages[-1]):
-            scope.flush(wait=True)
-    return records, wall, write, time.perf_counter() - t_wait, scope.digests
+        t = time.perf_counter()
+        head = None
+        if stages[0] == "input":
+            if config.excitation is not None:  # fork the writer before the record exists
+                scope.start(config.excitation.n_samples)
+            with stage_errors("input"):
+                (head,) = stage_input(config)
+        elif stages[0] in _STREAMED:
+            head = load(*STAGES[stages[0]].reads[0])
+        rows = 0 if head is None else head.n_samples
+        chain = Chain(config, rows, stages, out, head if stages[0] == "input" else None)
+        if stages[0] == "input":
+            chain.wall["input"] += time.perf_counter() - t
+        for c0 in range(0, rows, _CHUNK_ROWS):
+            chain.push(head.rows(c0, c0 + _CHUNK_ROWS))
+        head = None  # the chain keeps what it needs
+        records = chain.close(load)
+    return records, chain.wall, chain.write, chain.wait, scope.digests
 
 
 # -- pipeline -----------------------------------------------------------------

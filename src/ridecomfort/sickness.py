@@ -6,12 +6,14 @@ spread it over the slow accumulation time constant; a population scale
 maps the result to a percentage.  The lags are discretized exactly for
 zero-order-hold input, so the trace is dt-robust.  ``accumulate`` works
 in chunks of at most ``_CHUNK_ROWS`` rows and carries the lags' filter
-states between them, with the same bits as one pass.
+states between them in an ``AccumulatorState``, with the same bits as
+one pass; given the state a call on the rows before it left, a call
+continues that record.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.signal as sps
@@ -45,12 +47,23 @@ class AccumulatorParams:
             raise ValueError("threshold_percent must be in (0, 100]")
 
 
+@dataclass
+class AccumulatorState:
+    """The two lags' filter states that ``accumulate`` carries from a
+    record's last row to the next row; zero before the first."""
+
+    zi1: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    zi2: np.ndarray = field(default_factory=lambda: np.zeros(1))
+
+
 def accumulate(conflict: TimeSeries, params: AccumulatorParams | None = None,
-               channel: str = "conflict") -> TimeSeries:
+               channel: str = "conflict", *,
+               state: AccumulatorState | None = None) -> TimeSeries:
     """Motion-sickness index (percent) over time for a conflict record.
 
     Constant conflict equal to the half-saturation level drives the index
-    toward ceiling_percent / 2.
+    toward ceiling_percent / 2.  A ``state`` left by the call on the rows
+    before this record is continued from and advanced to its last row.
     """
     params = params or AccumulatorParams()
     params.validate()
@@ -63,14 +76,14 @@ def accumulate(conflict: TimeSeries, params: AccumulatorParams | None = None,
     # exact ZOH step of 1/(mu*s + 1), input held from the step start
     alpha = float(np.exp(-conflict.dt / params.time_constant_s))
     b, a = [0.0, 1.0 - alpha], [1.0, -alpha]
-    zi1, zi2 = np.zeros(1), np.zeros(1)
+    state = AccumulatorState() if state is None else state
     msi = np.empty((len(c), 1))
     for c0 in range(0, len(c), _CHUNK_ROWS):
         c1 = c0 + _CHUNK_ROWS
         cn = c[c0:c1] ** n_exp
         h = cn / (cn + saturation)
-        y1, zi1 = sps.lfilter(b, a, h, zi=zi1)
-        y2, zi2 = sps.lfilter(b, a, y1, zi=zi2)
+        y1, state.zi1 = sps.lfilter(b, a, h, zi=state.zi1)
+        y2, state.zi2 = sps.lfilter(b, a, y1, zi=state.zi2)
         np.clip(params.ceiling_percent * y2, 0.0, 100.0, out=msi[c0:c1, 0])
 
     meta = dict(conflict.meta)

@@ -125,6 +125,11 @@ class TimeSeries:
     def unit(self, name: str) -> str:
         return self.channels[self.index(name)][1]
 
+    def rows(self, start, stop=None) -> "TimeSeries":
+        """Rows ``start:stop`` as a record on the same grid, sharing samples."""
+        return TimeSeries(self.start_time + start * self.dt, self.dt, self.channels,
+                          self.samples[start:stop])
+
     def select(self, names) -> "TimeSeries":
         """New TimeSeries restricted to the named channels, in that order."""
         idx = [self.index(n) for n in names]
@@ -534,15 +539,14 @@ def _format_block(samples, start_time, dt, first_row) -> bytes:
 def _pool_workers(n_tasks) -> int:
     """Worker processes for ``n_tasks`` pool tasks; 0 means in-process.
 
-    A pool pays off only where workers are forked (a spawned one would
-    import numpy first) and at least two CPUs and tasks are available.
-    It is used only from a process with one thread: a forked child gets no
-    copy of the other threads, only of the locks they may hold.
+    A pool pays off only where workers can be forked (a spawned one would
+    import numpy first; the pool asks for the fork start method whatever
+    the default is) and at least two CPUs and tasks are available.  It is
+    used only from a process with one thread: a forked child gets no copy
+    of the other threads, only of the locks they may hold.
     """
-    method = (multiprocessing.get_start_method(allow_none=True)
-              or multiprocessing.get_all_start_methods()[0])
-    if (method != "fork" or threading.active_count() > 1
-            or not hasattr(os, "sched_getaffinity")):
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1 or not hasattr(os, "sched_getaffinity")):
         return 0
     workers = min(len(os.sched_getaffinity(0)), n_tasks)
     return workers if workers >= 2 else 0
@@ -571,46 +575,75 @@ def _write_hashed(fh, digest, data):
 
 @dataclass(eq=False)
 class _Save:
-    """A trace file whose blocks are formatted on the pool: its open file,
-    its running sha256, the futures of its blocks not yet written, in
-    order, and the exception that stopped its writes, if any."""
+    """A trace file being written: its open file, its running sha256, the
+    (number, future) of each block not yet written, in order, whether
+    blocks may still follow, the exception that stopped its writes, if
+    any, and the number of the block it stopped at."""
 
     path: Path
     fh: object
     digest: object
-    futures: collections.deque
+    futures: collections.deque = field(default_factory=collections.deque)
+    done: bool = False
     error: Exception | None = None
+    lost: int = 0
+
+
+# unwritten blocks per worker a scope lets its saves have at a time; on 2
+# cores, 3 or more let a curved run's rows held for the pool grow its heap
+# by about 10 MB
+_BLOCKS_IN_FLIGHT = 2
+# a trace of fewer channels is formatted in-process even beside a pool: a
+# block of 2 values per row costs more to hand to a worker (the pool's
+# thread pickles it, reads the result back and writes it, all under the
+# interpreter lock) than to format; a curved run took about 10% longer
+# with its two 1-channel traces on the pool
+_POOL_MIN_CHANNELS = 2
 
 
 class _Scope:
     """One fork pool for the saves and loads of a ``_write_behind`` scope,
     the saves not yet complete, and the sha256 of each file saved complete.
 
-    The pool is opened at the first call with 2+ tasks that
-    ``_pool_workers`` allows and serves every later call; without it, each
-    call does its tasks in-process, in order.  With it, each block of a
-    save is written and hashed as soon as it and every earlier block of its
-    file are formatted, by the done-callback of its future (on the pool's
-    thread), and the file is closed after its last block; ``lock`` guards
-    ``saves``, their files and ``digests``.
+    The pool is opened by the first save or load large enough that
+    ``_pool_workers`` allows one, and serves every later call; without
+    it, each call does its work in-process, in order.  A save is opened
+    with its header (``open``), handed its rows a chunk at a time
+    (``append``) and told that no more follow (``done``).  With the pool,
+    each block is written and hashed as soon as it and every earlier block
+    of its file are formatted, by the done-callback of its future (on the
+    pool's thread), and the file is closed after its last block; at most
+    ``_BLOCKS_IN_FLIGHT`` blocks per worker are unwritten at a time, so an
+    append waits for the writes to catch up rather than holding a record's
+    rows.  ``lock`` guards ``saves``, their files and ``digests``.
     """
 
     def __init__(self):
         self.pool = None
+        self.in_flight = 0  # blocks the pool may hold unwritten, once it is open
+        self.blocks = 0  # blocks submitted, which numbers them
         self.saves = []  # _Save of each file not yet complete, in save order
         self.digests = {}  # Path of a complete file -> sha256 hex digest
         self.lock = threading.Condition()  # notified as a save progresses
 
-    def submit(self, fn, tasks, verb, path):
-        """Futures of ``fn(*task)`` for each task, or None without a pool."""
-        if self.pool is None:
-            workers = _pool_workers(len(tasks))
-            if not workers:
-                return None
+    def _pool_for(self, n_tasks):
+        """The pool, opened now when none is and ``n_tasks`` allow one."""
+        if self.pool is None and (workers := _pool_workers(n_tasks)):
             self.pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"))
+            self.in_flight = _BLOCKS_IN_FLIGHT * workers
+        return self.pool
+
+    def start(self, rows):
+        """Open the pool for traces of about ``rows`` rows now, when they
+        will use one, and fork its workers, so they share none of the
+        records the caller makes next."""
+        if self.pool is None and self._pool_for(-(-rows // _BLOCK_ROWS)) is not None:
+            self.pool.submit(int)  # the pool forks its workers at its first task
+
+    def _submit(self, fn, task, verb, path):
         try:
-            return [self.pool.submit(fn, *task) for task in tasks]
+            return self.pool.submit(fn, *task)
         except BrokenProcessPool as exc:
             raise self.dead(verb, path) from exc
 
@@ -620,69 +653,119 @@ class _Scope:
         self.flush(wait=True)  # raises for such a save
         return _FileError(verb, path, _DEAD)
 
+    def _finish(self, save):
+        """Close and hash ``save``'s file once its last block is written."""
+        if save.done and save.error is None and not save.futures and save in self.saves:
+            save.fh.close()
+            self.digests[save.path] = save.digest.hexdigest()
+            self.saves.remove(save)
+
     def _write_done(self, save, _future):
         """Write the formatted blocks at the head of ``save``, in order, and
         close and hash its file after the last; a failure stops its writes."""
         with self.lock:
             try:
-                while save.error is None and save.futures and save.futures[0].done():
-                    _write_hashed(save.fh, save.digest, save.futures.popleft().result())
-                if save.error is None and not save.futures:
-                    save.fh.close()
-                    self.digests[save.path] = save.digest.hexdigest()
-                    self.saves.remove(save)
+                while save.error is None and save.futures and save.futures[0][1].done():
+                    _write_hashed(save.fh, save.digest, save.futures[0][1].result())
+                    save.futures.popleft()
+                self._finish(save)
             except Exception as exc:  # raised in the caller's thread by flush
                 save.error = exc
+                save.lost = save.futures[0][0] if save.futures else self.blocks
             self.lock.notify_all()
 
     def flush(self, wait=False):
-        """Raise the error of the first save whose writes failed, once every
-        save is complete or failed; with ``wait``, wait for that also when
-        none has failed."""
+        """Raise the error of the save whose writes failed at the earliest
+        block (where a dead worker took every block in flight, the oldest
+        of them), once no save has a block in flight that could still be
+        written; with ``wait``, wait for that also when none has failed."""
         with self.lock:
             if not wait and all(save.error is None for save in self.saves):
                 return
-            self.lock.wait_for(
-                lambda: all(save.error is not None for save in self.saves))
-            if not self.saves:
+            self.lock.wait_for(lambda: all(save.error is not None or not save.futures
+                                           for save in self.saves))
+            failed = [save for save in self.saves if save.error is not None]
+            if not failed:
                 return
-            path, error = self.saves[0].path, self.saves[0].error
+            first = min(failed, key=lambda save: save.lost)
+        self._raise(first)
+
+    @staticmethod
+    def _raise(save):
+        error = save.error
         if isinstance(error, (BrokenProcessPool, CancelledError)):
-            raise _FileError("write", path, _DEAD) from error
+            raise _FileError("write", save.path, _DEAD) from error
         if isinstance(error, OSError):
-            raise _FileError("write", path, error) from error
+            raise _FileError("write", save.path, error) from error
         raise error  # what the worker raised
 
-    def save(self, path, header, blocks):
-        """Open ``path`` and write ``header`` now; the blocks' rows follow as
-        they are formatted, or now without a pool."""
+    def open(self, path, header, rows) -> _Save:
+        """Open ``path`` and write ``header`` for a trace of about ``rows``
+        sample rows, which decide, as for a load, whether the pool opens."""
         self.flush()
-        fh, digest = open(path, "wb"), hashlib.sha256()
+        self._pool_for(-(-rows // _BLOCK_ROWS))
+        save = _Save(Path(path), open(path, "wb"), hashlib.sha256())
         try:
-            _write_hashed(fh, digest, (header + "\n").encode("utf-8"))
-            futures = self.submit(_format_block, blocks, "write", path)
+            _write_hashed(save.fh, save.digest, (header + "\n").encode("utf-8"))
         except BaseException:
-            fh.close()
+            save.fh.close()
             raise
-        if futures is None:
-            with fh:
-                for data in itertools.starmap(_format_block, blocks):
-                    _write_hashed(fh, digest, data)
-            self.digests[Path(path)] = digest.hexdigest()
-            return
-        save = _Save(Path(path), fh, digest, collections.deque(futures))
         with self.lock:
             self.saves.append(save)
-        for future in futures:
+        return save
+
+    def append(self, save, samples, start_time, dt, first_row):
+        """Write the sample rows ``samples``, rows ``first_row`` on of a
+        record starting at ``start_time``: in blocks of ``_BLOCK_ROWS`` on
+        the pool, or now without it.  The pool's tasks hold views of
+        ``samples``, which must not change until they are written.  A trace
+        of fewer than ``_POOL_MIN_CHANNELS`` channels is written now too.
+        Raises for a failed write of this save; another save's failure is
+        raised by its own next append, or by a later open, load or flush."""
+        for i in range(0, len(samples), _BLOCK_ROWS):
+            block = (samples[i:i + _BLOCK_ROWS], start_time, dt, first_row + i)
+            if self.pool is None or samples.shape[1] < _POOL_MIN_CHANNELS:
+                _write_hashed(save.fh, save.digest, _format_block(*block))
+                continue
+            with self.lock:
+                self.lock.wait_for(lambda: save.error is not None or sum(
+                    len(s.futures) for s in self.saves if s.error is None)
+                    < self.in_flight)
+            if save.error is not None:
+                self.flush()  # once the other saves' blocks in flight are written
+                self._raise(save)
+            future = self._submit(_format_block, block, "write", save.path)
+            with self.lock:
+                self.blocks += 1
+                save.futures.append((self.blocks, future))
             future.add_done_callback(functools.partial(self._write_done, save))
+
+    def done(self, save):
+        """No rows follow: the file is complete, and hashed, once its last
+        block is written (now, when none is in flight)."""
+        with self.lock:
+            save.done = True
+            self._finish(save)
+
+    def discard(self, save):
+        """Drop ``save``: its blocks still in flight go unwritten, and its
+        file is closed and removed."""
+        with self.lock:
+            if save in self.saves:
+                self.saves.remove(save)
+            save.error = save.error or CancelledError()
+            save.fh.close()
+            self.digests.pop(save.path, None)
+            save.path.unlink(missing_ok=True)
+            self.lock.notify_all()
 
     def results(self, fn, tasks, verb, path):
         """``fn(*task)`` for each task, in order, as each is needed."""
         self.flush()
-        futures = self.submit(fn, tasks, verb, path)
-        if futures is None:
+        if self._pool_for(len(tasks)) is None:
             yield from itertools.starmap(fn, tasks)
             return
+        futures = [self._submit(fn, task, verb, path) for task in tasks]
         for future in futures:
             try:
                 result = future.result()
@@ -732,6 +815,11 @@ def _write_behind():
         scope.close()
 
 
+def trace_header(channels) -> str:
+    """The header line of a trace file with these (name, unit) channels."""
+    return "time_s," + ",".join(f"{n}[{u}]" for n, u in channels)
+
+
 def save_timeseries(ts: TimeSeries, path) -> None:
     """Write the CSV interchange format with full round-trip precision.
 
@@ -740,12 +828,10 @@ def save_timeseries(ts: TimeSeries, path) -> None:
     OSError now, and a worker that dies is an OSError naming the file.
     Once the file is complete, the scope's ``digests`` hold its sha256.
     """
-    header = "time_s," + ",".join(f"{n}[{u}]" for n, u in ts.channels)
-    # views of the record: each task builds its own rows' time column
-    blocks = [(ts.samples[i:i + _BLOCK_ROWS], ts.start_time, ts.dt, i)
-              for i in range(0, ts.n_samples, _BLOCK_ROWS)]
     with _write_behind() as scope:
-        scope.save(path, header, blocks)
+        save = scope.open(path, trace_header(ts.channels), ts.n_samples)
+        scope.append(save, ts.samples, ts.start_time, ts.dt, 0)
+        scope.done(save)
 
 
 def save_json(obj, path) -> None:

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +18,18 @@ import ridecomfort
 from ridecomfort import timeseries
 from ridecomfort.body import BodyParams, PostureConfig, build_model
 from ridecomfort.body.params import COORDINATE_NAMES, JOINT_NAMES
+from ridecomfort.body import integrate
 from ridecomfort.cli import main
-from ridecomfort.errors import ConfigError
+from ridecomfort.errors import ConfigError, NonFiniteSample, NonFiniteState, StageError
 from ridecomfort.excitation import ExcitationSpec
-from ridecomfort.perception import VestibularParams, VisionParams
+from ridecomfort.perception import VestibularParams, VisionParams, perceive
 from ridecomfort.pipeline import (
     _RESONANCE_CHANNELS, _STAGE_FILES, build_config, parse_config, run_pipeline,
-    validate_config)
+    stage_input, validate_config)
 from ridecomfort.sickness import AccumulatorParams
 from ridecomfort.spectral import WelchParams
 from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions, run_stht
-from ridecomfort.timeseries import count_samples
+from ridecomfort.timeseries import count_samples, load_timeseries, save_timeseries
 from conftest import make_scenario
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
@@ -324,6 +326,8 @@ def _die_on_body_rows(block):
 def test_dead_writer_fails_the_stage_that_saved_the_file(tmp_path, monkeypatch,
                                                          capsys, command):
     config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+    good = tmp_path / "good"
+    run_pipeline(parse_config(config), good)
     monkeypatch.setattr(timeseries, "_format_rows", _die_on_body_rows)
     out = tmp_path / "run"
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
@@ -331,6 +335,10 @@ def test_dead_writer_fails_the_stage_that_saved_the_file(tmp_path, monkeypatch,
             "a worker process ended abruptly") in capsys.readouterr().err
     assert not (out / "report.json").exists()
     assert multiprocessing.active_children() == []
+    # the seat rows may have reached the file before the worker died; what
+    # is left is complete
+    for path in out.iterdir():
+        assert path.read_bytes() == (good / path.name).read_bytes(), path.name
 
 
 def test_failed_stage_leaves_earlier_artifacts_complete(tmp_path, monkeypatch,
@@ -353,6 +361,150 @@ def test_failed_stage_leaves_earlier_artifacts_complete(tmp_path, monkeypatch,
     assert sorted(_tree(out)) == sorted(earlier)
     for name in earlier:
         assert (out / name).read_bytes() == (good / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
+def test_a_failed_trace_write_leaves_the_earlier_traces_complete(tmp_path, monkeypatch,
+                                                                 capsys, pooled):
+    if pooled and not _POOLED:
+        pytest.skip("rows are formatted in-process here")
+    # four pushes: the body's first block fails while later pushes still
+    # write the earlier stage's rows
+    config = _write(tmp_path, make_scenario(input={"duration_s": 30.0}))
+    good = tmp_path / "good"
+    run_pipeline(parse_config(config), good)
+    write = timeseries._write_hashed
+
+    def body_disk_full(fh, digest, data):
+        if fh.name.endswith("body_response.csv") and not data.startswith(b"time_s"):
+            raise OSError("no space left on device")
+        write(fh, digest, data)
+
+    monkeypatch.setattr(timeseries, "_write_hashed", body_disk_full)
+    if not pooled:
+        monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
+    out = tmp_path / "bad"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: stage 'body' failed: " in err and "no space left on device" in err
+    assert multiprocessing.active_children() == []
+    _upstream_only(out, good, "body")
+
+
+def _slow_body_rows(block):
+    if block.shape[1] == 25:  # time_s and the 24 body-response channels
+        time.sleep(0.5)
+    return _format_rows(block)
+
+
+@pytest.mark.skipif(not _POOLED, reason="rows are formatted in-process here")
+def test_writes_that_fail_in_two_files_leave_no_incomplete_file(tmp_path, monkeypatch,
+                                                               capsys):
+    # the body's blocks and the seat's last one fail; the body's rows are
+    # formatted slowly, so both failures are seen only once the run waits
+    # for its last rows, the body's first
+    config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+    block = timeseries._BLOCK_ROWS
+    write = timeseries._write_hashed
+
+    def disk_full(fh, digest, data):
+        if not data.startswith(b"time_s") and (
+                fh.name.endswith("body_response.csv")
+                or fh.name.endswith("seat_motion.csv") and data.count(b"\n") < block):
+            raise OSError("no space left on device")
+        write(fh, digest, data)
+
+    monkeypatch.setattr(timeseries, "_write_hashed", disk_full)
+    monkeypatch.setattr(timeseries, "_format_rows", _slow_body_rows)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+    assert "error: stage 'body' failed: " in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
+def _seat_csv_scenario(tmp_path, name, seat, dt, **tweaks):
+    """A csv-input scenario over the seat rows ``seat`` (n, 3) at ``dt``."""
+    header = "time_s,seat_acc_x[m/s^2],seat_acc_y[m/s^2],seat_acc_z[m/s^2]"
+    lines = [header] + [f"{i * dt:.17g}," + ",".join(f"{v:.17g}" for v in row)
+                        for i, row in enumerate(seat)]
+    (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    raw = make_scenario(**tweaks)
+    raw["input"] = {"kind": "csv", "path": f"{name}.csv"}
+    return _write(tmp_path, raw, f"{name}.json")
+
+
+def _upstream_only(out, good, stage):
+    """Every file of the stages before ``stage`` is in ``out`` and equals
+    ``good``'s, and nothing else is: not one file of ``stage`` or later."""
+    stages = list(_STAGE_FILES)
+    earlier = [name for s in stages[:stages.index(stage)] for name in _STAGE_FILES[s]]
+    assert sorted(p.name for p in out.iterdir()) == sorted(earlier)
+    for name in earlier:
+        assert (out / name).read_bytes() == (good / name).read_bytes(), name
+
+
+def test_a_perception_failure_in_a_later_chunk_names_its_global_row(tmp_path, capsys):
+    # vertical seat motion keeps the head upright and still, so the sensed
+    # vertical stays (0, 0, 1) until the head accelerates upward faster than
+    # g; with dt / sv_time_constant_s = 0.5 it then drops to zero length
+    dt, onset = 0.002, 5000
+    seat = np.zeros((6001, 3))
+    seat[onset:, 2] = 20.0
+    good_config = _seat_csv_scenario(tmp_path, "good", seat, dt)
+    bad_config = _seat_csv_scenario(tmp_path, "bad", seat, dt,
+                                    perception={"sv_time_constant_s": 2 * dt})
+    good = tmp_path / "good_run"
+    run_pipeline(parse_config(good_config), good)
+    with pytest.raises(NonFiniteSample) as one_shot:
+        perceive(load_timeseries(good / "body_response.csv"),
+                 parse_config(bad_config).perception)
+    row = one_shot.value.row
+    assert row > onset > timeseries._BLOCK_ROWS  # in the run's second push
+
+    out = tmp_path / "bad_run"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(bad_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage 'perception' failed: non-finite sample in channel "
+        f"'sensed_vert_x' at row {row}\n")
+    assert multiprocessing.active_children() == []
+    _upstream_only(out, good, "perception")
+
+
+def test_a_body_divergence_in_its_third_chunk_is_dated_in_the_whole_record(tmp_path,
+                                                                            capsys):
+    # dt = 15 ms is beyond the explicit step's stability limit for this
+    # model: the state diverges a few hundred steps after a huge input starts
+    dt, onset = 0.015, 9000
+    seat = np.zeros((10_000, 3))
+    seat[onset:] = 1e300
+    path = _seat_csv_scenario(tmp_path, "diverging", seat, dt,
+                              model={"overrides": {"prop_delay_s": 0.06}})
+    config = parse_config(path)
+    model = build_model(config.body, config.posture)
+    block = timeseries._BLOCK_ROWS
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState) as one_shot:
+            integrate._advance(model, integrate._get_kernel(model, dt),
+                               integrate.create_state(model, dt), seat, 0.0)
+        with pytest.raises(StageError) as run:
+            run_pipeline(config, tmp_path / "lib")
+        out = tmp_path / "cli"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+    assert 2 * block <= one_shot.value.row < 3 * block  # in the third push
+    cause = run.value.cause
+    assert run.value.stage == "body" and isinstance(cause, NonFiniteState)
+    assert (cause.time, cause.coordinate, cause.row) == \
+        (one_shot.value.time, one_shot.value.coordinate, one_shot.value.row)
+    assert f"error: stage 'body' failed: {one_shot.value}\n" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    # the input stage's file is complete: the seat record written on its own
+    save_timeseries(stage_input(config)[0], tmp_path / "seat_motion.csv")
+    for run_dir in (tmp_path / "lib", out):
+        _upstream_only(run_dir, tmp_path, "body")
 
 
 def test_unreadable_csv_input_reported_at_input_path(tmp_path):
@@ -544,9 +696,11 @@ def test_accumulator_threshold_reaches_the_sickness_summary(tmp_path):
 # Peak-RSS growth per extra sample of run_pipeline, measured on scenario_default
 # between its 20 s and 200 s variants (2-core Linux box): about 965 B/sample
 # while simulate and the trace writer held whole-record copies, about 545 after
-# both worked in chunks, and about 360 since perceive and accumulate work in
-# chunks too.  The bound lies between the last two.
-_RSS_SLOPE_BOUND = 450  # bytes per sample
+# both worked in chunks, about 360 once perceive and accumulate worked in
+# chunks too, and about 113 since a run streams its chunks through every
+# stage: it holds whole only the seat, the six resonance channels and the
+# sickness index (80 B), and the resonance scan's work at its end.
+_RSS_SLOPE_BOUND = 200  # bytes per sample
 
 _PEAK_RSS = """
 import sys

@@ -353,6 +353,77 @@ def test_many_eager_saves_write_every_block_once_in_order(tmp_path, monkeypatch)
         assert scope.digests[tmp_path / f"{i}.csv"] == hashlib.sha256(want).hexdigest()
 
 
+@pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
+def test_appends_and_discards_across_saves_keep_every_kept_block_in_order(
+        tmp_path, monkeypatch):
+    # as above, with each file appended a few rows at a time, the saves
+    # interleaved, and every third file discarded halfway
+    monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 4)
+    records = [_demo(n=150 + i, seed=i) for i in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with timeseries._write_behind() as scope:
+            saves = [scope.open(tmp_path / f"{i}.csv",
+                                timeseries.trace_header(ts.channels), ts.n_samples)
+                     for i, ts in enumerate(records)]
+            for a in range(0, 200, 23):
+                for i, (ts, save) in enumerate(zip(records, saves)):
+                    if a == 69 and i % 3 == 0:
+                        scope.discard(save)
+                    elif a < ts.n_samples and not (a > 69 and i % 3 == 0):
+                        scope.append(save, ts.samples[a:a + 23], ts.start_time, ts.dt, a)
+            for i, save in enumerate(saves):
+                if i % 3:
+                    scope.done(save)
+    finally:
+        sys.setswitchinterval(interval)
+    assert multiprocessing.active_children() == []
+    for i, ts in enumerate(records):
+        path = tmp_path / f"{i}.csv"
+        if i % 3 == 0:
+            assert not path.exists() and path not in scope.digests
+            continue
+        _savetxt_writer(ts, tmp_path / "old.csv")
+        want = (tmp_path / "old.csv").read_bytes()
+        assert path.read_bytes() == want
+        assert scope.digests[path] == hashlib.sha256(want).hexdigest()
+
+
+@pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
+def test_an_append_raises_only_for_its_own_save(tmp_path, monkeypatch):
+    # a pipeline run appends each stage's rows to its own file: one file's
+    # failed write must not cost the rows another file is being handed
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2)
+    write = timeseries._write_hashed
+
+    def disk_full(fh, digest, data):
+        if fh.name.endswith("full.csv") and not data.startswith(b"time_s"):
+            raise OSError("no space left on device")
+        write(fh, digest, data)
+
+    monkeypatch.setattr(timeseries, "_write_hashed", disk_full)
+    ts = _demo(n=2 * BLOCK)
+    header = timeseries.trace_header(ts.channels)
+    with pytest.raises(timeseries._FileError, match="full.csv: no space left"):
+        with timeseries._write_behind() as scope:
+            ok, full = (scope.open(tmp_path / name, header, ts.n_samples)
+                        for name in ("ok.csv", "full.csv"))
+            for save in (ok, full):
+                scope.append(save, ts.samples[:BLOCK], ts.start_time, ts.dt, 0)
+            with scope.lock:
+                assert scope.lock.wait_for(lambda: full.error is not None, timeout=30)
+            scope.append(ok, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
+            scope.done(ok)
+            with pytest.raises(timeseries._FileError, match="full.csv"):
+                scope.append(full, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
+    assert multiprocessing.active_children() == []
+    _savetxt_writer(ts, tmp_path / "old.csv")
+    assert (tmp_path / "ok.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert list(scope.digests) == [tmp_path / "ok.csv"]
+
+
 @pytest.mark.skipif(not POOLED, reason="rows are formatted in-process here")
 def test_failed_eager_write_is_an_os_error_naming_its_file(tmp_path, monkeypatch):
     write = timeseries._write_hashed
@@ -374,6 +445,104 @@ def test_failed_eager_write_is_an_os_error_naming_its_file(tmp_path, monkeypatch
     assert multiprocessing.active_children() == []
     _savetxt_writer(ts, tmp_path / "old.csv")
     assert (tmp_path / "ok.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.skipif(not FORKS or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="no fork pool on this platform")
+def test_a_forkserver_default_still_gets_the_fork_pool(tmp_path, monkeypatch):
+    # Python 3.14 made forkserver the default start method on Linux; the
+    # pool asks for fork itself, so the default does not matter
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: "forkserver")
+    assert timeseries._pool_workers(2) == 2
+    opened = []
+
+    class CountedPool(timeseries.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["mp_context"].get_start_method())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(timeseries, "ProcessPoolExecutor", CountedPool)
+    ts = _demo(n=2 * BLOCK + 1)
+    save_timeseries(ts, tmp_path / "pooled.csv")
+    assert opened == ["fork"]
+    assert multiprocessing.active_children() == []
+    _savetxt_writer(ts, tmp_path / "old.csv")
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
+def test_appended_rows_write_the_bytes_of_one_save(tmp_path, monkeypatch, pooled):
+    if pooled and not FORKS:
+        pytest.skip("no fork pool on this platform")
+    ts = _demo(n=3 * BLOCK + 5, dt=0.002)
+    ts = TimeSeries(1.25, ts.dt, ts.channels, ts.samples)
+    _savetxt_writer(ts, tmp_path / "old.csv")
+    want = (tmp_path / "old.csv").read_bytes()
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2 if pooled else 0)
+    submitted = []
+    submit = timeseries._Scope._submit
+
+    def counted(scope, *args):
+        submitted.append(sum(len(save.futures) for save in scope.saves))
+        return submit(scope, *args)
+
+    monkeypatch.setattr(timeseries._Scope, "_submit", counted)
+    path = tmp_path / "appended.csv"
+    with timeseries._write_behind() as scope:
+        save = scope.open(path, timeseries.trace_header(ts.channels), ts.n_samples)
+        cuts = [0, 1, 8, 10, BLOCK + 3, 2 * BLOCK, ts.n_samples]
+        for a, b in zip(cuts, cuts[1:]):
+            scope.append(save, ts.samples[a:b], ts.start_time, ts.dt, a)
+        scope.done(save)
+    assert path.read_bytes() == want
+    assert scope.digests[path] == hashlib.sha256(want).hexdigest()
+    assert multiprocessing.active_children() == []
+    # a block is handed to the pool only while fewer than the cap are unwritten
+    assert len(submitted) == (7 if pooled else 0)
+    assert all(n < timeseries._BLOCKS_IN_FLIGHT * 2 for n in submitted)
+
+
+@pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
+def test_a_one_channel_trace_is_formatted_beside_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2)
+    submitted = []
+    submit = timeseries._Scope._submit
+
+    def counted(scope, fn, task, verb, path):
+        submitted.append(Path(path).name)
+        return submit(scope, fn, task, verb, path)
+
+    monkeypatch.setattr(timeseries._Scope, "_submit", counted)
+    wide = _demo(n=2 * BLOCK + 1)
+    narrow = TimeSeries(0.0, wide.dt, wide.channels[:1], wide.samples[:, :1])
+    with timeseries._write_behind():
+        for name, ts in (("wide.csv", wide), ("narrow.csv", narrow)):
+            save_timeseries(ts, tmp_path / name)
+    assert submitted == ["wide.csv"] * 3
+    for name, ts in (("wide.csv", wide), ("narrow.csv", narrow)):
+        _savetxt_writer(ts, tmp_path / "old.csv")
+        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
+def test_a_discarded_save_leaves_no_file(tmp_path, monkeypatch, pooled):
+    if pooled and not FORKS:
+        pytest.skip("no fork pool on this platform")
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2 if pooled else 0)
+    ts = _demo(n=2 * BLOCK)
+    with timeseries._write_behind() as scope:
+        kept = scope.open(tmp_path / "kept.csv", timeseries.trace_header(ts.channels), 1)
+        gone = scope.open(tmp_path / "gone.csv", timeseries.trace_header(ts.channels), 1)
+        for save in (kept, gone):
+            scope.append(save, ts.samples, ts.start_time, ts.dt, 0)
+        scope.discard(gone)
+        scope.done(kept)
+    assert not (tmp_path / "gone.csv").exists()
+    assert sorted(p.name for p in scope.digests) == ["kept.csv"]
+    save_timeseries(ts, tmp_path / "whole.csv")
+    assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def _streamed_lines(fh):
