@@ -46,12 +46,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from ridecomfort.errors import NonFiniteState
-from ridecomfort.timeseries import TimeSeries
+from ridecomfort.timeseries import _BLOCK_ROWS as _CHUNK_ROWS, TimeSeries
 
 _CHECK_EVERY = 256  # steps between finiteness checks in the stepping loop; longest block
-# steps per chunk of simulate: its matrix products stay small enough to run
-# on one BLAS thread (8192 woke a spinning OpenBLAS worker on 2 cores)
-_CHUNK_ROWS = 4096
 
 SEAT_INPUT_CHANNELS = ("seat_acc_x", "seat_acc_y", "seat_acc_z")
 # what ``step`` returns, in order: acc (3), rotvel (3), angle (2)

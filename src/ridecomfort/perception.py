@@ -33,7 +33,7 @@ import numpy as np
 import scipy.signal as sps
 
 from ridecomfort.errors import NonFiniteSample
-from ridecomfort.timeseries import TimeSeries, from_arrays
+from ridecomfort.timeseries import _BLOCK_ROWS as _CHUNK_ROWS, TimeSeries, from_arrays
 
 GRAVITY = 9.81
 
@@ -41,9 +41,6 @@ GRAVITY = 9.81
 # previous subjective-vertical estimate is carried and the sample flagged.
 DEGENERATE_SF_M_S2 = 0.1
 
-# rows per chunk of perceive; at 65 536 rows a 90 s, 1 kHz record would
-# still hold most of its whole-record temporaries
-_CHUNK_ROWS = 8192
 # samples per chunk of the subjective-vertical loop
 _SV_CHUNK = 256
 

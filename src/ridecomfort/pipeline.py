@@ -2,15 +2,17 @@
 
 A scenario JSON file describes the seat-motion input, the body model and
 posture, perception and accumulation parameters, and metric selection.
-``STAGES`` declares what each stage reads and writes.  ``run_stages``
-runs stages as one ``Chain``, fed the trace its first stage reads a chunk
-of rows at a time: the body, perception and sickness stages each open a
-core that advances by a push of rows with the state it carries, and each
-push hands every trace's rows to the trace writer under the file name
-``STAGES`` gives it.  At close the chain computes what needs whole
-records (the resonances, the sickness summary and the comfort report) and
-writes them as JSON; ``stage_errors`` makes any failure a StageError of
-one stage.  ``run_pipeline`` runs all five stages in order (input, body,
+``STAGES`` declares what each stage reads and writes, and the whole
+records its JSON files are made from.  ``run_stages`` runs stages as one
+``Chain``, fed the trace its first stage reads a chunk of rows at a time:
+the body, perception and sickness stages each open a core that advances
+by a push of rows with the state it carries, and each push hands every
+trace's rows to the trace writer under the file name ``STAGES`` gives it.
+The chain keeps whole only the channels that ``STAGES`` declares whole;
+at close it makes the JSON records from them (the resonances, the
+sickness summary and the comfort report) and writes them;
+``stage_errors`` makes any failure a StageError of one stage.
+``run_pipeline`` runs all five stages in order (input, body,
 perception, sickness, metrics), as stage commands run some, through
 ``run_stages``, and writes a deterministic ``report.json`` (the manifest,
 the summary, and each trace's sample rows, dt and sha256) plus a volatile
@@ -442,14 +444,16 @@ def stage_errors(stage):
 
 @contextlib.contextmanager
 def _rows_from(first, t0, dt):
-    """Errors of a call on the rows of a record from its row ``first`` on,
-    numbered (and a diverged state dated) in that record, from ``t0``."""
+    """Errors of a push of the rows of a record from its row ``first`` on,
+    numbered in that record, which starts at ``t0``: a bad sample by its
+    row in the push, a diverged state by its time, since the body core
+    simulates from the row before its push."""
     try:
         yield
     except NonFiniteSample as exc:
         raise NonFiniteSample(exc.channel, first + exc.row) from None
     except NonFiniteState as exc:
-        row = first + exc.row
+        row = round((exc.time - t0) / dt)
         raise NonFiniteState(t0 + row * dt, exc.coordinate, row) from None
 
 
@@ -483,112 +487,42 @@ def _resonance_scan(config, seat, body):
     return {"axis_used": axis, "band_hz": list(band), "peaks": peaks}
 
 
-# A core is one stage run a push at a time: ``push(rows, first)`` takes the
-# rows of the trace the stage reads, from row ``first`` of that record on,
-# and returns the rows of each trace the stage writes, in STAGES order;
-# ``close(whole, grid)`` returns the records it keeps whole and its JSON
-# records, by file name.  ``whole`` holds the records kept whole so far
-# and ``grid`` is an empty-channel record on the run's grid.
+# A core is one stage run a push at a time: called with the rows of the
+# trace the stage reads, it returns the rows of each trace the stage
+# writes, in STAGES order, from the state it carries from push to push.
 
-class _Body:
-    """The body stage: seat rows in, body-response rows out.
+def stage_body(config):
+    """Open the body core: seat rows in, body-response rows out.  A push
+    runs ``simulate`` from the ``BodyState`` at the last seat row of the
+    push before, on that row and the new ones, and drops the row given
+    already."""
+    model = build_model(config.body, config.posture)
+    state = last = None  # the BodyState at the last seat row, and that row
 
-    A push runs ``simulate`` from the ``BodyState`` at the last seat row of
-    the push before, on that row and the new ones, and drops the row given
-    already.  It keeps the six resonance channels whole (48 B per sample)
-    for the scan at close; they hold the head accelerations, the only body
-    channels comfort and the run summary read.
-    """
-
-    def __init__(self, config, rows):
-        self.config = config
-        self.model = build_model(config.body, config.posture)
-        self.state = self.last = None  # the BodyState at the last seat row, and that row
-        self.kept = np.empty((rows, len(_RESONANCE_CHANNELS)))
-        self.channels = self.t0 = None
-        self.wall = 0.0  # spent in simulate
-
-    def push(self, seat, first):
-        start, lead = seat.start_time, int(self.state is not None)
+    def push(seat):
+        nonlocal state, last
+        start, lead = seat.start_time, int(last is not None)
         if lead:
             seat = TimeSeries(start - seat.dt, seat.dt, seat.channels,
-                              np.vstack([self.last, seat.samples]))
-        else:
-            self.t0 = start
-        with _rows_from(first - lead, self.t0, seat.dt):
-            body = simulate(self.model, seat, initial_state=self.state)
-        self.state, self.last = body.meta["final_state"], seat.samples[-1:].copy()
-        self.wall += body.meta["wall_clock_s"]
-        if self.channels is None:
-            self.channels = body.channels
-            self.cols = [body.index(name) for name in _RESONANCE_CHANNELS]
-        rows = body.samples[lead:]
-        self.kept[first:first + len(rows)] = rows[:, self.cols]
-        return (TimeSeries(start, body.dt, body.channels, rows),)
-
-    def close(self, whole, grid):
-        body = TimeSeries(grid.start_time, grid.dt, [self.channels[i] for i in self.cols],
-                          self.kept[:grid.n_samples],
-                          meta={"realtime_factor": grid.duration / self.wall
-                                if self.wall > 0 else float("inf")})
-        return {"body_response.csv": body,
-                "resonances.json": _resonance_scan(self.config, whole["seat_motion.csv"],
-                                                   body)}
+                              np.vstack([last, seat.samples]))
+        body = simulate(model, seat, initial_state=state)
+        state, last = body.meta["final_state"], seat.samples[-1:].copy()
+        return (TimeSeries(start, body.dt, body.channels, body.samples[lead:]),)
+    return push
 
 
-class _Perception:
-    """The perception stage: body-response rows in, perceived and conflict
-    rows out, with its ``PerceptionState`` carried from push to push."""
-
-    def __init__(self, config, rows):
-        self.params = config.perception
-        self.state = PerceptionState()
-
-    def push(self, body, first):
-        with _rows_from(first, body.start_time, body.dt):
-            return perceive(body, self.params, state=self.state)
-
-    def close(self, whole, grid):
-        return {}
+def stage_perception(config):
+    """Open the perception core: body-response rows in, perceived and
+    conflict rows out, with a ``PerceptionState``."""
+    params, state = config.perception, PerceptionState()
+    return lambda body: perceive(body, params, state=state)
 
 
-class _Sickness:
-    """The sickness stage: conflict rows in, MSI rows out, with its
-    ``AccumulatorState`` carried from push to push.  It keeps the MSI trace
-    whole (8 B per sample) for ``summarize`` at close."""
-
-    def __init__(self, config, rows):
-        self.params = config.accumulator
-        self.state = AccumulatorState()
-        self.msi = np.empty((rows, 1))
-
-    def push(self, conflict, first):
-        with _rows_from(first, conflict.start_time, conflict.dt):
-            trace = accumulate(conflict, self.params, state=self.state)
-        self.msi[first:first + trace.n_samples] = trace.samples
-        self.channels = trace.channels
-        return (trace,)
-
-    def close(self, whole, grid):
-        trace = TimeSeries(grid.start_time, grid.dt, self.channels,
-                           self.msi[:grid.n_samples])
-        return {"sickness.csv": trace,
-                "sickness_summary.json": summarize(trace, self.params.threshold_percent)}
-
-
-def stage_body(config, rows):
-    """Open the body core for a record of at most ``rows`` seat rows."""
-    return _Body(config, rows)
-
-
-def stage_perception(config, rows):
-    """Open the perception core for a record of at most ``rows`` rows."""
-    return _Perception(config, rows)
-
-
-def stage_sickness(config, rows):
-    """Open the sickness core for a record of at most ``rows`` rows."""
-    return _Sickness(config, rows)
+def stage_sickness(config):
+    """Open the sickness core: conflict rows in, MSI rows out, with an
+    ``AccumulatorState``."""
+    params, state = config.accumulator, AccumulatorState()
+    return lambda conflict: (accumulate(conflict, params, state=state),)
 
 
 def stage_metrics(config, seat, body):
@@ -597,28 +531,34 @@ def stage_metrics(config, seat, body):
 
 
 class Stage(typing.NamedTuple):
-    """What a stage reads and what it writes."""
+    """What a stage reads, what it writes, and what its JSON files are made of."""
 
     reads: tuple   # (trace file, the channels it uses or None for all), in order
     writes: tuple  # its files, traces first, in the order it makes them
+    whole: tuple = ()  # the whole records its JSON files are made from, as reads
 
 
+_METRICS_READS = (("seat_motion.csv", None), ("body_response.csv", _COMFORT_CHANNELS))
 STAGES = {
     "input": Stage((), ("seat_motion.csv",)),
     "body": Stage((("seat_motion.csv", None),),
-                  ("body_response.csv", "resonances.json")),
+                  ("body_response.csv", "resonances.json"),
+                  (("seat_motion.csv", None), ("body_response.csv", _RESONANCE_CHANNELS))),
     "perception": Stage((("body_response.csv", _PERCEPTION_CHANNELS),),
                         ("perceived.csv", "conflict.csv")),
     "sickness": Stage((("conflict.csv", None),),
-                      ("sickness.csv", "sickness_summary.json")),
-    "metrics": Stage((("seat_motion.csv", None),
-                      ("body_response.csv", _COMFORT_CHANNELS)), ("comfort.json",)),
+                      ("sickness.csv", "sickness_summary.json"), (("sickness.csv", None),)),
+    "metrics": Stage(_METRICS_READS, ("comfort.json",), _METRICS_READS),
 }
 _STAGE_FILES = {stage: spec.writes for stage, spec in STAGES.items()}
 # the stages run by a core, a push at a time; each reads one trace
 _STREAMED = ("body", "perception", "sickness")
-# rows per push of run_stages: one block of the trace writer
-_CHUNK_ROWS = _BLOCK_ROWS
+# stage -> its JSON records, in STAGES order, from the records its ``whole`` lists
+_CLOSE = {
+    "body": lambda config, seat, body: (_resonance_scan(config, seat, body),),
+    "sickness": lambda config, msi: (summarize(msi, config.accumulator.threshold_percent),),
+    "metrics": lambda config, seat, body: stage_metrics(config, seat, body),
+}
 
 
 def _traces(stage):
@@ -631,22 +571,25 @@ class Chain:
     ``Chain(config, rows, stages, out, seat)`` runs ``stages`` (names in
     STAGES, in order) on a record of at most ``rows`` rows.  ``push(rows)``
     takes the next rows of the trace the first stage reads, as a TimeSeries
-    (seat rows for a chain from ``input`` or ``body``), advances the body,
-    perception and sickness cores by them with the state each carries, and
-    returns every trace's rows for those samples by file name; with an
-    output directory ``out``, it also hands each trace's rows to the trace
-    writer, in the thread's write-behind scope or in one that ``close``
-    ends.  ``close(load)`` computes what needs whole records (the
-    resonances, the sickness summary and the comfort report), writes them
-    as JSON to ``out``, and returns every record by file name: each JSON
-    record, and each trace as a TimeSeries of the channels kept whole.
-    Those are the seat (when the chain is fed seat rows), the six resonance
-    channels of the body response and the MSI trace; the perceived and
-    conflict records keep only their grid.  A caller that holds the whole
-    seat record passes it as ``seat`` and pushes its rows: the chain then
-    keeps that record rather than a copy of them.  ``load(file, channels)``
-    gives the whole traces the metrics stage reads that the chain does not
-    keep.
+    (seat rows for a chain from ``input`` or ``body``) with the channels of
+    the first push, starting where the rows before them ended.  It advances
+    the body, perception and sickness cores by them, and returns every
+    trace's rows for those samples by file name; with an output directory
+    ``out``, it also hands each trace's rows to the trace writer, which may
+    read them after the push returns, in the thread's write-behind scope or
+    in one that ``close`` ends.
+
+    What the chain keeps whole is what ``STAGES`` declares: of each trace
+    it is fed or its stages make, the channels that any of its stages lists
+    in ``whole``, in one array of ``rows`` rows, or in the seat record
+    passed as ``seat``, whose rows the caller then pushes.  For a whole run
+    that is the seat, the six resonance channels of the body response and
+    the MSI trace.  ``close(load)`` makes each stage's JSON records from
+    those whole records, with ``load(file, channels)`` giving the ones no
+    stage of the chain makes, writes them to ``out``, and returns every
+    record by file name: each JSON record, and each trace as a TimeSeries
+    of the channels kept whole (none for the perceived and conflict
+    traces).
 
     A stage that fails stops, and so does every stage after it, and their
     files are removed; the stages before it run on, so their files
@@ -665,24 +608,31 @@ class Chain:
         self.wait, self.error = 0.0, None
         self.live = len(self.stages)  # stages[:live] still run
         self.n = 0  # rows pushed
-        self.grid = None  # (start_time, dt) of the first push
-        # the seat rows, kept whole: (samples, channels) of the record given
-        # or of a copy made as rows are pushed
-        self.seat = None if seat is None else (seat.samples, seat.channels)
-        self.copy_seat = seat is None
-        self.saves, self.json = {}, []  # trace file -> its save; JSON files written
-        self._exit = contextlib.ExitStack()
-        self.scope = None if out is None else self._exit.enter_context(_write_behind())
+        self.grid = self.channels = None  # (start_time, dt) and channels of the first push
         # fed seat rows, or the trace its first stage reads
         self.head = "seat_motion.csv" if self.stages[0] in ("input", "body") else \
             STAGES[self.stages[0]].reads[0][0]
+        made = {self.head, *(name for stage in self.stages for name in _traces(stage))}
+        self.keep = {}  # trace -> the channels kept whole, None for all
+        for stage in self.stages:
+            for name, channels in STAGES[stage].whole:
+                if name in made:
+                    kept = self.keep.get(name, ())
+                    self.keep[name] = None if None in (kept, channels) else \
+                        tuple(dict.fromkeys(kept + channels))
+        self.whole = {}  # trace -> (its whole samples, their columns in a push, channels)
+        if seat is not None and self.head in self.keep:
+            self.whole[self.head] = (seat.samples, None, seat.channels)
+        self.saves, self.json = {}, []  # trace file -> its save; JSON files written
+        self._exit = contextlib.ExitStack()
+        self.scope = None if out is None else self._exit.enter_context(_write_behind())
         self.cores = {}
         try:
             for stage in self.stages:
                 if stage in _STREAMED:
                     with self._stage(stage):
                         # looked up at each call: a replaced stage function is the one run
-                        self.cores[stage] = globals()[f"stage_{stage}"](config, rows)
+                        self.cores[stage] = globals()[f"stage_{stage}"](config)
         except BaseException:
             self._exit.close()
             raise
@@ -714,25 +664,27 @@ class Chain:
         if first + m > self.rows:
             raise ValueError(f"{first + m} rows pushed to a chain of {self.rows}")
         if self.grid is None:
-            self.grid = (rows.start_time, rows.dt)
-            if self.head == "seat_motion.csv" and self.copy_seat:
-                self.seat = (np.empty((self.rows, rows.samples.shape[1])), rows.channels)
+            self.grid, self.channels = (rows.start_time, rows.dt), rows.channels
+        elif rows.channels != self.channels:
+            raise ValueError(f"rows of channels {list(rows.channel_names)}, the chain's "
+                             f"are {[name for name, _ in self.channels]}")
         elif rows.dt != self.grid[1]:
             raise ValueError(f"rows at dt={rows.dt}, the chain at dt={self.grid[1]}")
-        if self.seat is not None:  # kept whole; the writer reads these rows
-            kept = self.seat[0][first:first + m]
-            if self.copy_seat:
-                kept[:] = rows.samples
-            rows = TimeSeries(rows.start_time, rows.dt, rows.channels, kept)
+        elif abs(rows.start_time - (self.grid[0] + first * rows.dt)) > 1e-6 * rows.dt:
+            raise ValueError(f"rows from t={rows.start_time:.9g} s do not continue "
+                             f"the chain's {first} rows from t={self.grid[0]:.9g} s")
         traces = {self.head: rows}
+        self._keep(self.head, rows, first)
         for i, stage in enumerate(self.stages):
             if i >= self.live:
                 break
             t = time.perf_counter()
             if stage in self.cores:
-                with self._stage(stage):
+                with self._stage(stage), _rows_from(first, *self.grid):
                     fed = traces[STAGES[stage].reads[0][0]]
-                    traces.update(zip(_traces(stage), self.cores[stage].push(fed, first)))
+                    traces.update(zip(_traces(stage), self.cores[stage](fed)))
+                    for name in _traces(stage):
+                        self._keep(name, traces[name], first)
             t_write = time.perf_counter()
             if self.out is not None:
                 for name in _traces(stage):
@@ -745,6 +697,19 @@ class Chain:
         self.n += m
         return {name: traces[name] for stage in self.stages[:self.live]
                 for name in _traces(stage)}
+
+    def _keep(self, name, ts, first):
+        """Copy the kept channels of ``ts``, rows ``first`` on of trace
+        ``name``, into its whole record; a seat passed whole holds them."""
+        if name not in self.keep:
+            return
+        if name not in self.whole:
+            cols = [ts.index(c) for c in self.keep[name] or ts.channel_names]
+            self.whole[name] = (np.empty((self.rows, len(cols))), cols,
+                               [ts.channels[c] for c in cols])
+        samples, cols, _ = self.whole[name]
+        if cols is not None:
+            samples[first:first + ts.n_samples] = ts.samples[:, cols]
 
     def _append(self, name, ts, first):
         if name not in self.saves:
@@ -769,28 +734,28 @@ class Chain:
         for name, save in list(self.saves.items()):  # no rows follow
             with self._stage(next(s for s in self.stages if name in STAGES[s].writes)):
                 self.scope.done(save)
-        whole, grid = {}, None
-        if self.n:
-            grid = TimeSeries(*self.grid, (), np.empty((self.n, 0)))
-        if self.seat is not None:
-            whole[self.head] = TimeSeries(*self.grid, self.seat[1], self.seat[0][:self.n])
+        grid = None if not self.n else TimeSeries(*self.grid, (), np.empty((self.n, 0)))
+        # the records every push reached: the fed trace and those of the stages running
+        made = {self.head, *(name for stage in self.stages[:self.live]
+                             for name in _traces(stage))}
+        records = {name: TimeSeries(*self.grid, channels, samples[:self.n])
+                   for name, (samples, _, channels) in self.whole.items() if name in made}
         for i, stage in enumerate(self.stages):
             if i >= self.live:
                 break
-            if stage == "metrics":  # read outside the stage, as a stage command's inputs
-                inputs = [whole[name] if name in whole else load(name, channels)
-                          for name, channels in STAGES[stage].reads]
+            if stage not in _CLOSE:
+                continue
+            # read outside the stage, as a stage command's inputs
+            inputs = [records[name] if name in records else load(name, channels)
+                      for name, channels in STAGES[stage].whole]
             t = time.perf_counter()
             with self._stage(stage):
-                if stage in self.cores:
-                    whole.update(self.cores[stage].close(whole, grid))
-                elif stage == "metrics":
-                    whole.update(zip(STAGES[stage].writes,
-                                     stage_metrics(self.config, *inputs)))
+                files = STAGES[stage].writes[len(_traces(stage)):]  # after its traces
+                records.update(zip(files, _CLOSE[stage](self.config, *inputs)))
                 t_write = time.perf_counter()
-                for name in STAGES[stage].writes:
-                    if self.out is not None and not name.endswith(".csv"):
-                        record = whole[name]
+                for name in files:
+                    if self.out is not None:
+                        record = records[name]
                         save_json(asdict(record) if is_dataclass(record) else record,
                                   self.out / name)
                         self.json.append(name)
@@ -802,7 +767,7 @@ class Chain:
                 self.scope.flush(wait=True)
                 break
         self.wait = time.perf_counter() - t
-        return {name: whole.get(name, grid) for stage in self.stages
+        return {name: records.get(name, grid) for stage in self.stages
                 for name in STAGES[stage].writes}
 
 
@@ -811,9 +776,9 @@ def run_stages(config, out, stages, load=None):
     ``out``, in one write-behind scope.
 
     The chain is fed the trace its first stage reads, whole, in pushes of
-    ``_CHUNK_ROWS`` rows: the seat record ``stage_input`` makes, or else
-    ``load(file, channels)``, which also gives the traces the metrics stage
-    reads that no stage of this call keeps.  The scope ends once every
+    ``_BLOCK_ROWS`` rows: the seat record ``stage_input`` makes, or else
+    ``load(file, channels)``, which also gives the whole records that no
+    stage of this call makes.  The scope ends once every
     trace is written, also when a stage fails; a failure is a StageError of
     the stage that failed, or that saved the file whose write failed.
     Returns the records by file name, as ``Chain.close`` does, each stage's
@@ -834,8 +799,8 @@ def run_stages(config, out, stages, load=None):
         chain = Chain(config, rows, stages, out, head if stages[0] == "input" else None)
         if stages[0] == "input":
             chain.wall["input"] += time.perf_counter() - t
-        for c0 in range(0, rows, _CHUNK_ROWS):
-            chain.push(head.rows(c0, c0 + _CHUNK_ROWS))
+        for c0 in range(0, rows, _BLOCK_ROWS):
+            chain.push(head.rows(c0, c0 + _BLOCK_ROWS))
         head = None  # the chain keeps what it needs
         records = chain.close(load)
     return records, chain.wall, chain.write, chain.wait, scope.digests
@@ -912,6 +877,7 @@ def run_pipeline(config, out_dir=None):
     seat, body = records["seat_motion.csv"], records["body_response.csv"]
     sick = records["sickness_summary.json"]
     traces = {name: ts for name, ts in records.items() if name.endswith(".csv")}
+    body_compute = wall["body"] - write["body"]  # simulate, the kept rows and the scan
 
     head_rms = {axis: float(np.sqrt(np.mean(
         body.channel(f"head_acc_{axis}") ** 2))) for axis in ("x", "y", "z")}
@@ -930,7 +896,8 @@ def run_pipeline(config, out_dir=None):
         stage_wall_s=wall,
         stage_write_s=write,
         write_wait_s=wait,
-        body_realtime_factor=float(body.meta["realtime_factor"]),
+        body_realtime_factor=seat.duration / body_compute if body_compute > 0
+        else float("inf"),
         pipeline_realtime_factor=seat.duration / max(total_wall, 1e-12),
         # ru_maxrss counts KiB on Linux
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,

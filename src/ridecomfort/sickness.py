@@ -18,10 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.signal as sps
 
-from ridecomfort.timeseries import TimeSeries, from_arrays
-
-# rows per chunk of accumulate, as perception's
-_CHUNK_ROWS = 8192
+from ridecomfort.timeseries import _BLOCK_ROWS as _CHUNK_ROWS, TimeSeries, from_arrays
 
 
 @dataclass(frozen=True)

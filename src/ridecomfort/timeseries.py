@@ -55,7 +55,11 @@ from .errors import (
 )
 
 _DT_RTOL = 1e-6
-_BLOCK_ROWS = 4096  # CSV rows formatted per task of the writer's pool
+# Rows per block: of CSV rows formatted per task of the writer's pool, of a
+# push of a run's chain, and of a chunk of simulate, perceive and accumulate.
+# simulate's matrix products at this size run on one BLAS thread (8192 woke
+# a spinning OpenBLAS worker on 2 cores).
+_BLOCK_ROWS = 4096
 _READ_SPAN_BYTES = 1 << 19  # CSV bytes parsed per task of the reader's pool
 _HEADER_RE = re.compile(r"^(?P<name>[^\[\]]+)\[(?P<unit>[^\[\]]*)\]$")
 

@@ -11,9 +11,11 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 import pytest
 
-from conftest import EXAMPLES
-from ridecomfort.pipeline import Chain, parse_config, stage_input
-from ridecomfort.timeseries import load_timeseries
+from conftest import EXAMPLES, make_scenario
+from ridecomfort.cli import _STAGE_COMMANDS
+from ridecomfort.pipeline import (
+    _RESONANCE_CHANNELS, STAGES, Chain, build_config, parse_config, run_stages, stage_input)
+from ridecomfort.timeseries import TimeSeries, load_timeseries
 
 _TRACES = ("body_response.csv", "perceived.csv", "conflict.csv", "sickness.csv")
 _SUMMARIES = ("resonances.json", "sickness_summary.json", "comfort.json")
@@ -70,3 +72,54 @@ def test_ten_row_pushes_stay_within_the_real_time_budget():
         chain.push(seat.rows(i, i + 10))
         walls.append(time.perf_counter() - t)
     assert np.percentile(walls, 99) < 10e-3, np.percentile(walls, [50, 99])
+
+
+def test_a_push_in_another_channel_order_is_refused():
+    # the body core would read its carried lead row in the new order
+    config = parse_config(EXAMPLES / "scenario_default.json")
+    (seat,) = stage_input(config)
+    chain = Chain(config, seat.n_samples)
+    chain.push(seat.rows(0, 100))
+    zyx = [name for name, _ in reversed(seat.channels)]
+    with pytest.raises(ValueError, match="channels"):
+        chain.push(seat.rows(100, 200).select(zyx))
+    assert chain.n == 100
+
+
+def test_a_push_that_skips_rows_is_refused():
+    config = parse_config(EXAMPLES / "scenario_default.json")
+    (seat,) = stage_input(config)
+    chain = Chain(config, seat.n_samples)
+    chain.push(seat.rows(0, 100))
+    with pytest.raises(ValueError, match="continue"):
+        chain.push(seat.rows(1100, 1200))
+    # within a millionth of a row of where the rows before ended
+    late = seat.rows(100, 200)
+    chain.push(TimeSeries(late.start_time + 1e-7 * seat.dt, seat.dt, seat.channels,
+                          late.samples))
+    assert chain.n == 200
+
+
+def test_the_records_kept_whole_are_those_stages_declares(tmp_path):
+    config, errors = build_config(make_scenario())
+    assert errors == []
+    kept = {"seat_motion.csv": ("seat_acc_x", "seat_acc_y", "seat_acc_z"),
+            "body_response.csv": _RESONANCE_CHANNELS, "perceived.csv": (),
+            "conflict.csv": (), "sickness.csv": ("msi",)}
+
+    def load(name, channels):
+        ts = load_timeseries(tmp_path / name)
+        return ts.select(channels) if channels else ts
+
+    runs = {"pipeline": tuple(STAGES)}
+    runs.update((command, stages) for command, (stages, _) in _STAGE_COMMANDS.items())
+    n = None
+    for command, stages in runs.items():
+        records = run_stages(config, tmp_path, stages, load)[0]
+        traces = {name: ts for name, ts in records.items() if name.endswith(".csv")}
+        assert set(traces) == {name for stage in stages for name in STAGES[stage].writes
+                               if name.endswith(".csv")}, command
+        for name, ts in traces.items():
+            n = n or ts.n_samples
+            assert ts.channel_names == kept[name], (command, name)
+            assert ts.n_samples == n, (command, name)

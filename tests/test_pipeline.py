@@ -680,8 +680,13 @@ def test_accumulator_threshold_reaches_the_sickness_summary(tmp_path):
     assert threshold > 0.0
     raw["accumulator"]["threshold_percent"] = threshold
     out = tmp_path / "threshold"
-    run_pipeline(parse_config(_write(tmp_path, raw)), out)
-    summary = json.loads((out / "sickness_summary.json").read_text())
+    config_path = _write(tmp_path, raw)
+    run_pipeline(parse_config(config_path), out)
+    ran = (out / "sickness_summary.json").read_bytes()
+    # the resumed sickness stage crosses the threshold at the same row
+    assert main(["sickness", "--config", str(config_path), "--out", str(out)]) == 0
+    assert (out / "sickness_summary.json").read_bytes() == ran
+    summary = json.loads(ran)
     first = int(np.flatnonzero(msi >= threshold)[0])
     assert summary["threshold_percent"] == threshold
     assert summary["time_to_threshold_s"] == pytest.approx(first * 0.002)
