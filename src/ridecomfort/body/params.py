@@ -8,11 +8,11 @@ flat JSON objects with exactly these keys.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
 from ridecomfort.errors import ConfigError
+from ridecomfort.schema import is_number, read
 
 # Generalized coordinates of the three-segment chain.  Translations are the
 # pelvis carriage relative to the seat pan; angles are absolute (lab frame).
@@ -56,10 +56,6 @@ _MAX_REST_ANGLE_RAD = 0.6  # small-angle model; larger rest angles are out of sc
 def _require(cond: bool, errors: list, field: str, message: str) -> None:
     if not cond:
         errors.append((field, message))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -131,39 +127,22 @@ class BodyParams:
         return tuple(f.name for f in fields(cls))
 
     @classmethod
-    def from_dict(cls, raw: dict, source: str = "body params") -> "BodyParams":
-        """Build from a flat mapping, rejecting unknown and missing keys."""
-        errors = []
-        known = set(cls.field_names())
-        data = dict(raw)
-        data.pop("schema_version", None)
-        data.pop("label", None)
-        for key in sorted(set(data) - known):
-            errors.append((key, "unknown parameter"))
-        for key in sorted(known - set(data)):
-            errors.append((key, "missing parameter"))
-        if errors:
-            raise ConfigError([(f"{source}.{k}", m) for k, m in errors])
-        params = cls(**{k: data[k] for k in known})
-        params.validate(source=source)
-        return params
-
-    @classmethod
     def from_preset(cls, name: str = "default", overrides: dict | None = None) -> "BodyParams":
-        """Load a named preset shipped with the package, optionally overridden."""
+        """Load a named preset shipped with the package, optionally overridden;
+        a ConfigError lists every problem at its path in a scenario's ``model``."""
         try:
             text = resources.files("ridecomfort.data").joinpath(f"body_{name}.json").read_text()
         except (OSError, ValueError):  # no such file, or a name no file can have
-            raise ConfigError([(f"model.preset", f"unknown preset {name!r}")]) from None
+            raise ConfigError([("model.preset", f"unknown preset {name!r}")]) from None
         raw = json.loads(text)
-        if overrides:
-            unknown = sorted(set(overrides) - set(cls.field_names()))
-            if unknown:
-                raise ConfigError([(f"model.overrides.{k}", "unknown parameter") for k in unknown])
-            raw.update(overrides)
-        return cls.from_dict(raw, source="model")
+        del raw["schema_version"], raw["label"]  # the preset file's own keys
+        errors = []
+        params = read(cls, raw | dict(overrides or {}), "model.overrides", errors)
+        if errors:
+            raise ConfigError(errors)
+        return params
 
-    def validate(self, source: str = "body params") -> None:
+    def validate(self) -> None:
         """Raise ConfigError listing every out-of-range field."""
         errors = []
         positive = (
@@ -195,26 +174,23 @@ class BodyParams:
         )
         for name in positive:
             value = getattr(self, name)
-            if not _is_number(value) or value <= 0:
+            if not is_number(value) or value <= 0:
                 errors.append((name, "must be a finite number > 0"))
         for name in nonneg:
             value = getattr(self, name)
-            if not _is_number(value) or value < 0:
+            if not is_number(value) or value < 0:
                 errors.append((name, "must be a finite number >= 0"))
-        for name in ("backrest_present", "visual_enabled"):
-            if not isinstance(getattr(self, name), bool):
-                errors.append((name, "must be true or false"))
-        if isinstance(self.backrest_present, bool) and self.backrest_present:
-            if not _is_number(self.backrest_height_m) or self.backrest_height_m <= 0:
+        if self.backrest_present:
+            if not is_number(self.backrest_height_m) or self.backrest_height_m <= 0:
                 errors.append(("backrest_height_m", "must be a finite number > 0"))
-            elif _is_number(self.pelvis_to_l5s1_m) and self.backrest_height_m <= self.pelvis_to_l5s1_m:
+            elif is_number(self.pelvis_to_l5s1_m) and self.backrest_height_m <= self.pelvis_to_l5s1_m:
                 errors.append(
                     ("backrest_height_m", "must exceed pelvis_to_l5s1_m (contact is on the trunk)")
                 )
-        elif not _is_number(self.backrest_height_m) or self.backrest_height_m < 0:
+        elif not is_number(self.backrest_height_m) or self.backrest_height_m < 0:
             errors.append(("backrest_height_m", "must be a finite number >= 0"))
         if errors:
-            raise ConfigError([(f"{source}.{k}", m) for k, m in errors])
+            raise ConfigError(errors)
 
     def total_mass_kg(self) -> float:
         return self.pelvis_mass_kg + self.trunk_mass_kg + self.head_mass_kg
@@ -234,7 +210,7 @@ class PostureConfig:
     initial_joint_angles_rad: dict[str, float] | None = None
     locked_coordinates: tuple[str, ...] = ()
 
-    def validate(self, source: str = "posture") -> None:
+    def validate(self) -> None:
         errors = []
         _require(self.posture in _POSTURES, errors, "posture",
                  f"must be one of {_POSTURES}")
@@ -244,7 +220,7 @@ class PostureConfig:
             for key, value in self.initial_joint_angles_rad.items():
                 if key not in JOINT_NAMES:
                     errors.append((f"initial_joint_angles_rad.{key}", "unknown joint"))
-                elif not _is_number(value) or abs(value) > _MAX_REST_ANGLE_RAD:
+                elif not is_number(value) or abs(value) > _MAX_REST_ANGLE_RAD:
                     errors.append((f"initial_joint_angles_rad.{key}",
                                    f"must be a finite angle within +/-{_MAX_REST_ANGLE_RAD} rad"))
         seen = set()
@@ -257,7 +233,7 @@ class PostureConfig:
         if len(seen) == len(COORDINATE_NAMES):
             errors.append(("locked_coordinates", "cannot lock every coordinate"))
         if errors:
-            raise ConfigError([(f"{source}.{k}", m) for k, m in errors])
+            raise ConfigError(errors)
 
     def joint_rest_angles(self) -> dict:
         """Merge the named posture's angles with explicit overrides."""

@@ -205,6 +205,15 @@ def design_weighting(name, rate_hz):
 
 # -- scalar metrics -----------------------------------------------------------
 
+def settling_rows(settle_s, dt, n_samples):
+    """The rows of an ``n_samples`` record at step ``dt`` that a settling
+    interval of ``settle_s`` leaves out; ValueError when that is all."""
+    skip = round(min(settle_s / dt, n_samples))
+    if skip >= n_samples:
+        raise ValueError("settling interval consumes the whole record")
+    return skip
+
+
 def weighted_rms(x, dt, weighting, settle_s=0.0):
     """RMS of the weighted signal, discarding an initial settling interval."""
     if isinstance(weighting, str):
@@ -214,10 +223,7 @@ def weighted_rms(x, dt, weighting, settle_s=0.0):
             f"filter designed for {weighting.rate_hz:g} Hz, "
             f"signal sampled at {1.0 / dt:g} Hz")
     y = weighting.apply(x)
-    skip = int(round(settle_s / dt))
-    if skip >= len(y):
-        raise ValueError("settling interval consumes the whole record")
-    y = y[skip:]
+    y = y[settling_rows(settle_s, dt, len(y)):]
     return float(np.sqrt(np.mean(y * y)))
 
 
@@ -231,10 +237,7 @@ def motion_sickness_dose(x, dt, settle_s=0.0, percent_per_dose=1.0 / 3.0):
     """
     w = design_weighting(DOSE_WEIGHTING, 1.0 / dt)
     y = w.apply(x)
-    skip = int(round(settle_s / dt))
-    if skip >= len(y):
-        raise ValueError("settling interval consumes the whole record")
-    y = y[skip:]
+    y = y[settling_rows(settle_s, dt, len(y)):]
     msdv = float(np.sqrt(np.sum(y * y) * dt))
     return msdv, min(percent_per_dose * msdv, 100.0)
 
@@ -248,6 +251,20 @@ def _weight_channels(ts, prefix, settle_s, rms_out, kinds_out):
         kind = AXIS_WEIGHTINGS[axis]
         rms_out[name] = weighted_rms(ts.channel(name), ts.dt, kind, settle_s)
         kinds_out[name] = kind
+
+
+@dataclass(frozen=True)
+class MetricsOptions:
+    """The ``metrics`` section of a scenario: which metrics a run reports,
+    and the initial seconds they leave out."""
+
+    weighted_rms: bool = True
+    msdv: bool = True
+    settle_s: float = 0.0
+
+    def validate(self) -> None:
+        if self.settle_s < 0:
+            raise ValueError("settle_s must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,13 @@ resonance hunting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal as sps
 
 from ridecomfort.errors import InvalidBand
+from ridecomfort.schema import is_number
 from ridecomfort.timeseries import TimeSeries, from_arrays
 
 SEAT_CHANNELS = (("seat_acc_x", "m/s^2"), ("seat_acc_y", "m/s^2"), ("seat_acc_z", "m/s^2"))
@@ -49,23 +49,23 @@ class ExcitationSpec:
         if self.kind not in ("noise", "sweep"):
             raise ValueError(f"kind must be noise or sweep, got {self.kind!r}")
         f_lo, f_hi = self.band_hz
-        if not all(map(math.isfinite, (f_lo, f_hi, self.rms_m_s2,
-                                       self.duration_s, self.dt_s))):
+        if not all(map(is_number, (f_lo, f_hi, self.rms_m_s2,
+                                   self.duration_s, self.dt_s))):
             raise ValueError("band_hz, rms_m_s2, duration_s and dt_s must be finite")
         if self.dt_s <= 0:
             raise ValueError("dt_s must be > 0")
         if not (0.0 < f_lo < f_hi):
-            raise InvalidBand(f"band must satisfy 0 < f_lo < f_hi, got {self.band_hz}")
+            raise InvalidBand(f"band_hz must satisfy 0 < f_lo < f_hi, got {self.band_hz}")
         if f_hi >= 0.5 / self.dt_s:
             raise InvalidBand(
-                f"band top {f_hi} Hz reaches Nyquist for dt={self.dt_s}")
+                f"band_hz top {f_hi} Hz reaches Nyquist for dt={self.dt_s}")
         if not 0 < self.rms_m_s2 <= MAX_RMS_M_S2:
             raise ValueError(f"rms_m_s2 must be > 0 and <= {MAX_RMS_M_S2:g}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.duration_s * f_lo < _MIN_CYCLES:
             raise InvalidBand(
-                f"duration {self.duration_s} s gives fewer than {_MIN_CYCLES:.0f} "
+                f"duration_s {self.duration_s} s gives fewer than {_MIN_CYCLES:.0f} "
                 f"cycles at {f_lo} Hz")
 
     @property

@@ -65,12 +65,10 @@ class VisionParams:
     delay_s: float = 0.2
 
     def validate(self) -> None:
-        if not isinstance(self.enabled, bool):
-            raise ValueError("vision.enabled must be true or false")
         if not 0.0 <= self.rotation_gain <= 1.0:
-            raise ValueError("vision.rotation_gain must be within [0, 1]")
+            raise ValueError("rotation_gain must be within [0, 1]")
         if self.delay_s < 0:
-            raise ValueError("vision.delay_s must be >= 0")
+            raise ValueError("delay_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,15 @@ class VestibularParams:
 
     def validate(self) -> None:
         if not 0.0 < self.canal_tau_short_s < self.canal_tau_long_s:
-            raise ValueError("need 0 < canal_tau_short_s < canal_tau_long_s")
+            raise ValueError("canal_tau_short_s must be > 0 and < canal_tau_long_s")
         if self.otolith_gain <= 0:
             raise ValueError("otolith_gain must be > 0")
         if self.sv_time_constant_s <= 0:
             raise ValueError("sv_time_constant_s must be > 0")
-        self.vision.validate()
+        try:
+            self.vision.validate()
+        except ValueError as exc:  # named as a field of these parameters
+            raise ValueError(f"vision.{exc}") from None
 
 
 @dataclass

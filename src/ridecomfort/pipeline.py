@@ -27,9 +27,9 @@ rows are handed to the writer's worker processes, so they are formatted
 while later pushes compute, and a run holds a few chunks of rows rather
 than whole body, perceived and conflict records.
 
-The config reader is derived from the parameter dataclasses: each key's
-type is its field's annotation and each omitted key takes the field's
-default, so no default is restated here.
+Each config section is read by ``schema.read`` as the parameter
+dataclass behind it, which decides its keys, types, defaults and the JSON
+path of every problem, so none of them is restated here.
 """
 
 from __future__ import annotations
@@ -37,23 +37,23 @@ from __future__ import annotations
 import contextlib
 import json
 import resource
-import sys
 import time
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import cache
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .body import BodyParams, PostureConfig, build_model
 from .body.integrate import simulate
-from .comfort import BODY_CHANNELS as _COMFORT_CHANNELS, comfort_report
+from .comfort import BODY_CHANNELS as _COMFORT_CHANNELS
+from .comfort import MetricsOptions, comfort_report, settling_rows
 from .errors import (
     ConfigError, IoError, NonFiniteSample, NonFiniteState, RideComfortError, StageError)
 from .excitation import SEAT_CHANNELS, ExcitationSpec, generate_excitation
 from .perception import BODY_CHANNELS as _PERCEPTION_CHANNELS
 from .perception import PerceptionState, VestibularParams, perceive
+from .schema import INVALID, read, read_fields
 from .sickness import AccumulatorParams, AccumulatorState, accumulate, summarize
 from .spectral import resonance_scan
 from .stht import STHTOptions, default_welch_params
@@ -96,25 +96,10 @@ class ScenarioConfig:
     posture: PostureConfig
     perception: VestibularParams
     accumulator: AccumulatorParams
-    metrics_rms: bool
-    metrics_msdv: bool
-    metrics_settle_s: float
+    metrics: MetricsOptions
     stht: STHTOptions
     output_dir: Path | None
     seed: int | None
-
-
-@dataclass(frozen=True)
-class _Metrics:
-    """The ``metrics`` section."""
-
-    weighted_rms: bool = True
-    msdv: bool = True
-    settle_s: float = 0.0
-
-    def validate(self):
-        if self.settle_s < 0:
-            raise ValueError("settle_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -136,8 +121,8 @@ class _CsvInput:
 class _Scenario:
     """Top-level keys of a scenario file.
 
-    ``input`` and ``perception`` stay raw: each has a key that is not a
-    dataclass field (``kind``, ``anticipation``), so each has a reader below.
+    ``input`` stays raw: its key ``kind`` selects the dataclass it is read
+    as, so it has a reader below.
     """
 
     schema_version: int
@@ -145,115 +130,11 @@ class _Scenario:
     seed: int | None = None
     model: _Model = field(default_factory=_Model)
     posture: PostureConfig = field(default_factory=PostureConfig)
-    perception: dict = field(default_factory=dict)
+    perception: VestibularParams = field(default_factory=VestibularParams)
     accumulator: AccumulatorParams = field(default_factory=AccumulatorParams)
-    metrics: _Metrics = field(default_factory=_Metrics)
+    metrics: MetricsOptions = field(default_factory=MetricsOptions)
     stht: STHTOptions = field(default_factory=STHTOptions)
     output_dir: str | None = None
-
-
-# Python types that each annotation accepts; a JSON number may be an integer
-_ACCEPTS = {bool: bool, int: int, float: (int, float), str: str,
-            tuple: list, dict: dict}
-
-_INVALID = object()  # a value whose problems are already in the error list
-_hints = cache(typing.get_type_hints)  # one entry per dataclass read here
-
-
-def _fail(errors, path, message):
-    errors.append((path, message))
-    return _INVALID
-
-
-def _value(hint, value, path, errors):
-    """``value`` checked against the annotation ``hint``, or _INVALID.
-
-    JSON arrays become tuples and JSON objects under a dataclass annotation
-    become instances.  Every problem is reported at its leaf path.
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:  # an optional field: X | None
-        if value is None:
-            return None
-        hint, args = args[0], typing.get_args(args[0])
-    kind = dict if is_dataclass(hint) else typing.get_origin(hint) or hint
-    if not isinstance(value, _ACCEPTS[kind]) or (
-            isinstance(value, bool) and kind is not bool):
-        wanted = "number" if kind is float else _ACCEPTS[kind].__name__
-        return _fail(errors, path,
-                     f"expected {wanted}, got {type(value).__name__}")
-    if is_dataclass(hint):
-        return _read(hint, value, path, errors)
-    # also false for NaN and for integers too large for a float
-    if kind is float and not abs(value) <= sys.float_info.max:
-        return _fail(errors, path, "must be a finite number")
-    if kind is tuple:
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            return _fail(errors, path,
-                         f"expected {len(args)} elements, got {len(value)}")
-        items = tuple(_value(t, v, f"{path}[{i}]", errors)
-                      for i, (t, v) in enumerate(zip(args, value)))
-        return _INVALID if any(v is _INVALID for v in items) else items
-    if kind is dict and args:
-        items = {k: _value(args[1], v, f"{path}.{k}", errors)
-                 for k, v in value.items()}
-        return _INVALID if any(v is _INVALID for v in items.values()) else items
-    return value
-
-
-def _fields(cls, raw, path, errors, keys={}, partial=False):
-    """Checked constructor arguments of dataclass ``cls`` from the dict ``raw``.
-
-    A field's config key is its name unless ``keys`` renames it, and its
-    type is the field's annotation.  Omitted keys take the field's default;
-    a field without one is required unless ``partial``.  Unknown keys are
-    errors.  Keys with a problem are left out of the result.
-    """
-    hints, kwargs = _hints(cls), {}
-    known = {keys.get(f.name, f.name) for f in fields(cls)}
-    for f in fields(cls):
-        key = keys.get(f.name, f.name)
-        leaf = f"{path}.{key}" if path else key
-        if key in raw:
-            value = _value(hints[f.name], raw[key], leaf, errors)
-            if value is not _INVALID:
-                kwargs[f.name] = value
-        elif f.default is not MISSING:
-            kwargs[f.name] = f.default
-        elif f.default_factory is not MISSING:
-            kwargs[f.name] = f.default_factory()
-        elif not partial:
-            errors.append((leaf, "required key is missing"))
-    for key in sorted(set(raw) - known, key=str):
-        errors.append((f"{path}.{key}" if path else str(key), "unknown key"))
-    return kwargs
-
-
-def _read(cls, raw, path, errors, keys={}):
-    """Instance of dataclass ``cls`` from the dict ``raw``, or _INVALID.
-
-    After the type checks, the class's own ``validate()`` checks ranges.  A
-    ConfigError from it carries full paths; another error goes to the key
-    its message starts with, or else to ``path``.
-    """
-    kwargs = _fields(cls, raw, path, errors, keys)
-    if len(kwargs) < len(fields(cls)):  # a field is missing or invalid
-        return _INVALID
-    try:
-        obj = cls(**kwargs)
-        if hasattr(obj, "validate"):
-            obj.validate()
-    except ConfigError as exc:
-        errors.extend(exc.errors)
-        return _INVALID
-    except (RideComfortError, ValueError) as exc:
-        name = str(exc).split(" ", 1)[0]
-        if name in kwargs:
-            path = f"{path}.{keys.get(name, name)}"
-        return _fail(errors, path, str(exc))
-    return obj
 
 
 def load_config(path):
@@ -282,9 +163,11 @@ def apply_cli_overrides(raw, seed=None, axis=None, vision=None):
         if isinstance(raw.get("input"), dict) and \
                 raw["input"].get("kind") == "excitation":
             raw["input"]["seed"] = seed
-    if axis is not None and isinstance(raw.get("input"), dict) and \
-            raw["input"].get("kind") == "excitation":
-        raw["input"]["axis"] = axis
+    if axis is not None and isinstance(raw.get("input"), dict):
+        if raw["input"].get("kind") == "csv":
+            raise ConfigError([("--axis", "applies to an excitation input; a csv "
+                                "input brings its own seat motion")])
+        raw["input"]["axis"] = axis  # read only for an excitation input
     if vision is not None:
         per = raw.setdefault("perception", {})
         if isinstance(per, dict):
@@ -305,56 +188,44 @@ def _read_input(raw, base_dir, seed, errors):
     raw = dict(raw)
     kind = raw.pop("kind", None)
     if kind == "csv":
-        csv = _read(_CsvInput, raw, "input", errors)
-        if csv is _INVALID:
+        csv = read(_CsvInput, raw, "input", errors)
+        if csv is INVALID:
             return None, None, None
         path = base_dir / csv.path
-        if not path.is_file():
-            return None, _fail(errors, "input.path", f"file not found: {path}"), None
         try:
+            if not path.is_file():
+                raise IoError(f"file not found: {path}")
             n_samples = count_samples(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            return None, _fail(errors, "input.path", f"cannot read {path}: {exc}"), None
-        if n_samples < 2:  # the input stage would refuse it; say why now
-            try:
+            if n_samples < 2:  # the input stage would refuse it; say why now
                 load_timeseries(path)
-            except RideComfortError as exc:
-                return None, _fail(errors, "input.path", str(exc)), None
+        except (OSError, UnicodeDecodeError) as exc:
+            errors.append(("input.path", f"cannot read {path}: {exc}"))
+            return None, None, None
+        except RideComfortError as exc:
+            errors.append(("input.path", str(exc)))
+            return None, None, None
         if n_samples > MAX_INPUT_SAMPLES:
             errors.append(("input.path", f"{n_samples} samples exceed the budget "
                            f"of {MAX_INPUT_SAMPLES} samples"))
             return None, path.resolve(), None
         return None, path.resolve(), n_samples
     if kind != "excitation":
-        return None, _fail(errors, "input.kind", "must be 'excitation' or 'csv'"), None
+        errors.append(("input.kind", "must be 'excitation' or 'csv'"))
+        return None, None, None
     if seed is not None:
         raw.setdefault("seed", seed)
     elif "seed" not in raw:
         errors.append(("input.seed", "a seed is required for synthetic "
                        "excitation (here or at the top level)"))
-    spec = _read(ExcitationSpec, raw, "input", errors, keys={"kind": "signal"})
-    if spec is _INVALID:
-        return spec, None, None
+    spec = read(ExcitationSpec, raw, "input", errors, keys={"kind": "signal"})
+    if spec is INVALID:
+        return None, None, None
     if spec.duration_s / spec.dt_s > MAX_INPUT_SAMPLES:
         errors.append(("input.duration_s",
                        f"{spec.duration_s:g} s at dt_s = {spec.dt_s:g} s "
                        f"exceeds the budget of {MAX_INPUT_SAMPLES} samples"))
-        return spec, None, None
+        return None, None, None
     return spec, None, spec.n_samples
-
-
-def _read_model(model, errors):
-    """BodyParams from a ``model`` section: its preset with the overrides."""
-    overrides = _fields(BodyParams, model.overrides, "model.overrides",
-                        errors, partial=True)
-    try:
-        return BodyParams.from_preset(model.preset, overrides)
-    except ConfigError as exc:
-        for path, msg in exc.errors:
-            leaf = path.rsplit(".", 1)[-1]
-            if leaf in overrides and not path.startswith("model.overrides"):
-                path = f"model.overrides.{leaf}"
-            errors.append((path, msg))
 
 
 def build_config(raw, base_dir="."):
@@ -362,7 +233,7 @@ def build_config(raw, base_dir="."):
     if not isinstance(raw, dict):
         return None, [("", "top level must be a JSON object")]
     errors = []
-    top = _fields(_Scenario, raw, "", errors)
+    top = read_fields(_Scenario, raw, "", errors)
     version, seed = top.get("schema_version"), top.get("seed")
     if version is not None and version != SCHEMA_VERSION:
         errors.append(("schema_version",
@@ -378,28 +249,32 @@ def build_config(raw, base_dir="."):
         errors.append(("stht.welch.segment_length",
                        f"{welch.segment_length} leaves fewer than 2 Welch "
                        f"segments in the {n_samples}-sample input record"))
-    body = _read_model(top["model"], errors) if "model" in top else None
+    metrics = top.get("metrics")
+    if spec is not None and metrics is not None and (metrics.weighted_rms or metrics.msdv):
+        try:  # the rule the metrics stage applies
+            settling_rows(metrics.settle_s, spec.dt_s, n_samples)
+        except ValueError as exc:
+            errors.append(("metrics.settle_s", str(exc)))
+    body = None
+    if "model" in top:
+        try:
+            body = BodyParams.from_preset(top["model"].preset, top["model"].overrides)
+        except ConfigError as exc:
+            errors.extend(exc.errors)
     if body is not None and "posture" in top:
         try:  # a valid parameter set can still be unstable or singular
             with np.errstate(all="ignore"):
                 build_model(body, top["posture"])
         except (RideComfortError, ValueError, ArithmeticError) as exc:
             errors.append(("model", f"no usable model: {exc}"))
-    perception = dict(top.get("perception", {}))
-    if perception.pop("anticipation", False) is not False:
-        errors.append(("perception.anticipation",
-                       "anticipatory expectation is not implemented; "
-                       "must be false"))
-    perception = _read(VestibularParams, perception, "perception", errors)
     if errors:
         return None, errors
-    metrics, out_dir = top["metrics"], top["output_dir"]
+    out_dir = top["output_dir"]
     config = ScenarioConfig(
         input_kind="excitation" if spec else "csv", excitation=spec,
         input_path=input_path, body=body, posture=top["posture"],
-        perception=perception, accumulator=top["accumulator"],
-        metrics_rms=metrics.weighted_rms, metrics_msdv=metrics.msdv,
-        metrics_settle_s=float(metrics.settle_s), stht=top["stht"],
+        perception=top["perception"], accumulator=top["accumulator"],
+        metrics=metrics, stht=top["stht"],
         output_dir=Path(out_dir) if out_dir else None, seed=seed)
     return config, []
 
@@ -526,8 +401,8 @@ def stage_sickness(config):
 
 
 def stage_metrics(config, seat, body):
-    return (comfort_report(seat, body, config.metrics_settle_s,
-                           config.metrics_rms, config.metrics_msdv),)
+    return (comfort_report(seat, body, config.metrics.settle_s,
+                           config.metrics.weighted_rms, config.metrics.msdv),)
 
 
 class Stage(typing.NamedTuple):

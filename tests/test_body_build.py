@@ -35,6 +35,13 @@ def test_invalid_values_rejected_with_paths():
     assert any("head_mass_kg" in path for path, _ in exc.value.errors)
 
 
+def test_an_override_too_large_for_a_float_is_a_config_error():
+    with pytest.raises(ConfigError) as exc:
+        BodyParams.from_preset("default", {"head_mass_kg": 10 ** 400})
+    assert exc.value.errors == [("model.overrides.head_mass_kg",
+                                 "must be a finite number")]
+
+
 def test_posture_validation():
     PostureConfig().validate()
     with pytest.raises(ConfigError):
@@ -45,6 +52,9 @@ def test_posture_validation():
         PostureConfig(locked_coordinates=COORDINATE_NAMES).validate()
     with pytest.raises(ConfigError):
         PostureConfig(initial_joint_angles_rad={"lumbar_pitch": 9.0}).validate()
+    with pytest.raises(ConfigError) as exc:
+        PostureConfig(initial_joint_angles_rad={"neck_pitch": 10 ** 400}).validate()
+    assert [f for f, _ in exc.value.errors] == ["initial_joint_angles_rad.neck_pitch"]
 
 
 def test_build_model_structure():

@@ -358,6 +358,21 @@ def test_stht_rejects_csv_input(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+def test_axis_on_a_csv_input_is_a_config_error(tmp_path, capsys):
+    raw = make_scenario()
+    csv_path = tmp_path / "seat.csv"
+    csv_path.write_text(
+        "time_s,seat_acc_x[m/s^2],seat_acc_y[m/s^2],seat_acc_z[m/s^2]\n"
+        + "".join(f"{i * 0.002},0,0,0\n" for i in range(1000)))
+    raw["input"] = {"kind": "csv", "path": str(csv_path)}
+    path = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(path), "--out", str(out),
+                 "--axis", "x"]) == 1
+    assert "  --axis: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metrics_needs_some_artifact(tiny_config, tmp_path, capsys):
     assert main(["metrics", "--config", str(tiny_config),
                  "--out", str(tmp_path / "nothing")]) == 2

@@ -20,6 +20,7 @@ from ridecomfort.body import BodyParams, PostureConfig, build_model
 from ridecomfort.body.params import COORDINATE_NAMES, JOINT_NAMES
 from ridecomfort.body import integrate
 from ridecomfort.cli import main
+from ridecomfort.comfort import MetricsOptions
 from ridecomfort.errors import ConfigError, NonFiniteSample, NonFiniteState, StageError
 from ridecomfort.excitation import ExcitationSpec
 from ridecomfort.perception import VestibularParams, VisionParams, perceive
@@ -51,7 +52,7 @@ def test_parse_config_returns_scenario(tiny_config):
     assert config.input_kind == "excitation"
     assert config.excitation.axis == "z"
     assert config.excitation.seed == 42
-    assert config.metrics_settle_s == 0.5
+    assert config.metrics.settle_s == 0.5
 
 
 def test_validate_reports_all_errors_without_running(tmp_path):
@@ -568,6 +569,15 @@ _BAD_INPUTS = [
     ("input", "rms_m_s2", 1e300, "input.rms_m_s2"),
     ("accumulator", "threshold_percent", 0, "accumulator.threshold_percent"),
     ("accumulator", "threshold_percent", 100.5, "accumulator.threshold_percent"),
+    # a section's validate() names the field: the problem is at its leaf
+    ("perception", "vision", {"rotation_gain": 2.0}, "perception.vision.rotation_gain"),
+    ("perception", "vision", {"delay_s": -1.0}, "perception.vision.delay_s"),
+    ("perception", "canal_tau_short_s", 10.0, "perception.canal_tau_short_s"),
+    ("input", "band_hz", [5, 1], "input.band_hz"),
+    ("input", "band_hz", [1, 300], "input.band_hz"),  # Nyquist at dt_s 0.002
+    ("input", "duration_s", 2.0, "input.duration_s"),  # 5 cycles of 2.5 Hz
+    # the settling interval leaves none of the 3001 samples to weight
+    ("metrics", "settle_s", 6.002, "metrics.settle_s"),
 ]
 
 
@@ -584,6 +594,14 @@ def test_bad_input_reported_at_leaf_path(tmp_path, capsys, section, key,
 
     assert main(["validate", "--config", str(_write(tmp_path, raw))]) == 1
     assert f"  {leaf}: " in capsys.readouterr().out
+
+
+def test_settle_s_may_leave_one_sample_or_select_no_metric():
+    # 6 s at dt_s 0.002 is 3001 samples: settle_s 6.0 leaves the last one
+    raw = make_scenario(metrics={"settle_s": 6.0})
+    assert build_config(raw)[1] == []
+    raw["metrics"] = {"settle_s": 100.0, "weighted_rms": False, "msdv": False}
+    assert build_config(raw)[1] == []
 
 
 @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100000 + b"]" * 100000],
@@ -603,8 +621,7 @@ def test_omitted_keys_take_dataclass_defaults(tmp_path):
     assert config.perception == VestibularParams()
     assert config.accumulator == AccumulatorParams()
     assert config.stht == STHTOptions()
-    assert (config.metrics_rms, config.metrics_msdv,
-            config.metrics_settle_s) == (True, True, 0.0)
+    assert config.metrics == MetricsOptions()
 
 
 # keys to mutate, by the path of the object holding them; "mystery" is unknown
