@@ -324,6 +324,12 @@ def build_model(params: BodyParams, posture: PostureConfig | None = None) -> Mod
     # at the rest posture.  Least squares tolerates unloaded singular
     # directions; a residual means the load has no static answer.
     rhs = (K_el @ q0_full - f_g0)[active_idx]
+    # A parameter that overflows the stiffness (a 1e300 m backrest lever,
+    # squared) is refused here: lstsq does not check its input, and LAPACK
+    # writes its complaints about inf or nan straight to stdout.
+    if not (np.isfinite(Ka).all() and np.isfinite(rhs).all()):
+        raise NoEquilibrium("stiffness or gravity load is not finite: a parameter's "
+                            "magnitude overflows the model")
     q_eq_a, *_ = np.linalg.lstsq(Ka, rhs, rcond=None)
     scale = max(np.linalg.norm(rhs), np.linalg.norm(f_g0), 1e-30)
     residual = np.linalg.norm(Ka @ q_eq_a - rhs)
@@ -364,10 +370,11 @@ def build_model(params: BodyParams, posture: PostureConfig | None = None) -> Mod
 
     from ridecomfort.body.linearize import closed_loop_eigenvalues
 
-    eigs, vecs = closed_loop_eigenvalues(model, with_vectors=True)
-    model.eigenvalues = eigs
-    worst = int(np.argmax(eigs.real))
-    if eigs[worst].real > _STABILITY_TOL * max(1.0, np.abs(eigs).max()):
+    # eigenvalues only; the vectors are computed to report an unstable mode
+    eigs = model.eigenvalues = closed_loop_eigenvalues(model)
+    if eigs.real.max() > _STABILITY_TOL * max(1.0, np.abs(eigs).max()):
+        eigs, vecs = closed_loop_eigenvalues(model, with_vectors=True)
+        worst = int(np.argmax(eigs.real))
         shape = vecs[:model.n, worst]
         shape = np.real(shape / shape[np.argmax(np.abs(shape))])
         raise UnstableConfiguration(eigs[worst], dict(zip(coords, np.round(shape, 6))))

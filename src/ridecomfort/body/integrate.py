@@ -8,16 +8,18 @@ step.  ``simulate`` and ``step`` share one stepping loop; a ``BodyState``
 carries the last N sensed samples per delay, so either can resume the other.
 
 Because the system is linear, one full RK4 step is an exact affine map of
-(state, delayed samples, inputs).  The kernel precomputes that map by running
-the literal stage arithmetic on basis vectors once per (model, dt); stepping
-then costs a single small matrix-vector product ``G @ w``.
+(state, delayed samples, inputs).  The kernel precomputes that map once per
+(model, dt) by one pass of the literal stage arithmetic on the stacked basis
+vectors, each product in it a single vector's; stepping then costs a single
+small matrix-vector product ``G @ w``.
 
 The stepping loop fills those work vectors a block at a time.  The step
 from row i reads the seat acceleration at rows i and i + 1 and, per tap,
 the sensed samples of rows i - N and i + 1 - N.  In a block of b <= min(N)
 steps from row i0, every one of those rows is at most i0, so all of the
-block's work vectors except the state itself are filled by a few slice
-copies before it starts; the only per-step work left is one ``np.dot`` that
+block's work vectors except the state itself are filled before it starts,
+each tap's two lags and the two seat rows by one copy from a view of
+adjacent record rows; the only per-step work left is one ``G.dot`` that
 writes the next state in place into the next work vector.  After the block,
 one product per tap senses all of its new rows.  The output is bit-identical
 to stepping one row at a time: each ``G @ w`` is the same matrix-vector
@@ -44,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ridecomfort.errors import NonFiniteState
 from ridecomfort.timeseries import _BLOCK_ROWS as _CHUNK_ROWS, TimeSeries
@@ -103,16 +106,18 @@ class BodyState:
 
 
 def _literal_rk4(kernel: _StepKernel, z, u_N, u_Nm1, a0, a1):
-    """Reference RK4 step used to synthesize (and test) the step map."""
+    """Reference RK4 step used to synthesize (and test) the step map, on
+    vectors or on stacks of column vectors shaped (k, len, 1)."""
     n = kernel.n
     dt = kernel.dt
+    q, qd = (np.s_[:n], np.s_[n:]) if z.ndim == 1 else (np.s_[:, :n], np.s_[:, n:])
     am = 0.5 * (a0 + a1)
     u_mid = [0.5 * (uN + uM) for uN, uM in zip(u_N, u_Nm1)]
 
     def f(zz, a, uu):
         out = np.empty_like(zz)
-        out[:n] = zz[n:]
-        out[n:] = kernel.rhs(zz[:n], zz[n:], a, uu)
+        out[q] = zz[qd]
+        out[qd] = kernel.rhs(zz[q], zz[qd], a, uu)
         return out
 
     k1 = f(z, a0, u_N)
@@ -163,17 +168,14 @@ def _build_kernel(model, dt: float) -> _StepKernel:
         block=min([tap.N for tap in taps] + [_CHECK_EVERY]),
         head_rows=[model.outputs.index(name) for name in _HEAD_OUTPUTS],
     )
-    kernel.G = np.column_stack([_literal_rk4(kernel, *_unpack(kernel, e))
-                                for e in np.eye(D)])
+    # column j of G is the step from basis vector e_j.  The stack's trailing
+    # unit axis keeps each product the matrix-vector product of one e_j, so G
+    # has the bits of a per-column synthesis (a (len, D) matrix form does not)
+    E = np.eye(D)[:, :, None]
+    arg = [E[:, s] for s in slices]
+    G = _literal_rk4(kernel, arg[0], arg[1:-2:2], arg[2:-2:2], arg[-2], arg[-1])
+    kernel.G = np.ascontiguousarray(G[:, :, 0].T)
     return kernel
-
-
-def _unpack(kernel: _StepKernel, work):
-    """Arguments of ``_literal_rk4`` read from a work vector: z, lag-N and
-    lag-(N-1) samples per tap, and the seat acceleration at both step ends."""
-    sl = kernel.slices
-    return (work[sl[0]], [work[s] for s in sl[1:-2:2]], [work[s] for s in sl[2:-2:2]],
-            work[sl[-2]], work[sl[-1]])
 
 
 def _get_kernel(model, dt: float) -> _StepKernel:
@@ -216,33 +218,36 @@ def _advance(model, kernel: _StepKernel, state: BodyState, A, t0: float,
          for tap, h in zip(kernel.taps, state.history)]
     for s, tap in zip(S, kernel.taps):
         s[tap.N] = tap.S_z @ z
-    # per tap: its record, its lag-N and lag-(N-1) work-vector slices, S_z
-    # transposed, and the view of the record whose row r senses trajectory row r
-    per_tap = [(s, lag_N, lag_Nm1, tap.S_z.T, s[tap.N:]) for s, tap, lag_N, lag_Nm1
-               in zip(S, kernel.taps, sl[1:-2:2], sl[2:-2:2])]
+    # per tap: S_z transposed and the view of its record whose row r senses
+    # trajectory row r
+    sensing = [(tap.S_z.T, s[tap.N:]) for s, tap in zip(S, kernel.taps)]
 
     # one work vector per row of a block; step j reads row j and writes the
     # state part of row j + 1
     B = max(1, min(kernel.block, n_steps - 1))
     work = np.empty((B + 1, G.shape[1]))
     steps = [(work[j], work[j + 1, :nz]) for j in range(B)]
-    dot = np.dot
+    # a tap's lag-N and lag-(N-1) slices are adjacent, as are the two seat
+    # slices: each pair is filled at once from rows (r, r + 1) of its record
+    # (splitting the last axis of a row range of C-order ``work`` is a view;
+    # a one-row ``A`` takes no step and has no pair)
+    pairs = [(work[:, lag_N.start:lag_Nm1.stop].reshape(B + 1, 2, -1),
+              sliding_window_view(rec, 2, axis=0).swapaxes(1, 2))
+             for rec, lag_N, lag_Nm1 in zip(S + [A], sl[1::2], sl[2::2])] if n_steps > 1 else []
+    product = G.dot
     check_at = _CHECK_EVERY
     for i0 in range(0, n_steps - 1, B):
         b = min(B, n_steps - 1 - i0)
         i1 = i0 + b
         work[0, :nz] = Z[i0]
-        for s, lag_N, lag_Nm1, _, _ in per_tap:
-            work[:b, lag_N] = s[i0:i1]
-            work[:b, lag_Nm1] = s[i0 + 1:i1 + 1]
-        work[:b, sl[-2]] = A[i0:i1]
-        work[:b, sl[-1]] = A[i0 + 1:i1 + 1]
+        for dst, src in pairs:
+            dst[:b] = src[i0:i1]
         for w, z_next in steps[:b]:
-            dot(G, w, out=z_next)
+            product(w, z_next)
         Zb = work[1:b + 1, :nz]
         Z[i0 + 1:i1 + 1] = Zb
-        for _, _, _, S_zT, s_now in per_tap:
-            dot(Zb, S_zT, out=s_now[i0 + 1:i1 + 1])
+        for S_zT, s_now in sensing:
+            Zb.dot(S_zT, s_now[i0 + 1:i1 + 1])
         if i1 >= check_at:  # early exit only; the check below finds the first bad row
             if not np.isfinite(Z[i1]).all():
                 Z = Z[:i1 + 1]

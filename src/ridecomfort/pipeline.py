@@ -158,15 +158,18 @@ def load_config(path):
 def apply_cli_overrides(raw, seed=None, axis=None, vision=None):
     """Fold command-line overrides into a raw config dict (returns a copy)."""
     raw = json.loads(json.dumps(raw))
+    if isinstance(raw.get("input"), dict) and raw["input"].get("kind") == "csv":
+        errors = [(flag, "applies to an excitation input; a csv input brings "
+                   "its own seat motion")
+                  for flag, value in (("--seed", seed), ("--axis", axis)) if value is not None]
+        if errors:
+            raise ConfigError(errors)
     if seed is not None:
         raw["seed"] = seed
         if isinstance(raw.get("input"), dict) and \
                 raw["input"].get("kind") == "excitation":
             raw["input"]["seed"] = seed
     if axis is not None and isinstance(raw.get("input"), dict):
-        if raw["input"].get("kind") == "csv":
-            raise ConfigError([("--axis", "applies to an excitation input; a csv "
-                                "input brings its own seat motion")])
         raw["input"]["axis"] = axis  # read only for an excitation input
     if vision is not None:
         per = raw.setdefault("perception", {})

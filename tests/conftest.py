@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ridecomfort.body import BodyParams, COORDINATE_NAMES, PostureConfig, build_model
 from ridecomfort.pipeline import parse_config, run_pipeline
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
@@ -55,6 +56,43 @@ def make_scenario(**tweaks) -> dict:
         else:
             raw[key] = value
     return raw
+
+
+Z_ONLY = tuple(n for n in COORDINATE_NAMES if n != "seat_z")
+
+
+def single_dof_model(m_total=60.0, k=60000.0, c=1500.0):
+    """Seat-z chain collapsed to one coordinate: a textbook base-excited
+    mass-spring-damper with known transmissibility."""
+    params = BodyParams.from_preset("default", {
+        "pelvis_mass_kg": m_total * 0.5,
+        "trunk_mass_kg": m_total * 1.0 / 3.0,
+        "head_mass_kg": m_total * 1.0 / 6.0,
+        "seat_stiffness_z_N_per_m": k,
+        "seat_damping_z_Ns_per_m": c,
+    })
+    return build_model(params, PostureConfig(locked_coordinates=Z_ONLY))
+
+
+def _preset_model(overrides=None):
+    return build_model(BodyParams.from_preset("default", overrides))
+
+
+# one sweep_compute-style point, varied over the pool's prop delays
+_SWEEP_OVERRIDES = {"head_mass_kg": 5.731, "neck_stiffness_roll_Nm_per_rad": 11.402,
+                    "neck_stiffness_pitch_Nm_per_rad": 16.874,
+                    "seat_stiffness_z_N_per_m": 52417.3}
+# models the step-map synthesis and stability-check tests share,
+# name: (model factory, dt, number of delay taps at that dt)
+MODEL_CASES = {
+    "default": (_preset_model, 0.001, 2),
+    **{f"sweep_prop_{d}": (lambda d=d: _preset_model({**_SWEEP_OVERRIDES, "prop_delay_s": d}),
+                           0.001, 2)
+       for d in (0.015, 0.025, 0.04)},
+    "single_dof": (single_dof_model, 0.001, 0),
+    # prop_delay_s = 0.025 rounds to N = 0 at dt = 0.1 s and folds into Keff
+    "prop_folded": (_preset_model, 0.1, 1),
+}
 
 
 @pytest.fixture

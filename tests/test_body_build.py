@@ -7,7 +7,9 @@ from ridecomfort.body import (
     BodyParams, COORDINATE_NAMES, PostureConfig, build_model)
 from ridecomfort.body.build import static_equilibrium
 from ridecomfort.body.linearize import closed_loop_eigenvalues
-from ridecomfort.errors import ConfigError
+from ridecomfort.errors import ConfigError, UnstableConfiguration
+
+from conftest import MODEL_CASES
 
 
 def test_preset_loads_and_validates():
@@ -101,3 +103,25 @@ def test_default_model_is_stable():
     model = build_model(BodyParams.from_preset("default"))
     eig = closed_loop_eigenvalues(model)
     assert np.all(eig.real < 0)
+
+
+@pytest.mark.parametrize("name", list(MODEL_CASES))
+def test_stability_check_keeps_eigenvalues_of_the_full_decomposition(name):
+    # build_model takes eigenvalues only; they are the bits eig returns too
+    make_model, _, _ = MODEL_CASES[name]
+    model = make_model()
+    eigs, _ = closed_loop_eigenvalues(model, with_vectors=True)
+    assert model.eigenvalues.tobytes() == eigs.tobytes()
+
+
+def test_unstable_configuration_reports_its_mode_shape():
+    params = BodyParams.from_preset("default", {"prop_gain_neck_Nm_per_rad": 500.0,
+                                                "prop_delay_s": 0.2})
+    with pytest.raises(UnstableConfiguration) as exc:
+        build_model(params)
+    assert exc.value.eigenvalue.real > 0
+    shape = exc.value.mode_shape
+    assert tuple(shape) == COORDINATE_NAMES
+    # normalized to its largest component: a neck-loop mode moves the head
+    assert max(shape, key=lambda c: abs(shape[c])) == "head_pitch"
+    assert shape["head_pitch"] == 1.0

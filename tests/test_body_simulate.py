@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ridecomfort.body import BodyParams, COORDINATE_NAMES, PostureConfig, build_model
+from ridecomfort.body import BodyParams, build_model
 from ridecomfort.body import integrate
 from ridecomfort.body.integrate import (
     SEAT_INPUT_CHANNELS, _advance, _get_kernel, _literal_rk4, _outputs,
@@ -11,20 +11,7 @@ from ridecomfort.body.integrate import (
 from ridecomfort.errors import NonFiniteState
 from ridecomfort.timeseries import from_arrays
 
-Z_ONLY = tuple(n for n in COORDINATE_NAMES if n != "seat_z")
-
-
-def _single_dof_model(m_total=60.0, k=60000.0, c=1500.0):
-    """Seat-z chain collapsed to one coordinate: a textbook base-excited
-    mass-spring-damper with known transmissibility."""
-    params = BodyParams.from_preset("default", {
-        "pelvis_mass_kg": m_total * 0.5,
-        "trunk_mass_kg": m_total * 1.0 / 3.0,
-        "head_mass_kg": m_total * 1.0 / 6.0,
-        "seat_stiffness_z_N_per_m": k,
-        "seat_damping_z_Ns_per_m": c,
-    })
-    return build_model(params, PostureConfig(locked_coordinates=Z_ONLY))
+from conftest import MODEL_CASES, single_dof_model
 
 
 def _seat_record(dt, a_z):
@@ -46,7 +33,7 @@ def test_zero_input_stays_exactly_at_rest():
 
 def test_single_dof_dwell_matches_transmissibility():
     m, k, c = 60.0, 60000.0, 1500.0
-    model = _single_dof_model(m, k, c)
+    model = single_dof_model(m, k, c)
     dt = 0.001
     f = 4.0
     w = 2 * np.pi * f
@@ -69,7 +56,7 @@ def test_single_dof_dwell_matches_transmissibility():
 
 
 def test_step_matches_batch_simulate():
-    model = _single_dof_model()
+    model = single_dof_model()
     dt = 0.001
     rng = np.random.default_rng(2)
     a = rng.standard_normal(400)
@@ -101,6 +88,28 @@ def test_step_map_matches_literal_rk4():
         literal = _literal_rk4(kernel, z, u_N, u_Nm1, a0, a1)
         assert np.allclose(kernel.G @ w, literal, rtol=0.0,
                            atol=1e-12 * np.abs(literal).max())
+
+
+def _per_column_step_map(kernel):
+    """The step map synthesized one basis vector at a time."""
+    sl = kernel.slices
+    return np.column_stack([
+        _literal_rk4(kernel, e[sl[0]], [e[s] for s in sl[1:-2:2]],
+                     [e[s] for s in sl[2:-2:2]], e[sl[-2]], e[sl[-1]])
+        for e in np.eye(sl[-1].stop)])
+
+
+@pytest.mark.parametrize("name", list(MODEL_CASES))
+def test_stacked_step_map_matches_per_column_synthesis_exactly(name):
+    make_model, dt, n_taps = MODEL_CASES[name]
+    kernel = _get_kernel(make_model(), dt)
+    assert len(kernel.taps) == n_taps
+    if not n_taps:
+        assert kernel.block == integrate._CHECK_EVERY
+    per_column = _per_column_step_map(kernel)
+    assert kernel.G.flags.c_contiguous
+    assert kernel.G.shape == per_column.shape
+    assert kernel.G.tobytes() == per_column.tobytes()
 
 
 def test_simulate_resumes_stepped_state_exactly():
@@ -158,7 +167,7 @@ _EXACTNESS_CASES = {
     "prop_N1": (lambda: _default_model(prop_delay_s=0.001), 2, 1),
     "prop_N2": (lambda: _default_model(prop_delay_s=0.002), 2, 2),
     "default_N25": (_default_model, 2, 25),
-    "tapless": (_single_dof_model, 0, None),
+    "tapless": (single_dof_model, 0, None),
     "visual_3_taps": (lambda: _default_model(visual_enabled=True, visual_gain_Nm_per_rad=5.0,
                                              visual_gain_Nms_per_rad=0.5), 3, 25),
 }
@@ -275,14 +284,14 @@ def test_divergence_in_a_later_chunk_is_dated_like_the_one_shot_path(amplitude, 
 
 
 def test_simulate_rejects_state_for_another_dt():
-    model = _single_dof_model()
+    model = single_dof_model()
     state = create_state(model, 0.002)
     with pytest.raises(ValueError):
         simulate(model, _seat_record(0.001, np.zeros(100)), initial_state=state)
 
 
 def test_step_rejects_wrong_dt():
-    model = _single_dof_model()
+    model = single_dof_model()
     state = create_state(model, 0.001)
     with pytest.raises(ValueError):
         step(model, state, [0, 0, 1.0], 0.002)

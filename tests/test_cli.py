@@ -44,6 +44,23 @@ def test_validate_lists_problems_exit_one(tmp_path, capsys):
     assert "perception.anticipation" in out
 
 
+def test_validate_refuses_an_overflowing_model_without_lapack_output(tmp_path):
+    # LAPACK writes its complaints at the file-descriptor level, past capsys:
+    # run the command in a process of its own and read what it printed
+    raw = make_scenario()
+    raw["model"]["overrides"] = {"backrest_height_m": 1e300}
+    path = _write(tmp_path, raw)
+    src = str(Path(ridecomfort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ridecomfort.cli", "validate",
+                           "--config", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "** On entry to" not in done.stdout + done.stderr
+    assert "model: no usable model: stiffness or gravity load is not finite" in done.stdout
+
+
 def test_bad_config_exit_code_one(tmp_path, capsys):
     path = _write(tmp_path, {"schema_version": 1})
     assert main(["pipeline", "--config", str(path),
@@ -370,6 +387,22 @@ def test_axis_on_a_csv_input_is_a_config_error(tmp_path, capsys):
     assert main(["pipeline", "--config", str(path), "--out", str(out),
                  "--axis", "x"]) == 1
     assert "  --axis: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_on_a_csv_input_is_a_config_error(tmp_path, capsys):
+    # nothing reads the seed of a csv input: refused as --axis is
+    raw = make_scenario()
+    csv_path = tmp_path / "seat.csv"
+    csv_path.write_text(
+        "time_s,seat_acc_x[m/s^2],seat_acc_y[m/s^2],seat_acc_z[m/s^2]\n"
+        + "".join(f"{i * 0.002},0,0,0\n" for i in range(1000)))
+    raw["input"] = {"kind": "csv", "path": str(csv_path)}
+    path = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(path), "--out", str(out),
+                 "--seed", "5"]) == 1
+    assert "  --seed: applies to an excitation input" in capsys.readouterr().err
     assert not out.exists()
 
 
