@@ -98,6 +98,7 @@ class LinearizedModel:
 
 
 def _assemble(model, pade_order: int) -> tuple:
+    """The closed loop's state matrix A and seat-input matrix B."""
     n = model.n
     Minv_K = np.linalg.solve(model.M, model.K)
     Minv_C = np.linalg.solve(model.M, model.C)
@@ -144,14 +145,14 @@ def _assemble(model, pade_order: int) -> tuple:
 
     B = np.zeros((nx, 3))
     B[n:2 * n, :] = -Minv_G
-    return A, B, blocks, Keff, Ceff, Minv_G
+    return A, B
 
 
 def linearize(model, pade_order: int = DEFAULT_PADE_ORDER) -> LinearizedModel:
     """Closed-loop state-space model with Pade-approximated delays."""
     if pade_order < 1:
         raise ValueError("pade_order must be >= 1")
-    A, B, blocks, *_ = _assemble(model, pade_order)
+    A, B = _assemble(model, pade_order)
     n = model.n
     nx = A.shape[0]
     out = model.outputs
@@ -173,7 +174,7 @@ def linearize(model, pade_order: int = DEFAULT_PADE_ORDER) -> LinearizedModel:
 def closed_loop_eigenvalues(model, pade_order: int = DEFAULT_PADE_ORDER,
                             with_vectors: bool = False):
     """Eigenvalues of the delay-approximated closed loop (build-time check)."""
-    A, *_ = _assemble(model, pade_order)
+    A, _ = _assemble(model, pade_order)
     if with_vectors:
         return np.linalg.eig(A)
     return np.linalg.eigvals(A)

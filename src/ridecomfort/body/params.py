@@ -7,7 +7,9 @@ flat JSON objects with exactly these keys.
 
 from __future__ import annotations
 
+import functools
 import json
+import types
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -56,6 +58,18 @@ _MAX_REST_ANGLE_RAD = 0.6  # small-angle model; larger rest angles are out of sc
 def _require(cond: bool, errors: list, field: str, message: str) -> None:
     if not cond:
         errors.append((field, message))
+
+
+@functools.cache
+def _preset(name):
+    """The fields of the preset ``name``, read once, as a read-only mapping."""
+    try:
+        text = resources.files("ridecomfort.data").joinpath(f"body_{name}.json").read_text()
+    except (OSError, ValueError):  # no such file, or a name no file can have
+        raise ConfigError([("model.preset", f"unknown preset {name!r}")]) from None
+    raw = json.loads(text)
+    del raw["schema_version"], raw["label"]  # the preset file's own keys
+    return types.MappingProxyType(raw)
 
 
 @dataclass(frozen=True)
@@ -130,14 +144,8 @@ class BodyParams:
     def from_preset(cls, name: str = "default", overrides: dict | None = None) -> "BodyParams":
         """Load a named preset shipped with the package, optionally overridden;
         a ConfigError lists every problem at its path in a scenario's ``model``."""
-        try:
-            text = resources.files("ridecomfort.data").joinpath(f"body_{name}.json").read_text()
-        except (OSError, ValueError):  # no such file, or a name no file can have
-            raise ConfigError([("model.preset", f"unknown preset {name!r}")]) from None
-        raw = json.loads(text)
-        del raw["schema_version"], raw["label"]  # the preset file's own keys
         errors = []
-        params = read(cls, raw | dict(overrides or {}), "model.overrides", errors)
+        params = read(cls, _preset(name) | dict(overrides or {}), "model.overrides", errors)
         if errors:
             raise ConfigError(errors)
         return params

@@ -23,9 +23,9 @@ Keeping timing out of the report makes two runs of the same scenario
 byte-identical.
 
 A ``run_stages`` call is one write-behind scope: a push returns once its
-rows are handed to the writer's worker processes, so they are formatted
-while later pushes compute, and a run holds a few chunks of rows rather
-than whole body, perceived and conflict records.
+rows are handed to the writer's worker processes, which format them while
+later pushes compute (the run's thread writes them), and a run holds a few
+chunks of rows rather than whole body, perceived and conflict records.
 
 Each config section is read by ``schema.read`` as the parameter
 dataclass behind it, which decides its keys, types, defaults and the JSON

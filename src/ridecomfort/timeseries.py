@@ -10,11 +10,11 @@ parses the data rows of a long file in spans, in worker processes where the
 platform forks them (Linux); elsewhere both work in-process, and the bytes
 written and the values read are the same either way.  The workers belong to
 a scope (``_write_behind``): one pool serves every save and load made in it,
-and a save returns once its rows are handed to the pool, so they are
-formatted while the caller computes; each block is written as soon as it
-and the blocks before it are formatted, and the file is complete at the
-latest at the end of the scope.  A call made outside a scope has a scope of
-its own.  The rows are formatted by a numpy kernel (``_format_rows``) whose
+and rows appended to a save (``_Scope.append``) are formatted there while
+the caller computes; the caller's thread writes each block, in order, at a
+later append or flush once it is formatted, and ``save_timeseries`` returns
+with its file complete.  A call made outside a scope has a scope of its
+own.  The rows are formatted by a numpy kernel (``_format_rows``) whose
 bytes equal those of ``'%.17g' %``.
 
 The scope hashes each trace as it writes it: ``_Scope.digests`` maps each
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import functools
 import hashlib
 import itertools
 import json
@@ -579,29 +578,25 @@ def _write_hashed(fh, digest, data):
 
 @dataclass(eq=False)
 class _Save:
-    """A trace file being written: its open file, its running sha256, the
-    (number, future) of each block not yet written, in order, whether
-    blocks may still follow, the exception that stopped its writes, if
-    any, and the number of the block it stopped at."""
+    """A trace file being written: its open file, its running sha256,
+    whether rows may still follow, and the error that stopped its writes."""
 
     path: Path
     fh: object
     digest: object
-    futures: collections.deque = field(default_factory=collections.deque)
     done: bool = False
     error: Exception | None = None
-    lost: int = 0
 
 
-# unwritten blocks per worker a scope lets its saves have at a time; on 2
+# queued blocks per worker a scope lets its saves have at a time; on 2
 # cores, 3 or more let a curved run's rows held for the pool grow its heap
 # by about 10 MB
 _BLOCKS_IN_FLIGHT = 2
 # a trace of fewer channels is formatted in-process even beside a pool: a
 # block of 2 values per row costs more to hand to a worker (the pool's
-# thread pickles it, reads the result back and writes it, all under the
-# interpreter lock) than to format; a curved run took about 10% longer
-# with its two 1-channel traces on the pool
+# thread pickles it and reads the result back, under the interpreter lock)
+# than to format; a curved run took about 10% longer with its two
+# 1-channel traces on the pool
 _POOL_MIN_CHANNELS = 2
 
 
@@ -614,21 +609,21 @@ class _Scope:
     it, each call does its work in-process, in order.  A save is opened
     with its header (``open``), handed its rows a chunk at a time
     (``append``) and told that no more follow (``done``).  With the pool,
-    each block is written and hashed as soon as it and every earlier block
-    of its file are formatted, by the done-callback of its future (on the
-    pool's thread), and the file is closed after its last block; at most
-    ``_BLOCKS_IN_FLIGHT`` blocks per worker are unwritten at a time, so an
-    append waits for the writes to catch up rather than holding a record's
-    rows.  ``lock`` guards ``saves``, their files and ``digests``.
+    the blocks of every save wait in one queue in submission order, and
+    the thread that owns the scope writes and hashes those at its head
+    that are formatted, at each append and flush; at most
+    ``_BLOCKS_IN_FLIGHT`` per worker wait, so an append waits for the
+    oldest rather than holding a record's rows.  A failed block stops its
+    save's writes and puts the save on ``failed``, in queue order.
     """
 
     def __init__(self):
         self.pool = None
-        self.in_flight = 0  # blocks the pool may hold unwritten, once it is open
-        self.blocks = 0  # blocks submitted, which numbers them
+        self.in_flight = 0  # blocks the queue may hold, once the pool is open
+        self.queue = collections.deque()  # (save, future) of each unwritten block
         self.saves = []  # _Save of each file not yet complete, in save order
+        self.failed = []  # _Save of each failed write, in queue order
         self.digests = {}  # Path of a complete file -> sha256 hex digest
-        self.lock = threading.Condition()  # notified as a save progresses
 
     def _pool_for(self, n_tasks):
         """The pool, opened now when none is and ``n_tasks`` allow one."""
@@ -652,47 +647,48 @@ class _Scope:
             raise self.dead(verb, path) from exc
 
     def dead(self, verb, path) -> _FileError:
-        """The OSError of a broken pool, named after the first unwritten
-        save that lost a block, or else after ``path``."""
+        """The OSError of a broken pool, named after the save of the oldest
+        block it failed, or else after ``path``."""
         self.flush(wait=True)  # raises for such a save
         return _FileError(verb, path, _DEAD)
 
+    def _write(self, save, rows):
+        """Write and hash ``rows()``, the bytes of ``save``'s next block, and
+        close the file after its last; a failure stops the save's writes,
+        and the blocks of a stopped save are skipped."""
+        if save.error is not None:
+            return
+        try:
+            _write_hashed(save.fh, save.digest, rows())
+        except Exception as exc:  # raised by append or flush
+            save.error = exc
+            self.failed.append(save)
+        else:
+            self._finish(save)
+
+    def _drain(self, keep):
+        """Write the formatted blocks at the head of the queue, in order,
+        waiting for the oldest while more than ``keep`` are queued."""
+        while self.queue and (len(self.queue) > keep or self.queue[0][1].done()):
+            save, future = self.queue.popleft()
+            self._write(save, future.result)
+
     def _finish(self, save):
         """Close and hash ``save``'s file once its last block is written."""
-        if save.done and save.error is None and not save.futures and save in self.saves:
+        if (save.done and save.error is None and save in self.saves
+                and all(queued is not save for queued, _ in self.queue)):
             save.fh.close()
             self.digests[save.path] = save.digest.hexdigest()
             self.saves.remove(save)
 
-    def _write_done(self, save, _future):
-        """Write the formatted blocks at the head of ``save``, in order, and
-        close and hash its file after the last; a failure stops its writes."""
-        with self.lock:
-            try:
-                while save.error is None and save.futures and save.futures[0][1].done():
-                    _write_hashed(save.fh, save.digest, save.futures[0][1].result())
-                    save.futures.popleft()
-                self._finish(save)
-            except Exception as exc:  # raised in the caller's thread by flush
-                save.error = exc
-                save.lost = save.futures[0][0] if save.futures else self.blocks
-            self.lock.notify_all()
-
     def flush(self, wait=False):
-        """Raise the error of the save whose writes failed at the earliest
-        block (where a dead worker took every block in flight, the oldest
-        of them), once no save has a block in flight that could still be
-        written; with ``wait``, wait for that also when none has failed."""
-        with self.lock:
-            if not wait and all(save.error is None for save in self.saves):
-                return
-            self.lock.wait_for(lambda: all(save.error is not None or not save.futures
-                                           for save in self.saves))
-            failed = [save for save in self.saves if save.error is not None]
-            if not failed:
-                return
-            first = min(failed, key=lambda save: save.lost)
-        self._raise(first)
+        """Write the formatted blocks at the head of the queue, with ``wait``
+        every queued block, then raise the error of the earliest failed
+        block's save (where a dead worker failed every block in flight, the
+        oldest of them), if any."""
+        self._drain(0 if wait else len(self.queue))
+        if self.failed:
+            self._raise(self.failed[0])
 
     @staticmethod
     def _raise(save):
@@ -714,54 +710,48 @@ class _Scope:
         except BaseException:
             save.fh.close()
             raise
-        with self.lock:
-            self.saves.append(save)
+        self.saves.append(save)
         return save
 
     def append(self, save, samples, start_time, dt, first_row):
         """Write the sample rows ``samples``, rows ``first_row`` on of a
-        record starting at ``start_time``: in blocks of ``_BLOCK_ROWS`` on
-        the pool, or now without it.  The pool's tasks hold views of
-        ``samples``, which must not change until they are written.  A trace
-        of fewer than ``_POOL_MIN_CHANNELS`` channels is written now too.
-        Raises for a failed write of this save; another save's failure is
-        raised by its own next append, or by a later open, load or flush."""
+        record starting at ``start_time``, in blocks of ``_BLOCK_ROWS``
+        queued for the pool, or now without it, as for a trace of fewer
+        than ``_POOL_MIN_CHANNELS`` channels; each block first writes the
+        queue's formatted head (``_drain``).  The pool's tasks hold views of
+        ``samples``, which must not change until they are written.  Raises
+        for a failed write of this save; another save's failure is raised
+        by its own next append, or by a later open, load or flush."""
+        pooled = self.pool is not None and samples.shape[1] >= _POOL_MIN_CHANNELS
         for i in range(0, len(samples), _BLOCK_ROWS):
             block = (samples[i:i + _BLOCK_ROWS], start_time, dt, first_row + i)
-            if self.pool is None or samples.shape[1] < _POOL_MIN_CHANNELS:
-                _write_hashed(save.fh, save.digest, _format_block(*block))
-                continue
-            with self.lock:
-                self.lock.wait_for(lambda: save.error is not None or sum(
-                    len(s.futures) for s in self.saves if s.error is None)
-                    < self.in_flight)
+            self._drain(self.in_flight - 1 if pooled else len(self.queue))
             if save.error is not None:
-                self.flush()  # once the other saves' blocks in flight are written
-                self._raise(save)
-            future = self._submit(_format_block, block, "write", save.path)
-            with self.lock:
-                self.blocks += 1
-                save.futures.append((self.blocks, future))
-            future.add_done_callback(functools.partial(self._write_done, save))
+                break
+            if pooled:
+                self.queue.append((save, self._submit(_format_block, block, "write",
+                                                      save.path)))
+            else:
+                self._write(save, lambda: _format_block(*block))
+        if save.error is not None:
+            self.flush()  # raises the earliest failure, which may be a dead worker's
 
     def done(self, save):
         """No rows follow: the file is complete, and hashed, once its last
-        block is written (now, when none is in flight)."""
-        with self.lock:
-            save.done = True
-            self._finish(save)
+        block is written (now, when none is queued)."""
+        save.done = True
+        self._finish(save)
 
     def discard(self, save):
-        """Drop ``save``: its blocks still in flight go unwritten, and its
-        file is closed and removed."""
-        with self.lock:
-            if save in self.saves:
-                self.saves.remove(save)
-            save.error = save.error or CancelledError()
-            save.fh.close()
-            self.digests.pop(save.path, None)
-            save.path.unlink(missing_ok=True)
-            self.lock.notify_all()
+        """Drop ``save``: its queued blocks go unwritten, and its file is
+        closed and removed."""
+        for saves in (self.saves, self.failed):
+            if save in saves:
+                saves.remove(save)
+        save.error = save.error or CancelledError()
+        save.fh.close()
+        self.digests.pop(save.path, None)
+        save.path.unlink(missing_ok=True)
 
     def results(self, fn, tasks, verb, path):
         """``fn(*task)`` for each task, in order, as each is needed."""
@@ -779,12 +769,11 @@ class _Scope:
 
     def close(self):
         """Stop the pool and close the files an error left unwritten."""
-        if self.pool is not None:  # cancelled blocks fail their saves
+        if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
-        with self.lock:
-            for save in self.saves:
-                with contextlib.suppress(OSError):
-                    save.fh.close()
+        for save in self.saves:
+            with contextlib.suppress(OSError):
+                save.fh.close()
 
 
 _open_scope = threading.local()  # .scope: this thread's _Scope, if any
@@ -794,13 +783,12 @@ _open_scope = threading.local()  # .scope: this thread's _Scope, if any
 def _write_behind():
     """Yield this thread's open ``_Scope``, or a new one for the block.
 
-    Inside it a save returns once its blocks are submitted, and each
-    block is written as soon as it and the blocks before it in its file
-    are formatted; a later save or load first raises for a save whose
-    writes failed.  A new scope waits for all saves at its end, also when
-    the block raised, so earlier saves are complete before the error
-    propagates; no worker outlives it.  A file saved in a scope is complete
-    at the latest at its end.
+    Inside it an append returns once its blocks are submitted, and each
+    block is written at a later append or flush once it and the blocks
+    queued before it are formatted; a later save or load first raises for
+    a save whose writes failed.  A new scope writes every queued block at
+    its end, also when the block raised, so earlier saves are complete
+    before the error propagates; no worker outlives it.
     """
     scope = getattr(_open_scope, "scope", None)
     if scope is not None:
@@ -829,13 +817,15 @@ def save_timeseries(ts: TimeSeries, path) -> None:
 
     Rows are formatted in blocks of ``_BLOCK_ROWS`` on the pool of the open
     ``_write_behind`` scope and written in order; an unwritable path is an
-    OSError now, and a worker that dies is an OSError naming the file.
-    Once the file is complete, the scope's ``digests`` hold its sha256.
+    OSError, and a worker that dies is an OSError naming the file.  The
+    file is complete when this returns, and the scope's ``digests`` hold
+    its sha256.
     """
     with _write_behind() as scope:
         save = scope.open(path, trace_header(ts.channels), ts.n_samples)
         scope.append(save, ts.samples, ts.start_time, ts.dt, 0)
         scope.done(save)
+        scope.flush(wait=True)
 
 
 def save_json(obj, path) -> None:

@@ -1,8 +1,11 @@
 """Parameter handling, model assembly and static equilibrium."""
 
+import types
+
 import numpy as np
 import pytest
 
+from ridecomfort.body import params as body_params
 from ridecomfort.body import (
     BodyParams, COORDINATE_NAMES, PostureConfig, build_model)
 from ridecomfort.body.build import static_equilibrium
@@ -29,6 +32,25 @@ def test_unknown_preset_and_override_keys():
     with pytest.raises(ConfigError) as exc:
         BodyParams.from_preset("default", {"bogus_key": 1.0})
     assert any("bogus_key" in path for path, _ in exc.value.errors)
+
+
+def test_a_preset_is_read_once_and_overrides_stay_in_their_call(monkeypatch):
+    first = BodyParams.from_preset("default", {"head_mass_kg": 7.0})
+
+    def files(package):
+        raise AssertionError(f"{package} read again")
+
+    monkeypatch.setattr(body_params, "resources", types.SimpleNamespace(files=files))
+    second = BodyParams.from_preset("default")
+    assert (first.head_mass_kg, second.head_mass_kg) == (7.0, 5.5)
+    assert BodyParams.from_preset("default", {"trunk_mass_kg": 30.0}).head_mass_kg == 5.5
+    with pytest.raises(TypeError):
+        body_params._preset("default")["head_mass_kg"] = 7.0
+    monkeypatch.undo()
+    for _ in range(2):  # a failed read is not kept
+        with pytest.raises(ConfigError) as exc:
+            BodyParams.from_preset("astronaut")
+        assert exc.value.errors == [("model.preset", "unknown preset 'astronaut'")]
 
 
 def test_invalid_values_rejected_with_paths():

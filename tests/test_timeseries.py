@@ -315,11 +315,9 @@ def test_finished_blocks_are_written_before_the_scope_ends(tmp_path, monkeypatch
     path, next_path = tmp_path / "eager.csv", tmp_path / "next.csv"
     with timeseries._write_behind() as scope:
         save_timeseries(ts, path)
-        # every block reaches the file before the scope's next save or its end
-        deadline = time.monotonic() + 30
-        while path.stat().st_size < len(want) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        # the file is complete and hashed when the save returns, in the scope
         assert path.read_bytes() == want
+        assert scope.digests[path] == hashlib.sha256(want).hexdigest()
         save_timeseries(ts, next_path)
     assert multiprocessing.active_children() == []
     assert scope.digests[path] == hashlib.sha256(want).hexdigest()
@@ -330,10 +328,41 @@ def test_finished_blocks_are_written_before_the_scope_ends(tmp_path, monkeypatch
     assert (tmp_path / "in_process.csv").read_bytes() == want
 
 
+def _die_first_on_the_later_block(block):
+    if block[0, 0] == 0:  # the first save's block, which starts at t = 0
+        time.sleep(1)
+    os._exit(1)
+
+
+@pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
+def test_a_dead_worker_blames_the_save_of_the_oldest_queued_block(tmp_path, monkeypatch):
+    # two wide saves have a block in flight each; the worker formatting the
+    # second save's block dies first, which fails both
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2)
+    monkeypatch.setattr(timeseries, "_format_rows", _die_first_on_the_later_block)
+    ts = _demo(n=BLOCK)
+    header = timeseries.trace_header(ts.channels)
+    with pytest.raises(timeseries._FileError,
+                       match="first.csv: a worker process ended abruptly") as info:
+        with timeseries._write_behind() as scope:
+            first, second = (scope.open(tmp_path / name, header, 2 * BLOCK)
+                             for name in ("first.csv", "second.csv"))
+            scope.append(first, ts.samples, 0.0, ts.dt, 0)
+            scope.append(second, ts.samples, 1.0, ts.dt, 0)
+            assert [save for save, _ in scope.queue] == [first, second]
+            scope.done(first)
+            scope.done(second)
+    assert info.value.path == tmp_path / "first.csv"
+    assert scope.failed == [first, second]
+    assert multiprocessing.active_children() == []
+    assert all(save.fh.closed for save in (first, second))
+    assert scope.digests == {}
+
+
 @pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
 def test_many_eager_saves_write_every_block_once_in_order(tmp_path, monkeypatch):
     # more workers than cores, small blocks and frequent thread switches:
-    # the pool's thread writes blocks while this one saves and flushes
+    # the pool's threads settle futures while this one queues and writes blocks
     monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 16)
     monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 4)
     records = [_demo(n=200 + i, seed=i) for i in range(20)]
@@ -412,9 +441,10 @@ def test_an_append_raises_only_for_its_own_save(tmp_path, monkeypatch):
                         for name in ("ok.csv", "full.csv"))
             for save in (ok, full):
                 scope.append(save, ts.samples[:BLOCK], ts.start_time, ts.dt, 0)
-            with scope.lock:
-                assert scope.lock.wait_for(lambda: full.error is not None, timeout=30)
+            for _, future in scope.queue:  # both blocks formatted: the next
+                future.result(timeout=30)  # append writes them, and fails full's
             scope.append(ok, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
+            assert scope.failed == [full]
             scope.done(ok)
             with pytest.raises(timeseries._FileError, match="full.csv"):
                 scope.append(full, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
@@ -485,7 +515,7 @@ def test_appended_rows_write_the_bytes_of_one_save(tmp_path, monkeypatch, pooled
     submit = timeseries._Scope._submit
 
     def counted(scope, *args):
-        submitted.append(sum(len(save.futures) for save in scope.saves))
+        submitted.append(len(scope.queue))
         return submit(scope, *args)
 
     monkeypatch.setattr(timeseries._Scope, "_submit", counted)
