@@ -377,7 +377,8 @@ def build_model(params: BodyParams, posture: PostureConfig | None = None) -> Mod
         worst = int(np.argmax(eigs.real))
         shape = vecs[:model.n, worst]
         shape = np.real(shape / shape[np.argmax(np.abs(shape))])
-        raise UnstableConfiguration(eigs[worst], dict(zip(coords, np.round(shape, 6))))
+        raise UnstableConfiguration(eigs[worst],
+                                    dict(zip(coords, np.round(shape, 6).tolist())))
     return model
 
 

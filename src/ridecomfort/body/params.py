@@ -53,6 +53,12 @@ _POSTURE_ANGLES = {
 }
 
 _MAX_REST_ANGLE_RAD = 0.6  # small-angle model; larger rest angles are out of scope
+# Longest segment or backrest height, m: about 10x the default preset's
+# longest (0.45 m), far past any seated body.  A huge finite length (1e100 m)
+# would otherwise fail the static equilibrium's residual check, a refusal
+# that names no parameter.
+_MAX_LENGTH_M = 5.0
+_LENGTHS = ("pelvis_to_l5s1_m", "l5s1_to_c7t1_m", "c7t1_to_head_com_m")
 
 
 def _require(cond: bool, errors: list, field: str, message: str) -> None:
@@ -158,7 +164,7 @@ class BodyParams:
             "pelvis_inertia_roll_kgm2", "pelvis_inertia_pitch_kgm2",
             "trunk_inertia_roll_kgm2", "trunk_inertia_pitch_kgm2", "trunk_inertia_yaw_kgm2",
             "head_inertia_roll_kgm2", "head_inertia_pitch_kgm2", "head_inertia_yaw_kgm2",
-            "pelvis_to_l5s1_m", "l5s1_to_c7t1_m", "c7t1_to_head_com_m",
+            *_LENGTHS,
         )
         nonneg = (
             "seat_stiffness_x_N_per_m", "seat_stiffness_y_N_per_m", "seat_stiffness_z_N_per_m",
@@ -188,6 +194,10 @@ class BodyParams:
             value = getattr(self, name)
             if not is_number(value) or value < 0:
                 errors.append((name, "must be a finite number >= 0"))
+        for name in (*_LENGTHS, "backrest_height_m"):
+            value = getattr(self, name)
+            if is_number(value) and value > _MAX_LENGTH_M:
+                errors.append((name, f"must be at most {_MAX_LENGTH_M:g} m"))
         if self.backrest_present:
             if not is_number(self.backrest_height_m) or self.backrest_height_m <= 0:
                 errors.append(("backrest_height_m", "must be a finite number > 0"))

@@ -6,9 +6,10 @@ stages ``_STAGE_COMMANDS`` names through ``pipeline.run_stages``, like a
 run: one writer pool, and every file complete when the command returns.
 Traces their stages read and do not write come from the output directory,
 as ``pipeline.STAGES`` lists them, so running the commands in sequence
-reproduces `pipeline` exactly.  ``load_timeseries`` below reads each: only
-the channels its stage uses when the file matches the sha256 recorded in
-``report.json`` there, otherwise all of it.
+reproduces `pipeline` exactly.  ``load_timeseries`` below reads each: from
+its binary twin, only the channels its stage uses, when ``report.json``
+there records the sha256 of both files and both match, otherwise by parsing
+the whole CSV.
 Exit codes: 0 success, 1 configuration error, 2 stage error.
 """
 
@@ -25,6 +26,7 @@ from .body import build_model
 from .errors import ConfigError, IoError, RideComfortError
 from .stht import RESPONSE_CHANNELS, run_stht, save_stht_result
 from .timeseries import load_timeseries as _load_file
+from .timeseries import load_twin, twin_path
 
 
 def _positive_int(text):
@@ -85,23 +87,26 @@ def _single_config(args):
 
 
 def _recorded_sha256(path):
-    """The sha256 that ``report.json`` beside the trace ``path`` records
-    for it, or None: a missing or malformed report vouches for nothing."""
+    """The sha256 digests that ``report.json`` beside the trace ``path``
+    records for it and for its twin, or None: a missing or malformed report
+    vouches for nothing."""
     try:
         report = json.loads((path.parent / "report.json").read_text(encoding="utf-8"))
-        digest = report["artifacts"][path.name]["sha256"]
+        digests = tuple(report["artifacts"][name]["sha256"]
+                        for name in (path.name, twin_path(path).name))
     except (OSError, ValueError, LookupError, TypeError, RecursionError):
         return None
-    return digest if isinstance(digest, str) else None
+    return digests if all(isinstance(d, str) for d in digests) else None
 
 
 def load_timeseries(path, channels=None):
-    """The trace at ``path`` as a stage command reads it: only ``time_s``
-    and ``channels`` (names), when given and the file matches the sha256
-    that ``report.json`` beside it records, else all of it."""
+    """The trace at ``path`` as a stage command reads it: ``time_s`` and
+    ``channels`` (names, all when None) from its twin, when ``report.json``
+    beside it vouches for both files and both match, else the whole CSV."""
     path = Path(path)
-    sha256 = _recorded_sha256(path) if channels else None
-    return _load_file(path, channels=channels, sha256=sha256)
+    sha256 = _recorded_sha256(path)
+    ts = None if sha256 is None else load_twin(path, sha256, channels)
+    return _load_file(path) if ts is None else ts
 
 
 def _load_artifact(path, channels):

@@ -20,7 +20,9 @@ the summary, and each trace's sample rows, dt and sha256) plus a volatile
 it spent writing artifacts, summed over pushes, and the wait at the end
 for traces still being written), realtime factors and peak memory.
 Keeping timing out of the report makes two runs of the same scenario
-byte-identical.
+byte-identical.  Each trace that some stage reads is written with a binary
+twin (``timeseries.twin_path``), which the report records like a trace,
+so that a stage command can resume from it without parsing text.
 
 A ``run_stages`` call is one write-behind scope: a push returns once its
 rows are handed to the writer's worker processes, which format them while
@@ -59,7 +61,7 @@ from .spectral import resonance_scan
 from .stht import STHTOptions, default_welch_params
 from .timeseries import (
     _BLOCK_ROWS, TimeSeries, _FileError, _write_behind, count_samples, load_timeseries,
-    save_json, trace_header)
+    save_json, trace_header, twin_path)
 # not called here: benchmarks/spans.py getattr-wraps these names on this module
 from .spectral import detect_peaks, estimate_frf  # noqa: F401
 from .timeseries import save_timeseries  # noqa: F401
@@ -429,6 +431,8 @@ STAGES = {
     "metrics": Stage(_METRICS_READS, ("comfort.json",), _METRICS_READS),
 }
 _STAGE_FILES = {stage: spec.writes for stage, spec in STAGES.items()}
+# the traces some stage reads, each written with its twin
+_TWINNED = frozenset(name for spec in STAGES.values() for name, _ in spec.reads)
 # the stages run by a core, a push at a time; each reads one trace
 _STREAMED = ("body", "perception", "sickness")
 # stage -> its JSON records, in STAGES order, from the records its ``whole`` lists
@@ -592,7 +596,7 @@ class Chain:
     def _append(self, name, ts, first):
         if name not in self.saves:
             self.saves[name] = self.scope.open(self.out / name, trace_header(ts.channels),
-                                               self.rows)
+                                               self.rows, twin=name in _TWINNED)
         self.scope.append(self.saves[name], ts.samples, *self.grid, first)
 
     def close(self, load=None):
@@ -701,7 +705,7 @@ class RunReport:
     peak_rss_mb: float                  # this process, so far (MB = 1e6 B)
     children_peak_rss_mb: float         # its largest finished worker process
     artifact_bytes: dict                # trace file -> its size on disk
-    artifacts: dict                     # trace file -> {"rows", "dt", "sha256"}
+    artifacts: dict                     # trace or twin file -> {"rows", "dt", "sha256"}
 
     def as_dict(self):
         return {"schema_version": SCHEMA_VERSION,
@@ -755,6 +759,8 @@ def run_pipeline(config, out_dir=None):
     seat, body = records["seat_motion.csv"], records["body_response.csv"]
     sick = records["sickness_summary.json"]
     traces = {name: ts for name, ts in records.items() if name.endswith(".csv")}
+    # every trace and twin file, with the record whose rows it holds
+    files = traces | {twin_path(name).name: traces[name] for name in _TWINNED}
     body_compute = wall["body"] - write["body"]  # simulate, the kept rows and the scan
 
     head_rms = {axis: float(np.sqrt(np.mean(
@@ -782,10 +788,10 @@ def run_pipeline(config, out_dir=None):
         children_peak_rss_mb=resource.getrusage(
             resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6,
         # every trace is complete, and hashed, now that the scope has ended
-        artifact_bytes={name: (out / name).stat().st_size for name in traces},
+        artifact_bytes={name: (out / name).stat().st_size for name in files},
         artifacts={name: {"rows": ts.n_samples, "dt": ts.dt,
                           "sha256": digests[out / name]}
-                   for name, ts in traces.items()},
+                   for name, ts in files.items()},
     )
     save_json(report.as_dict(), out / "report.json")
     save_json(report.timing_dict(), out / "timing.json")

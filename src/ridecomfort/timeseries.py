@@ -19,10 +19,10 @@ bytes equal those of ``'%.17g' %``.
 
 The scope hashes each trace as it writes it: ``_Scope.digests`` maps each
 complete file to the sha256 of its bytes, which a pipeline run records in
-``report.json``.  ``load_timeseries`` given that digest and the channels a
-caller reads parses only those columns of a file whose bytes match it; such
-a file is exactly what ``save_timeseries`` wrote from a finite record, so
-its other columns hold nothing left to check.
+``report.json``.  A trace opened with a twin (``_Scope.open``) is also
+written as ``<stem>.npy`` (see "binary twins" below), and ``load_twin``
+reads a trace from its twin, without parsing text, when both files match
+the digests given for them; its records equal those of ``load_timeseries``.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ from __future__ import annotations
 import collections
 import contextlib
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
 import os
 import re
 import threading
+import tokenize
 import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -203,23 +205,19 @@ def _next_row(fh):
     return None
 
 
-def _spans(fh, digest=None):
+def _spans(fh):
     """The (lo, hi) byte bounds of the rest of a binary file's ``_chunks``,
-    and the number of LFs they hold; ``digest``, if given, is updated with
-    their bytes."""
+    and the number of LFs they hold."""
     spans, lfs, lo = [], 0, fh.tell()
     for chunk in _chunks(fh):
-        if digest is not None:
-            digest.update(chunk)
         lfs += chunk.count(b"\n")
         spans.append((lo, lo + len(chunk)))
         lo += len(chunk)
     return spans, lfs
 
 
-def _parse_span(path, lo, hi, usecols=None) -> np.ndarray:
-    """The data rows in bytes [lo, hi) of a CSV, parsed by ``np.loadtxt``:
-    all their columns, or the ``usecols`` ones in that order."""
+def _parse_span(path, lo, hi) -> np.ndarray:
+    """The data rows in bytes [lo, hi) of a CSV, parsed by ``np.loadtxt``."""
     with open(path, "rb") as fh:
         fh.seek(lo)
         lines = _rows(fh.read(hi - lo))
@@ -227,18 +225,15 @@ def _parse_span(path, lo, hi, usecols=None) -> np.ndarray:
         return np.empty((0, 1))  # what np.loadtxt gives, without its warning
     with warnings.catch_warnings():  # all lines may be comments
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, delimiter=",", ndmin=2, usecols=usecols)
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
-def _parse_data(path, spans, max_rows, usecols=None) -> np.ndarray:
-    """The data rows of all spans (their ``usecols`` columns, if given),
-    copied in order into one array as each span's rows arrive, so no
-    span's array outlives its copy."""
+def _parse_data(path, spans, max_rows) -> np.ndarray:
+    """The data rows of all spans, copied in order into one array as each
+    span's rows arrive, so no span's array outlives its copy."""
     body, n = None, 0
-    extra = () if usecols is None else (usecols,)
     with _write_behind() as scope:
-        parts = scope.results(_parse_span,
-                              [(path, lo, hi) + extra for lo, hi in spans],
+        parts = scope.results(_parse_span, [(path, lo, hi) for lo, hi in spans],
                               "read", path)
         for part in filter(len, parts):  # skip spans without data rows
             if body is None:
@@ -250,30 +245,13 @@ def _parse_data(path, spans, max_rows, usecols=None) -> np.ndarray:
     return np.empty((0, 1)) if body is None else body[:n]
 
 
-def _projection(channels, wanted):
-    """Column numbers (``time_s`` is 0) of the ``wanted`` channel names, or
-    None when they would drop no column of ``channels`` or are not all
-    among them."""
-    names = [name for name, _ in channels]
-    if not set(wanted) <= set(names) or set(names) <= set(wanted):
-        return None
-    return [0] + [names.index(name) + 1 for name in wanted]
-
-
-def load_timeseries(path, schema=None, *, channels=None, sha256=None) -> TimeSeries:
+def load_timeseries(path, schema=None) -> TimeSeries:
     """Read and validate a TimeSeries CSV.
 
     `schema`, when given, is an iterable of (name, unit) pairs that must all
     be present (extra file channels are kept). dt is inferred from the time
     column, so at least 2 sample rows are needed, and must be uniform within
     a relative tolerance of 1e-6.
-
-    `channels` (names) and `sha256` (a hex digest, as ``report.json``
-    records it) together ask for a projected load: when the file's bytes
-    hash to `sha256`, only ``time_s`` and the named columns are parsed and
-    the record holds just those channels, in that order.  In every other
-    case (no digest, another digest, a channel the file lacks, nothing to
-    drop) the whole file is parsed and checked, and every channel returned.
 
     Data rows are parsed in spans of about ``_READ_SPAN_BYTES`` on the
     pool of the open ``_write_behind`` scope; a worker that dies is an
@@ -283,39 +261,39 @@ def load_timeseries(path, schema=None, *, channels=None, sha256=None) -> TimeSer
         header = _next_row(fh)
         if header is None:
             raise EmptyFile(f"{path} is empty")
-        channels_in_file = _parse_header(header.split(","), path)
+        channels = _parse_header(header.split(","), path)
         start = fh.tell()
         if _next_row(fh) is None:
             raise EmptyFile(f"{path} has a header but no samples")
-        usecols = digest = None
-        if channels is not None and sha256 is not None:
-            usecols = _projection(channels_in_file, channels)
-        if usecols is not None:  # hash the header now, the rest with _spans
-            fh.seek(0)
-            digest = hashlib.sha256(fh.read(start))
         fh.seek(start)
-        spans, lfs = _spans(fh, digest)
-    if digest is not None and digest.hexdigest() == sha256:
-        kept = [channels_in_file[col - 1] for col in usecols[1:]]
-    else:
-        usecols, kept = None, channels_in_file
+        spans, lfs = _spans(fh)
     try:
-        body = _parse_data(path, spans, lfs + 1, usecols)  # at most a row per line
+        body = _parse_data(path, spans, lfs + 1)  # at most a row per line
     except UnicodeDecodeError:
         raise  # not UTF-8: no number problem
     except ValueError as exc:
         raise NonFiniteSample("<unparseable>", -1) from exc
     if not len(body):  # every line after the header is a comment
         raise EmptyFile(f"{path} has a header but no samples")
-    if body.shape[1] != len(kept) + 1:
-        raise MissingChannel(f"<expected {len(kept) + 1} columns, got {body.shape[1]}>", path)
+    if body.shape[1] != len(channels) + 1:
+        raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
+    return _checked(path, body, channels, channels, schema)
 
+
+def _checked(path, body, channels, kept, schema=None) -> TimeSeries:
+    """The record of ``body``, the time column and then the ``kept``
+    channels of the trace file ``path``, whose channels are ``channels``,
+    once its values, its sample step and ``schema`` pass the checks of a
+    load, from the CSV or from its twin."""
     t = body[:, 0]
     samples = body[:, 1:]
 
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    # no mask of the whole record unless a value is bad, and no temporary of
+    # more than one column below
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(samples.sum())
+    if not finite and (bad := np.argwhere(~np.isfinite(samples))).size:
+        row, col = bad[0]
         raise NonFiniteSample(kept[col][0], int(row))
     if not np.isfinite(t).all():
         raise NonFiniteSample("time_s", int(np.argwhere(~np.isfinite(t))[0][0]))
@@ -323,27 +301,161 @@ def load_timeseries(path, schema=None, *, channels=None, sha256=None) -> TimeSer
     if len(t) < 2:
         raise InvalidRate(f"{path} has 1 sample row; a sample step needs at least 2")
     steps = np.diff(t)
-    dt = float(np.median(steps))
+    dt = float(np.median(steps, overwrite_input=True))  # reorders steps
+    np.subtract(t[1:], t[:-1], out=steps)  # np.diff(t) again
     if dt <= 0:
         raise NonUniformSampling(int(np.argmin(steps)) + 1, dt, float(steps.min()))
-    off = np.abs(steps - dt) > _DT_RTOL * dt
+    steps -= dt
+    off = np.abs(steps, out=steps) > _DT_RTOL * dt
+    del steps
     if off.any():
-        row = int(np.argwhere(off)[0][0]) + 1
-        raise NonUniformSampling(row, dt, float(steps[row - 1]))
+        row = int(np.argmax(off)) + 1
+        raise NonUniformSampling(row, dt, float(t[row] - t[row - 1]))
     # snap to the step that reconstructs the parsed column best; grids
     # written by save_timeseries then round-trip to identical bytes
-    k = np.arange(len(t))
     candidates = (float(f"{dt:.12g}"), dt, (float(t[-1]) - float(t[0])) / (len(t) - 1))
-    dt = min(candidates,
-             key=lambda c: float(np.max(np.abs(t[0] + c * k - t))))
+    dt = min(candidates, key=lambda c: _grid_error(t, c))
 
     if schema is not None:
-        names = [name for name, _ in channels_in_file]
+        names = [name for name, _ in channels]
         for name, _unit in schema:
             if name not in names:
                 raise MissingChannel(name, path)
 
     return TimeSeries(float(t[0]), dt, tuple(kept), samples)
+
+
+def _grid_error(t, step) -> float:
+    """max |t[0] + step * k - t| over the rows k of the time column ``t``,
+    summed in place in one array."""
+    grid = np.arange(len(t), dtype=np.float64)
+    grid *= step
+    grid += t[0]
+    grid -= t
+    return float(np.max(np.abs(grid, out=grid)))
+
+
+# -- binary twins --------------------------------------------------------
+#
+# A trace that a stage reads back is written with a twin, ``<stem>.npy``:
+# the same rows, time column first, as a float64 structured array whose
+# field names are the CSV header cells, in exactly the bytes ``np.save``
+# writes of it.  Its header is written when the trace is opened and its
+# rows as the CSV's blocks are handed over, so it needs no pool.
+
+
+def twin_path(path) -> Path:
+    """The twin of the trace file ``path``."""
+    return Path(path).with_suffix(".npy")
+
+
+def _twin_header(cells, rows) -> bytes:
+    """The .npy header ``np.save`` writes for ``rows`` rows of float64
+    fields named ``cells``."""
+    dtype = np.dtype([(cell, np.float64) for cell in cells])
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fh, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False, "shape": (rows,)})
+    return fh.getvalue()
+
+
+def _twin_rows(samples, start_time, dt, first_row) -> bytearray:
+    """The bytes a twin holds for its sample rows ``samples``, which start
+    at row ``first_row`` of a record starting at ``start_time``: per row
+    its time, as ``_format_block`` computes it, and its samples."""
+    data = bytearray(8 * samples.shape[0] * (samples.shape[1] + 1))
+    rows = np.frombuffer(data).reshape(len(samples), -1)
+    rows[:, 0] = start_time + dt * np.arange(first_row, first_row + len(samples))
+    rows[:, 1:] = samples
+    return data
+
+
+def _twin_layout(fh):
+    """(header cells, rows) of the twin that ``fh`` is at the start of,
+    read past its header, or None when that is not a header ``np.save``
+    writes for a table of float64 fields."""
+    try:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            return None
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError):
+        return None  # what numpy's header parser raises on bytes of no header
+    cells = dtype.names
+    if (fortran_order or len(shape) != 1 or not cells or not shape[0]
+            or dtype != np.dtype([(cell, np.float64) for cell in cells])):
+        return None
+    return list(cells), shape[0]
+
+
+def _file_sha256(fh) -> str:
+    """The sha256 hex digest of the rest of a binary file, read in pieces
+    of ``_READ_SPAN_BYTES`` into one buffer."""
+    digest, buffer = hashlib.sha256(), bytearray(_READ_SPAN_BYTES)
+    view = memoryview(buffer)
+    while n := fh.readinto(buffer):
+        digest.update(view[:n])
+    return digest.hexdigest()
+
+
+def _read_twin(fh, digest, rows, width, cols):
+    """Columns ``cols`` of the ``rows`` rows of ``width`` float64 fields
+    that ``fh`` is at, read in blocks of ``_BLOCK_ROWS`` rows into one
+    buffer and added to ``digest``; None when the file ends early or goes
+    on."""
+    body = np.empty((rows, len(cols)))
+    block = np.empty((min(rows, _BLOCK_ROWS), width))
+    for r in range(0, rows, _BLOCK_ROWS):
+        part = block[:rows - r]
+        view = memoryview(part).cast("B")
+        if fh.readinto(view) != view.nbytes:
+            return None
+        digest.update(view)
+        np.take(part, cols, axis=1, out=body[r:r + len(part)], mode="clip")
+    return None if fh.read(1) else body
+
+
+def load_twin(path, sha256, channels=None) -> TimeSeries | None:
+    """The trace file ``path`` as ``load_timeseries`` reads it, read from
+    its twin; None when the twin cannot stand in for the CSV.
+
+    ``sha256`` holds the hex digests of the CSV and of its twin, as
+    ``report.json`` records them.  The CSV is hashed in pieces, and the
+    twin is read in blocks of ``_BLOCK_ROWS`` rows, each hashed and only
+    its ``time_s`` and ``channels`` (names, all when None) kept.  The
+    result is None when a file cannot be read, either digest differs, the
+    twin is not one this module writes, or it lacks a channel asked for;
+    the caller then parses the CSV.  Nothing read from the twin is checked
+    before its digest matches, and then exactly what a CSV load checks, so
+    both give equal records and raise the same errors.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if _file_sha256(fh) != sha256[0]:
+                return None
+        with open(twin_path(path), "rb") as fh:
+            layout = _twin_layout(fh)
+            if layout is None:
+                return None
+            cells, rows = layout
+            try:
+                file_channels = _parse_header(cells, path)
+            except MissingChannel:
+                return None
+            names = [name for name, _ in file_channels]
+            wanted = names if channels is None else list(channels)
+            if not set(wanted) <= set(names):
+                return None
+            cols = [0] + [names.index(name) + 1 for name in wanted]
+            end = fh.tell()
+            fh.seek(0)
+            digest = hashlib.sha256(fh.read(end))
+            body = _read_twin(fh, digest, rows, len(cells), cols)
+    except OSError:
+        return None
+    if body is None or digest.hexdigest() != sha256[1]:
+        return None
+    return _checked(path, body, file_channels, [file_channels[c - 1] for c in cols[1:]])
 
 
 # -- the row formatter ---------------------------------------------------
@@ -413,9 +525,6 @@ def _layouts():
 
 
 _MASKS = _layouts()
-_EXP_DIGITS = np.array(  # the two ASCII digits of -k, for k < 0
-    [[48 + (-k) // 10, 48 + (-k) % 10] for k in range(-11, 0)]
-    + [[48, 48]] * 16, dtype=np.uint8)
 
 
 def _scaled(m, e, k):
@@ -500,7 +609,9 @@ def _format_values(block) -> np.ndarray:
     grid[:n, _INT] = lead.astype(np.uint8) + 48
     grid[:n, _INT + 1:_INT + 17] = _QUADS[quads].view(np.uint8)
     grid[:n, _FRAC:_FRAC + 17] = grid[:n, _INT:_INT + 17]
-    grid[:n, _EXP + 2:_EXP + 4] = _EXP_DIGITS[k + 11]
+    e = np.maximum(-k, 0).astype(np.uint8)  # its digits are masked out for k >= -4
+    grid[:n, _EXP + 2] = e // 10 + 48
+    grid[:n, _EXP + 3] = e % 10 + 48
     grid[n + 1, _SEP - 2] = ord("-")
     if picked is None:
         grid, masks = grid[:n], masks[:n]
@@ -557,10 +668,11 @@ def _pool_workers(n_tasks) -> int:
 
 class _FileError(OSError):
     """A save or load that failed in a ``_write_behind`` scope; ``path``
-    names its file."""
+    names its file, and the message names ``failed``, its twin, instead when
+    given."""
 
-    def __init__(self, verb, path, reason):
-        super().__init__(f"cannot {verb} {path}: {reason}")
+    def __init__(self, verb, path, reason, failed=None):
+        super().__init__(f"cannot {verb} {failed or path}: {reason}")
         self.path = Path(path)
 
     # picklable like the StageError it becomes the cause of
@@ -578,14 +690,22 @@ def _write_hashed(fh, digest, data):
 
 @dataclass(eq=False)
 class _Save:
-    """A trace file being written: its open file, its running sha256,
-    whether rows may still follow, and the error that stopped its writes."""
+    """A trace file being written: its open file, its running sha256, its
+    twin (a _Save of the .npy file) and the rows the twin's header declares
+    that are not yet written, whether rows may still follow, and the error
+    that stopped its writes."""
 
     path: Path
     fh: object
     digest: object
+    twin: _Save | None = None
+    twin_rows: int = 0
     done: bool = False
     error: Exception | None = None
+
+    def files(self):
+        """The save, and its twin if it has one."""
+        return (self,) if self.twin is None else (self, self.twin)
 
 
 # queued blocks per worker a scope lets its saves have at a time; on 2
@@ -608,7 +728,10 @@ class _Scope:
     ``_pool_workers`` allows one, and serves every later call; without
     it, each call does its work in-process, in order.  A save is opened
     with its header (``open``), handed its rows a chunk at a time
-    (``append``) and told that no more follow (``done``).  With the pool,
+    (``append``) and told that no more follow (``done``).  A save with a
+    twin writes the twin's rows of each block in the caller's thread as the
+    block is handed over; the twin is removed, hashed and blamed with its
+    CSV.  With the pool,
     the blocks of every save wait in one queue in submission order, and
     the thread that owns the scope writes and hashes those at its head
     that are formatted, at each append and flush; at most
@@ -652,16 +775,18 @@ class _Scope:
         self.flush(wait=True)  # raises for such a save
         return _FileError(verb, path, _DEAD)
 
-    def _write(self, save, rows):
-        """Write and hash ``rows()``, the bytes of ``save``'s next block, and
-        close the file after its last; a failure stops the save's writes,
-        and the blocks of a stopped save are skipped."""
+    def _write(self, save, rows, file=None):
+        """Write and hash ``rows()``, the bytes of ``save``'s next block, to
+        ``file`` (the save's own, or its twin) and close the files after
+        the last; a failure stops the save's writes, and the blocks of a
+        stopped save are skipped."""
         if save.error is not None:
             return
+        file = file or save
         try:
-            _write_hashed(save.fh, save.digest, rows())
+            _write_hashed(file.fh, file.digest, rows())
         except Exception as exc:  # raised by append or flush
-            save.error = exc
+            save.error = file.error = exc
             self.failed.append(save)
         else:
             self._finish(save)
@@ -674,11 +799,12 @@ class _Scope:
             self._write(save, future.result)
 
     def _finish(self, save):
-        """Close and hash ``save``'s file once its last block is written."""
+        """Close and hash ``save``'s files once its last block is written."""
         if (save.done and save.error is None and save in self.saves
                 and all(queued is not save for queued, _ in self.queue)):
-            save.fh.close()
-            self.digests[save.path] = save.digest.hexdigest()
+            for file in save.files():
+                file.fh.close()
+                self.digests[file.path] = file.digest.hexdigest()
             self.saves.remove(save)
 
     def flush(self, wait=False):
@@ -696,20 +822,35 @@ class _Scope:
         if isinstance(error, (BrokenProcessPool, CancelledError)):
             raise _FileError("write", save.path, _DEAD) from error
         if isinstance(error, OSError):
-            raise _FileError("write", save.path, error) from error
+            twin = save.twin if save.twin is not None and save.twin.error else None
+            raise _FileError("write", save.path, error, twin and twin.path) from error
         raise error  # what the worker raised
 
-    def open(self, path, header, rows) -> _Save:
+    def open(self, path, header, rows, twin=False) -> _Save:
         """Open ``path`` and write ``header`` for a trace of about ``rows``
-        sample rows, which decide, as for a load, whether the pool opens."""
+        sample rows, which decide, as for a load, whether the pool opens;
+        with ``twin``, also its twin, whose header declares exactly ``rows``
+        rows.  A file opened here is removed again if the call fails."""
         self.flush()
         self._pool_for(-(-rows // _BLOCK_ROWS))
-        save = _Save(Path(path), open(path, "wb"), hashlib.sha256())
+        files = []
+
+        def create(file, data):
+            files.append(_Save(Path(file), open(file, "wb"), hashlib.sha256()))
+            _write_hashed(files[-1].fh, files[-1].digest, data)
+
         try:
-            _write_hashed(save.fh, save.digest, (header + "\n").encode("utf-8"))
+            create(path, (header + "\n").encode("utf-8"))
+            if twin:
+                create(twin_path(path), _twin_header(header.split(","), rows))
         except BaseException:
-            save.fh.close()
+            for file in files:
+                file.fh.close()
+                file.path.unlink(missing_ok=True)
             raise
+        save = files[0]
+        if twin:
+            save.twin, save.twin_rows = files[1], rows
         self.saves.append(save)
         return save
 
@@ -718,14 +859,18 @@ class _Scope:
         record starting at ``start_time``, in blocks of ``_BLOCK_ROWS``
         queued for the pool, or now without it, as for a trace of fewer
         than ``_POOL_MIN_CHANNELS`` channels; each block first writes the
-        queue's formatted head (``_drain``).  The pool's tasks hold views of
-        ``samples``, which must not change until they are written.  Raises
-        for a failed write of this save; another save's failure is raised
-        by its own next append, or by a later open, load or flush."""
+        queue's formatted head (``_drain``), then its twin rows, if the save
+        has a twin.  The pool's tasks hold views of ``samples``, which must
+        not change until they are written.  Raises for a failed write of
+        this save; another save's failure is raised by its own next append,
+        or by a later open, load or flush."""
         pooled = self.pool is not None and samples.shape[1] >= _POOL_MIN_CHANNELS
         for i in range(0, len(samples), _BLOCK_ROWS):
             block = (samples[i:i + _BLOCK_ROWS], start_time, dt, first_row + i)
             self._drain(self.in_flight - 1 if pooled else len(self.queue))
+            if save.twin is not None:
+                save.twin_rows -= len(block[0])
+                self._write(save, lambda: _twin_rows(*block), save.twin)
             if save.error is not None:
                 break
             if pooled:
@@ -738,8 +883,14 @@ class _Scope:
 
     def done(self, save):
         """No rows follow: the file is complete, and hashed, once its last
-        block is written (now, when none is queued)."""
+        block is written (now, when none is queued).  A twin that did not
+        get the rows its header declares fails the save."""
         save.done = True
+        if save.twin_rows and save.error is None:
+            save.error = ValueError(
+                f"{save.twin.path}: {abs(save.twin_rows)} rows "
+                f"{'fewer' if save.twin_rows > 0 else 'more'} than its header declares")
+            self.failed.append(save)
         self._finish(save)
 
     def discard(self, save):
@@ -749,9 +900,10 @@ class _Scope:
             if save in saves:
                 saves.remove(save)
         save.error = save.error or CancelledError()
-        save.fh.close()
-        self.digests.pop(save.path, None)
-        save.path.unlink(missing_ok=True)
+        for file in save.files():
+            file.fh.close()
+            self.digests.pop(file.path, None)
+            file.path.unlink(missing_ok=True)
 
     def results(self, fn, tasks, verb, path):
         """``fn(*task)`` for each task, in order, as each is needed."""
@@ -772,8 +924,9 @@ class _Scope:
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
         for save in self.saves:
-            with contextlib.suppress(OSError):
-                save.fh.close()
+            for file in save.files():
+                with contextlib.suppress(OSError):
+                    file.fh.close()
 
 
 _open_scope = threading.local()  # .scope: this thread's _Scope, if any

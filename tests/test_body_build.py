@@ -147,3 +147,4 @@ def test_unstable_configuration_reports_its_mode_shape():
     # normalized to its largest component: a neck-loop mode moves the head
     assert max(shape, key=lambda c: abs(shape[c])) == "head_pitch"
     assert shape["head_pitch"] == 1.0
+    assert all(type(value) is float for value in shape.values())

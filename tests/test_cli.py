@@ -48,7 +48,7 @@ def test_validate_refuses_an_overflowing_model_without_lapack_output(tmp_path):
     # LAPACK writes its complaints at the file-descriptor level, past capsys:
     # run the command in a process of its own and read what it printed
     raw = make_scenario()
-    raw["model"]["overrides"] = {"backrest_height_m": 1e300}
+    raw["model"]["overrides"] = {"gravity_m_per_s2": 1e308}
     path = _write(tmp_path, raw)
     src = str(Path(ridecomfort.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -59,6 +59,31 @@ def test_validate_refuses_an_overflowing_model_without_lapack_output(tmp_path):
     assert done.returncode == 1
     assert "** On entry to" not in done.stdout + done.stderr
     assert "model: no usable model: stiffness or gravity load is not finite" in done.stdout
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"backrest_height_m": 1e100}, "model.overrides.backrest_height_m: must be at most 5 m"),
+    ({"backrest_height_m": 1e140}, "model.overrides.backrest_height_m: must be at most 5 m"),
+    ({"l5s1_to_c7t1_m": 1e100}, "model.overrides.l5s1_to_c7t1_m: must be at most 5 m"),
+    ({"pelvis_to_l5s1_m": 50.0}, "model.overrides.pelvis_to_l5s1_m: must be at most 5 m"),
+    ({"c7t1_to_head_com_m": 5.5}, "model.overrides.c7t1_to_head_com_m: must be at most 5 m"),
+], ids=["backrest-1e100", "backrest-1e140", "trunk-1e100", "pelvis-50", "neck-5.5"])
+def test_validate_refuses_a_huge_body_length_at_its_field(tmp_path, capsys, overrides,
+                                                         message):
+    raw = make_scenario()
+    raw["model"]["overrides"] = overrides
+    assert main(["validate", "--config", str(_write(tmp_path, raw))]) == 1
+    out = capsys.readouterr().out
+    assert f"  {message}\n" in out and "no usable model" not in out
+
+
+def test_validate_prints_an_unstable_mode_shape_as_plain_floats(tmp_path, capsys):
+    raw = make_scenario()
+    raw["model"]["overrides"] = {"prop_gain_neck_Nm_per_rad": 500.0, "prop_delay_s": 0.2}
+    assert main(["validate", "--config", str(_write(tmp_path, raw))]) == 1
+    out = capsys.readouterr().out
+    assert "model: no usable model: closed-loop eigenvalue" in out
+    assert "dominant mode shape {'seat_x': " in out and "np.float64" not in out
 
 
 def test_bad_config_exit_code_one(tmp_path, capsys):
@@ -339,6 +364,23 @@ def test_a_blocked_output_fails_the_stage_that_writes_it(tiny_config, tmp_path,
         assert multiprocessing.active_children() == []
 
 
+_TWINNED = [(stage, timeseries.twin_path(name).name) for stage, spec in pl.STAGES.items()
+            for name in spec.writes if name in pl._TWINNED]
+
+
+@pytest.mark.parametrize("stage, name", _TWINNED, ids=[n for _, n in _TWINNED])
+def test_a_blocked_twin_fails_the_stage_that_writes_its_trace(tiny_config, tmp_path,
+                                                              capsys, stage, name):
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    assert main(["pipeline", "--config", str(tiny_config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: stage '{stage}' failed: " in err and str(out / name) in err
+    # the trace opened before its twin is removed again
+    assert not (out / name).with_suffix(".csv").exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_stht_subcommand_writes_frf_files(tiny_config, tmp_path):
     out = tmp_path / "stht"
     assert main(["stht", "--config", str(tiny_config), "--out", str(out),
@@ -433,17 +475,17 @@ _RESUMED = ("perceived.csv", "conflict.csv", "sickness.csv",
 
 @pytest.fixture
 def resumable(tiny_config, tmp_path, monkeypatch):
-    """A pipeline directory, its outputs' bytes, and the column selection of
-    each CSV parse made from then on, as (file name, usecols)."""
+    """A pipeline directory, its outputs' bytes, and the file name of each
+    CSV parse made from then on."""
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(tiny_config), "--out", str(out)]) == 0
     want = {name: (out / name).read_bytes() for name in _RESUMED}
     parsed = []
     parse_data = timeseries._parse_data
 
-    def spy(path, spans, max_rows, usecols=None):
-        parsed.append((Path(path).name, usecols))
-        return parse_data(path, spans, max_rows, usecols)
+    def spy(path, spans, max_rows):
+        parsed.append(Path(path).name)
+        return parse_data(path, spans, max_rows)
 
     monkeypatch.setattr(timeseries, "_parse_data", spy)
     return out, want, parsed
@@ -455,15 +497,26 @@ def _resume(config, out, commands=("perceive", "sickness", "metrics")):
 
 
 def test_stage_commands_parse_only_the_vouched_columns_they_use(
-        tiny_config, resumable):
+        tiny_config, resumable, monkeypatch):
     out, want, parsed = resumable
+    loads = []
+    load_twin = cli.load_twin
+
+    def spy(path, sha256, channels=None):
+        ts = load_twin(path, sha256, channels)
+        loads.append((Path(path).name, channels, ts.channel_names))
+        return ts
+
+    monkeypatch.setattr(cli, "load_twin", spy)
     assert _resume(tiny_config, out) == [0, 0, 0]
     # head rotation rates, accelerations and angles for perceive; the
-    # head accelerations for metrics; conflict.csv has no column to drop
-    assert parsed == [("body_response.csv", [0, 13, 14, 15, 7, 8, 9, 23, 24]),
-                      ("conflict.csv", None),
-                      ("seat_motion.csv", None),
-                      ("body_response.csv", [0, 7, 8, 9])]
+    # head accelerations for metrics; every channel of the other two, all
+    # from the twins, so no CSV is parsed
+    assert loads == [("body_response.csv", PERCEPTION_CHANNELS, PERCEPTION_CHANNELS),
+                     ("conflict.csv", None, ("conflict",)),
+                     ("seat_motion.csv", None, ("seat_acc_x", "seat_acc_y", "seat_acc_z")),
+                     ("body_response.csv", COMFORT_CHANNELS, COMFORT_CHANNELS)]
+    assert parsed == []
     for name, data in want.items():
         assert (out / name).read_bytes() == data, name
 
@@ -486,19 +539,20 @@ def test_stage_commands_load_every_trace_through_one_positional_call(
                      ("conflict.csv", None),
                      ("seat_motion.csv", None),
                      ("body_response.csv", COMFORT_CHANNELS)]
-    assert [usecols is not None for _, usecols in parsed] == [True, False, False, True]
+    assert parsed == []
     for name, data in want.items():
         assert (out / name).read_bytes() == data, name
 
 
 _TRUNK_ACC_Y = 5  # a body-response column neither perceive nor metrics reads
+_HEAD_ACC_X = 7  # one that both read
 
 
-def _edit_body_value(out, row, text):
+def _edit_body_value(out, row, text, column=_TRUNK_ACC_Y):
     path = out / "body_response.csv"
     lines = path.read_bytes().split(b"\n")
     cells = lines[row + 1].split(b",")
-    cells[_TRUNK_ACC_Y] = text.encode()
+    cells[column] = text.encode()
     lines[row + 1] = b",".join(cells)
     path.write_bytes(b"\n".join(lines))
 
@@ -514,7 +568,7 @@ def test_an_edited_unread_body_value_is_read_in_full(tiny_config, resumable,
     _edit_body_value(out, 100, text)
     capsys.readouterr()
     codes = _resume(tiny_config, out, ("perceive", "metrics"))
-    assert all(usecols is None for _, usecols in parsed)
+    assert parsed == ["body_response.csv"] * 2
     if message is None:
         assert codes == [0, 0]
         for name, data in want.items():
@@ -537,6 +591,52 @@ def test_a_malformed_report_vouches_for_nothing(tiny_config, resumable, report):
     path = out / "report.json"
     path.write_text(report(path.read_text()))
     assert _resume(tiny_config, out) == [0, 0, 0]
-    assert all(usecols is None for _, usecols in parsed)
+    assert parsed == ["body_response.csv", "conflict.csv", "seat_motion.csv",
+                      "body_response.csv"]
     for name, data in want.items():
         assert (out / name).read_bytes() == data, name
+
+
+def _flip_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
+_TWINS = ("seat_motion.npy", "body_response.npy", "conflict.npy")
+_EVERY_LOAD = ["body_response.csv", "conflict.csv", "seat_motion.csv", "body_response.csv"]
+
+
+@pytest.mark.parametrize("edit, parses", [
+    # perceive writes conflict.npy again, as recorded, and sickness reads it
+    (lambda out: [(out / name).unlink() for name in _TWINS],
+     ["body_response.csv", "seat_motion.csv", "body_response.csv"]),
+    (lambda out: _flip_middle_byte(out / "body_response.npy"), ["body_response.csv"] * 2),
+    (lambda out: (out / "report.json").unlink(), _EVERY_LOAD),
+], ids=["twins-missing", "twin-byte-flipped", "report-missing"])
+def test_a_twin_that_cannot_vouch_leaves_the_csv_to_a_full_parse(tiny_config, resumable,
+                                                                 edit, parses):
+    out, want, parsed = resumable
+    edit(out)
+    assert _resume(tiny_config, out) == [0, 0, 0]
+    assert parsed == parses
+    for name, data in want.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_an_edited_csv_is_read_and_never_its_stale_twin(tiny_config, resumable, tmp_path):
+    # a head acceleration that perceive and metrics both read, edited in a
+    # vouched directory and in one without twins or report: both resume alike
+    out, want, parsed = resumable
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("seat_motion.csv", "body_response.csv"):
+        (bare / name).write_bytes((out / name).read_bytes())
+    for where in (out, bare):
+        _edit_body_value(where, 100, "3.5", _HEAD_ACC_X)
+        assert _resume(tiny_config, where) == [0, 0, 0]
+    # the edited CSV in full, and the conflict trace perceive wrote from it
+    assert parsed == ["body_response.csv", "conflict.csv", "body_response.csv"] + _EVERY_LOAD
+    for name in want:
+        assert (out / name).read_bytes() == (bare / name).read_bytes(), name
+    assert (out / "comfort.json").read_bytes() != want["comfort.json"]

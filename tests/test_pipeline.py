@@ -25,15 +25,20 @@ from ridecomfort.errors import ConfigError, NonFiniteSample, NonFiniteState, Sta
 from ridecomfort.excitation import ExcitationSpec
 from ridecomfort.perception import VestibularParams, VisionParams, perceive
 from ridecomfort.pipeline import (
-    _RESONANCE_CHANNELS, _STAGE_FILES, build_config, parse_config, run_pipeline,
-    stage_input, validate_config)
+    _RESONANCE_CHANNELS, _STAGE_FILES, _TWINNED, STAGES, build_config, parse_config,
+    run_pipeline, stage_input, validate_config)
 from ridecomfort.sickness import AccumulatorParams
 from ridecomfort.spectral import WelchParams
 from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions, run_stht
-from ridecomfort.timeseries import count_samples, load_timeseries, save_timeseries
+from ridecomfort.timeseries import count_samples, load_timeseries, twin_path
 from conftest import make_scenario
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
+
+
+def _with_twins(names):
+    """``names`` and the twin of each trace among them that a stage reads."""
+    return [*names, *(twin_path(name).name for name in names if name in _TWINNED)]
 
 
 def _write(tmp_path, raw, name="scenario.json"):
@@ -132,12 +137,14 @@ def test_run_pipeline_writes_all_artifacts(tiny_config, tmp_path):
     assert timing["write_wait_s"] >= 0.0
     assert timing["peak_rss_mb"] > 0.0
     assert timing["children_peak_rss_mb"] >= 0.0
-    # each trace file's size and sample rows, as they are on disk
+    # each trace and twin file's size and sample rows, as they are on disk
     traces = sorted(p.name for p in out.glob("*.csv"))
-    assert sorted(timing["artifact_bytes"]) == traces
-    assert sorted(timing["artifact_rows"]) == traces
-    for name in traces:
+    files = sorted(_with_twins(traces))
+    assert sorted(timing["artifact_bytes"]) == files
+    assert sorted(timing["artifact_rows"]) == files
+    for name in files:
         assert timing["artifact_bytes"][name] == (out / name).stat().st_size
+    for name in traces:
         assert timing["artifact_rows"][name] == count_samples(out / name) \
             == 3001, name
 
@@ -358,7 +365,7 @@ def test_failed_stage_leaves_earlier_artifacts_complete(tmp_path, monkeypatch,
     assert "stage 'sickness' failed: no accumulation today" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
     earlier = [name for stage in ("input", "body", "perception")
-               for name in _STAGE_FILES[stage]]
+               for name in _with_twins(_STAGE_FILES[stage])]
     assert sorted(_tree(out)) == sorted(earlier)
     for name in earlier:
         assert (out / name).read_bytes() == (good / name).read_bytes(), name
@@ -391,6 +398,35 @@ def test_a_failed_trace_write_leaves_the_earlier_traces_complete(tmp_path, monke
     assert "error: stage 'body' failed: " in err and "no space left on device" in err
     assert multiprocessing.active_children() == []
     _upstream_only(out, good, "body")
+
+
+@pytest.mark.parametrize("stage, name", [(stage, twin_path(name).name)
+                                         for stage, spec in STAGES.items()
+                                         for name in spec.writes if name in _TWINNED],
+                         ids=lambda value: value)
+def test_a_failed_twin_write_fails_the_stage_of_its_trace(tmp_path, monkeypatch, capsys,
+                                                          stage, name):
+    # the twin's rows fail after its header: its trace's stage fails, and
+    # every file of that stage and the later ones is removed
+    config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+    good = tmp_path / "good"
+    run_pipeline(parse_config(config), good)
+    write = timeseries._write_hashed
+
+    def twin_disk_full(fh, digest, data):
+        if fh.name.endswith(name) and not data.startswith(b"\x93NUMPY"):
+            raise OSError("no space left on device")
+        write(fh, digest, data)
+
+    monkeypatch.setattr(timeseries, "_write_hashed", twin_disk_full)
+    out = tmp_path / "bad"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: stage '{stage}' failed: cannot write {out / name}: " \
+        "no space left on device" in err
+    assert multiprocessing.active_children() == []
+    _upstream_only(out, good, stage)
 
 
 def _slow_body_rows(block):
@@ -440,7 +476,8 @@ def _upstream_only(out, good, stage):
     """Every file of the stages before ``stage`` is in ``out`` and equals
     ``good``'s, and nothing else is: not one file of ``stage`` or later."""
     stages = list(_STAGE_FILES)
-    earlier = [name for s in stages[:stages.index(stage)] for name in _STAGE_FILES[s]]
+    earlier = [name for s in stages[:stages.index(stage)]
+               for name in _with_twins(_STAGE_FILES[s])]
     assert sorted(p.name for p in out.iterdir()) == sorted(earlier)
     for name in earlier:
         assert (out / name).read_bytes() == (good / name).read_bytes(), name
@@ -502,8 +539,13 @@ def test_a_body_divergence_in_its_third_chunk_is_dated_in_the_whole_record(tmp_p
         (one_shot.value.time, one_shot.value.coordinate, one_shot.value.row)
     assert f"error: stage 'body' failed: {one_shot.value}\n" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
-    # the input stage's file is complete: the seat record written on its own
-    save_timeseries(stage_input(config)[0], tmp_path / "seat_motion.csv")
+    # the input stage's files are complete: the seat record written on its own
+    seat = stage_input(config)[0]
+    with timeseries._write_behind() as scope:
+        save = scope.open(tmp_path / "seat_motion.csv", timeseries.trace_header(seat.channels),
+                          seat.n_samples, twin=True)
+        scope.append(save, seat.samples, seat.start_time, seat.dt, 0)
+        scope.done(save)
     for run_dir in (tmp_path / "lib", out):
         _upstream_only(run_dir, tmp_path, "body")
 

@@ -1,6 +1,7 @@
 """Time-series container and CSV round trip."""
 
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -8,6 +9,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from ridecomfort.errors import (
     NonUniformSampling)
 from ridecomfort import comfort, perception, timeseries
 from ridecomfort.pipeline import parse_config, run_pipeline
+from conftest import make_scenario
 from ridecomfort.timeseries import (
     TimeSeries, count_samples, from_arrays, load_timeseries, save_timeseries)
 
@@ -791,22 +794,34 @@ def test_reader_parses_in_process_beside_other_threads(tmp_path, monkeypatch):
 
 
 def _vouched_run(tmp_path, tiny_config):
-    """A pipeline directory and the sha256 its report records per trace."""
+    """A pipeline directory and the sha256 its report records per file."""
     out = tmp_path / "run"
     run_pipeline(parse_config(tiny_config), out)
     artifacts = json.loads((out / "report.json").read_text())["artifacts"]
     return out, {name: entry["sha256"] for name, entry in artifacts.items()}
 
 
+def _vouched(sha256, name):
+    """The digests of the trace ``name`` and of its twin, as recorded."""
+    return sha256[name], sha256[timeseries.twin_path(name).name]
+
+
+TWINS = ["body_response.npy", "conflict.npy", "seat_motion.npy"]
+
+
 def test_report_records_each_trace_sha256_rows_and_dt(tmp_path, tiny_config,
                                                      monkeypatch):
     out, _ = _vouched_run(tmp_path, tiny_config)
     report = json.loads((out / "report.json").read_text())
-    assert sorted(report["artifacts"]) == sorted(p.name for p in out.glob("*.csv"))
+    traces = [p.name for p in out.glob("*.csv")]
+    assert sorted(p.name for p in out.glob("*.npy")) == TWINS
+    assert sorted(report["artifacts"]) == sorted(traces + TWINS)
     for name, entry in report["artifacts"].items():
-        assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert entry["rows"] == count_samples(out / name) == 3001
-        assert entry["dt"] == load_timeseries(out / name).dt == 0.002
+        path = out / name
+        assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        rows = count_samples(path) if name.endswith(".csv") else len(np.load(path))
+        assert entry["rows"] == rows == 3001
+        assert entry["dt"] == load_timeseries(path.with_suffix(".csv")).dt == 0.002
     # the in-process writer hashes the same bytes
     monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
     run_pipeline(parse_config(tiny_config), tmp_path / "serial")
@@ -814,48 +829,134 @@ def test_report_records_each_trace_sha256_rows_and_dt(tmp_path, tiny_config,
         (out / "report.json").read_bytes()
 
 
+def _assert_twins_are_np_save_of_their_csvs(out):
+    assert sorted(p.name for p in out.glob("*.npy")) == TWINS
+    for name in TWINS:
+        csv = (out / name).with_suffix(".csv")
+        cells = csv.read_text(encoding="utf-8").split("\n", 1)[0].split(",")
+        parsed = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        table = np.empty(len(parsed), np.dtype([(cell, np.float64) for cell in cells]))
+        for i, cell in enumerate(cells):
+            table[cell] = parsed[:, i]
+        saved = io.BytesIO()
+        np.save(saved, table)
+        assert (out / name).read_bytes() == saved.getvalue(), name
+
+
+@pytest.mark.parametrize("fixture, key", [("default_runs", 0), ("curved_runs", "off1"),
+                                          ("curved_runs", "on")],
+                         ids=["default", "curved", "curved-vision"])
+def test_each_twin_is_np_save_of_the_table_its_csv_parses_to(request, fixture, key):
+    _assert_twins_are_np_save_of_their_csvs(request.getfixturevalue(fixture)[key])
+
+
+def test_a_csv_input_run_writes_twins_of_np_save_bytes(tmp_path):
+    # a seat record of two blocks and a few rows, of values over many decades
+    rng = np.random.default_rng(7)
+    seat = rng.standard_normal((2 * BLOCK + 5, 3)) * 10.0 ** rng.integers(-3, 2, (1, 3))
+    save_timeseries(from_arrays(0.002, seat, [(f"seat_acc_{a}", "m/s^2") for a in "xyz"]),
+                    tmp_path / "seat.csv")
+    raw = make_scenario()
+    raw["input"] = {"kind": "csv", "path": "seat.csv"}
+    (tmp_path / "scenario.json").write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    run_pipeline(parse_config(tmp_path / "scenario.json"), out)
+    _assert_twins_are_np_save_of_their_csvs(out)
+    assert len(np.load(out / "seat_motion.npy")) == 2 * BLOCK + 5
+
+
 @pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
 def test_vouched_projected_load_equals_the_full_load(tmp_path, tiny_config,
                                                     monkeypatch, pooled):
+    # the twin read in blocks of 700 rows, the CSV parsed in 16 KiB spans
     out, sha256 = _vouched_run(tmp_path, tiny_config)
     path = out / "body_response.csv"
     monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 1 << 14)
+    monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 700)
     assert path.stat().st_size > 8 * timeseries._READ_SPAN_BYTES
     if not pooled:
         monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
     full = load_timeseries(path)
-    for names in (perception.BODY_CHANNELS, comfort.BODY_CHANNELS):
-        got = load_timeseries(path, channels=names,
-                              sha256=sha256["body_response.csv"])
-        want = full.select(names)
-        assert got.channel_names == names
-        assert np.array_equal(got.samples, want.samples)
-        assert (got.dt, got.start_time, got.channels) == \
-            (want.dt, want.start_time, want.channels)
+    for names in (perception.BODY_CHANNELS, comfort.BODY_CHANNELS, None):
+        got = timeseries.load_twin(path, _vouched(sha256, path.name), names)
+        assert got.channel_names == (full.channel_names if names is None else names)
+        _assert_same_outcome(got, full if names is None else full.select(names))
+    for name in ("seat_motion.csv", "conflict.csv"):
+        _assert_same_outcome(timeseries.load_twin(out / name, _vouched(sha256, name)),
+                             load_timeseries(out / name))
     assert multiprocessing.active_children() == []
+
+
+def _flipped(data, at):
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
 
 
 def test_projection_needs_a_matching_digest(tmp_path, tiny_config, monkeypatch):
     out, sha256 = _vouched_run(tmp_path, tiny_config)
-    path, digest = out / "body_response.csv", sha256["body_response.csv"]
+    path = out / "body_response.csv"
+    csv_digest, twin_digest = digests = _vouched(sha256, path.name)
+    full = load_timeseries(path)
     parsed = []
     parse_data = timeseries._parse_data
 
-    def spy(path, spans, max_rows, usecols=None):
-        parsed.append(usecols)
-        return parse_data(path, spans, max_rows, usecols)
+    def spy(path, spans, max_rows):
+        parsed.append(Path(path).name)
+        return parse_data(path, spans, max_rows)
 
     monkeypatch.setattr(timeseries, "_parse_data", spy)
-    full = load_timeseries(path)
     names = comfort.BODY_CHANNELS
-    assert load_timeseries(path, channels=names, sha256=digest).channel_names == names
-    # each of these reads and checks the whole file, as without arguments
-    for kwargs in ({"channels": names},                        # no digest
-                   {"sha256": digest},                         # no channels
-                   {"channels": names, "sha256": "0" * 64},    # another digest
-                   {"channels": names + ("nope",), "sha256": digest},
-                   {"channels": full.channel_names, "sha256": digest}):
-        got = load_timeseries(path, **kwargs)
-        assert got.channels == full.channels, kwargs
-        assert np.array_equal(got.samples, full.samples)
-    assert parsed == [None, [0, 7, 8, 9]] + [None] * 5
+    assert timeseries.load_twin(path, digests, names).channel_names == names
+    # no channels, or all of them: every channel, from the twin as well
+    for channels in (None, full.channel_names):
+        _assert_same_outcome(timeseries.load_twin(path, digests, channels), full)
+    # each of these leaves the CSV to a full parse by the caller
+    for wrong, channels in ((("0" * 64, twin_digest), names),    # another CSV digest
+                            ((csv_digest, "0" * 64), names),     # another twin digest
+                            ((twin_digest, csv_digest), names),  # the two swapped
+                            (digests, names + ("nope",))):       # a channel it lacks
+        assert timeseries.load_twin(path, wrong, channels) is None, (wrong, channels)
+    twin = timeseries.twin_path(path)
+    data = twin.read_bytes()
+    header = data.index(b"\n") + 1
+    for name, edit in (("missing", None), ("cut short", data[:-8]),
+                       ("extended", data + bytes(8)),
+                       ("a header byte flipped", _flipped(data, 20)),
+                       ("a row byte flipped", _flipped(data, (header + len(data)) // 2)),
+                       ("a directory", "dir")):
+        twin.unlink(missing_ok=True)
+        if edit == "dir":
+            twin.mkdir()
+        elif edit is not None:
+            twin.write_bytes(edit)
+        assert timeseries.load_twin(path, digests, names) is None, name
+        if edit == "dir":
+            twin.rmdir()
+    twin.write_bytes(data)
+    # an edited CSV is never stood in for by its twin
+    csv = path.read_bytes()
+    path.write_bytes(_flipped(csv, len(csv) // 2))
+    assert timeseries.load_twin(path, digests, names) is None
+    path.write_bytes(csv)
+    _assert_same_outcome(timeseries.load_twin(path, digests, names), full.select(names))
+    assert parsed == []  # a twin load parses no text
+
+
+def test_a_twin_load_peaks_at_its_result_plus_about_one_block(curved_runs):
+    out = curved_runs["off1"]
+    sha256 = {name: entry["sha256"] for name, entry in
+              json.loads((out / "report.json").read_text())["artifacts"].items()}
+    path = out / "body_response.csv"
+    names = perception.BODY_CHANNELS
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ts = timeseries.load_twin(path, _vouched(sha256, path.name), names)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert ts.channel_names == names
+    result = ts.n_samples * (len(names) + 1) * 8  # the time column and the channels
+    block = BLOCK * (24 + 1) * 8  # one block of the twin's rows, 0.8 MB
+    assert (out / "body_response.npy").stat().st_size > 20 * block
+    assert result <= held < result + (64 << 10)
+    assert peak < result + block + (64 << 10), (peak - result) / block
