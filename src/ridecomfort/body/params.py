@@ -53,11 +53,40 @@ _POSTURE_ANGLES = {
 }
 
 _MAX_REST_ANGLE_RAD = 0.6  # small-angle model; larger rest angles are out of scope
-# Longest segment or backrest height, m: about 10x the default preset's
-# longest (0.45 m), far past any seated body.  A huge finite length (1e100 m)
-# would otherwise fail the static equilibrium's residual check, a refusal
-# that names no parameter.
-_MAX_LENGTH_M = 5.0
+# Ceiling and unit of each field, by the unit its name ends in.  A huge
+# finite value would otherwise be refused by the model build in words that
+# name no parameter: a static residual (a 1e100 m backrest, a 1e308 N/m
+# backrest stiffness), a mass matrix that is not positive definite (a
+# 1e300 kg head) or an unstable mode (1e300 m/s^2 gravity).  With the rest
+# of the default preset, a field at its ceiling builds a model, or one that
+# is refused at a field or as unstable.  Suffixes are matched in this
+# order, so that "_N_per_m" is not read as a length.
+_CEILINGS = {
+    # a translational stiffness: about 1700x the default seat's 58 kN/m; a
+    # 1000 kg segment under 10 g then deflects 1 mm, as good as rigid
+    "_N_per_m": (1e8, "N/m"),
+    # a translational damping: above critical, 2 sqrt(k m) = 6.3e5 Ns/m,
+    # for the heaviest segment on the stiffest spring
+    "_Ns_per_m": (1e6, "Ns/m"),
+    # a rotational stiffness or angle gain: twice the gravity torque per
+    # radian, m g L = 5e5 Nm/rad, of the heaviest and longest segment under
+    # 10 g, and about 1400x the default preset's largest (700 Nm/rad)
+    "_Nm_per_rad": (1e6, "Nm/rad"),
+    # a rotational damping or rate gain: above critical, 2 sqrt(k I) =
+    # 2e5 Nms/rad, for the largest inertia on the stiffest joint
+    "_Nms_per_rad": (1e6, "Nms/rad"),
+    # gravity: about 10 g, more than any vehicle sustains
+    "_m_per_s2": (100.0, "m/s^2"),
+    # an inertia: m L^2 / 3 = 8333 kg m^2 of the heaviest segment, 5 m
+    # long, about its end
+    "_kgm2": (1e4, "kg m^2"),
+    # a segment mass: above the heaviest recorded human's whole body (about
+    # 635 kg); the default trunk is 32 kg
+    "_kg": (1e3, "kg"),
+    # a length: about 10x the default preset's longest (0.45 m), far past
+    # any seated body
+    "_m": (5.0, "m"),
+}
 _LENGTHS = ("pelvis_to_l5s1_m", "l5s1_to_c7t1_m", "c7t1_to_head_com_m")
 
 
@@ -194,10 +223,11 @@ class BodyParams:
             value = getattr(self, name)
             if not is_number(value) or value < 0:
                 errors.append((name, "must be a finite number >= 0"))
-        for name in (*_LENGTHS, "backrest_height_m"):
+        for name in self.field_names():
             value = getattr(self, name)
-            if is_number(value) and value > _MAX_LENGTH_M:
-                errors.append((name, f"must be at most {_MAX_LENGTH_M:g} m"))
+            suffix = next((s for s in _CEILINGS if name.endswith(s)), None)
+            if suffix is not None and is_number(value) and value > _CEILINGS[suffix][0]:
+                errors.append((name, "must be at most {:g} {}".format(*_CEILINGS[suffix])))
         if self.backrest_present:
             if not is_number(self.backrest_height_m) or self.backrest_height_m <= 0:
                 errors.append(("backrest_height_m", "must be a finite number > 0"))

@@ -3,7 +3,7 @@
 Every subcommand reads the same scenario config.  `pipeline` chains all
 stages.  The stage commands (simulate, perceive, sickness, metrics) run the
 stages ``_STAGE_COMMANDS`` names through ``pipeline.run_stages``, like a
-run: one writer pool, and every file complete when the command returns.
+run: at most one writer pool, and every file complete when the command returns.
 Traces their stages read and do not write come from the output directory,
 as ``pipeline.STAGES`` lists them, so running the commands in sequence
 reproduces `pipeline` exactly.  ``load_timeseries`` below reads each: from

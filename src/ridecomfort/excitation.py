@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.signal as sps
 
 from ridecomfort.errors import InvalidBand
@@ -77,7 +78,7 @@ class ExcitationSpec:
 def _band_noise(n: int, dt: float, band, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
+    spec = scipy.fft.rfft(white)  # the bytes of np.fft.rfft, from a cached plan
     freqs = np.fft.rfftfreq(n, dt)
     f_lo, f_hi = band
     edge_lo = _EDGE_FRACTION * f_lo
@@ -90,7 +91,7 @@ def _band_noise(n: int, dt: float, band, seed: int) -> np.ndarray:
     hi = (freqs > f_hi) & (freqs <= f_hi + edge_hi)
     gain[hi] = 0.5 * (1.0 + np.cos(np.pi * (freqs[hi] - f_hi) / edge_hi))
     gain[0] = 0.0
-    return np.fft.irfft(spec * gain, n)
+    return scipy.fft.irfft(spec * gain, n)
 
 
 def generate_excitation(spec: ExcitationSpec) -> TimeSeries:

@@ -27,7 +27,10 @@ so that a stage command can resume from it without parsing text.
 A ``run_stages`` call is one write-behind scope: a push returns once its
 rows are handed to the writer's worker processes, which format them while
 later pushes compute (the run's thread writes them), and a run holds a few
-chunks of rows rather than whole body, perceived and conflict records.
+chunks of rows rather than whole body, perceived and conflict records.  The
+pool opens at the first trace of several channels that the run saves, so a
+run that saves none (``sickness``, ``metrics``) forks no worker; the traces
+a stage command reads are parsed in-process.
 
 Each config section is read by ``schema.read`` as the parameter
 dataclass behind it, which decides its keys, types, defaults and the JSON
@@ -671,8 +674,6 @@ def run_stages(config, out, stages, load=None):
         t = time.perf_counter()
         head = None
         if stages[0] == "input":
-            if config.excitation is not None:  # fork the writer before the record exists
-                scope.start(config.excitation.n_samples)
             with stage_errors("input"):
                 (head,) = stage_input(config)
         elif stages[0] in _STREAMED:

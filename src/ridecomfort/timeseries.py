@@ -5,17 +5,18 @@ column ``time_s``, remaining header cells ``name[unit]`` (for example
 ``seat_acc_x[m/s^2]``), comma separated, decimal point, UTF-8, LF or CRLF.
 JSON artifacts (summaries and reports) are written by ``save_json``.
 
-``save_timeseries`` formats the rows of a long trace, and ``load_timeseries``
-parses the data rows of a long file in spans, in worker processes where the
-platform forks them (Linux); elsewhere both work in-process, and the bytes
-written and the values read are the same either way.  The workers belong to
-a scope (``_write_behind``): one pool serves every save and load made in it,
-and rows appended to a save (``_Scope.append``) are formatted there while
-the caller computes; the caller's thread writes each block, in order, at a
-later append or flush once it is formatted, and ``save_timeseries`` returns
-with its file complete.  A call made outside a scope has a scope of its
-own.  The rows are formatted by a numpy kernel (``_format_rows``) whose
-bytes equal those of ``'%.17g' %``.
+``save_timeseries`` formats the rows of a long trace of several channels
+in worker processes where the platform forks them (Linux); elsewhere, and
+for a trace of one channel, it works in-process, and the bytes written are
+the same either way.  The workers belong to a scope (``_write_behind``):
+one pool, opened at the first save that formats on it, serves every save
+made in it, and rows appended to a save (``_Scope.append``) are formatted
+there while the caller computes; the caller's thread writes each block, in
+order, at a later append or flush once it is formatted, and
+``save_timeseries`` returns with its file complete.  A call made outside a
+scope has a scope of its own.  The rows are formatted by a numpy kernel
+(``_format_rows``) whose bytes equal those of ``'%.17g' %``.
+``load_timeseries`` parses the data rows of a file in pieces, in-process.
 
 The scope hashes each trace as it writes it: ``_Scope.digests`` maps each
 complete file to the sha256 of its bytes, which a pipeline run records in
@@ -31,7 +32,6 @@ import collections
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import multiprocessing
 import os
@@ -61,7 +61,7 @@ _DT_RTOL = 1e-6
 # simulate's matrix products at this size run on one BLAS thread (8192 woke
 # a spinning OpenBLAS worker on 2 cores).
 _BLOCK_ROWS = 4096
-_READ_SPAN_BYTES = 1 << 19  # CSV bytes parsed per task of the reader's pool
+_READ_SPAN_BYTES = 1 << 19  # bytes per piece of a CSV parsed or a file hashed
 _HEADER_RE = re.compile(r"^(?P<name>[^\[\]]+)\[(?P<unit>[^\[\]]*)\]$")
 
 
@@ -205,22 +205,9 @@ def _next_row(fh):
     return None
 
 
-def _spans(fh):
-    """The (lo, hi) byte bounds of the rest of a binary file's ``_chunks``,
-    and the number of LFs they hold."""
-    spans, lfs, lo = [], 0, fh.tell()
-    for chunk in _chunks(fh):
-        lfs += chunk.count(b"\n")
-        spans.append((lo, lo + len(chunk)))
-        lo += len(chunk)
-    return spans, lfs
-
-
-def _parse_span(path, lo, hi) -> np.ndarray:
-    """The data rows in bytes [lo, hi) of a CSV, parsed by ``np.loadtxt``."""
-    with open(path, "rb") as fh:
-        fh.seek(lo)
-        lines = _rows(fh.read(hi - lo))
+def _parse_rows(data) -> np.ndarray:
+    """The data rows in CSV bytes ``data``, parsed by ``np.loadtxt``."""
+    lines = _rows(data)
     if not lines:
         return np.empty((0, 1))  # what np.loadtxt gives, without its warning
     with warnings.catch_warnings():  # all lines may be comments
@@ -228,20 +215,18 @@ def _parse_span(path, lo, hi) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
-def _parse_data(path, spans, max_rows) -> np.ndarray:
-    """The data rows of all spans, copied in order into one array as each
-    span's rows arrive, so no span's array outlives its copy."""
+def _parse_data(fh, max_rows) -> np.ndarray:
+    """The data rows of the rest of a binary file, parsed a piece of
+    ``_chunks`` at a time and copied in order into one array of
+    ``max_rows`` rows, so no piece's array outlives its copy."""
     body, n = None, 0
-    with _write_behind() as scope:
-        parts = scope.results(_parse_span, [(path, lo, hi) for lo, hi in spans],
-                              "read", path)
-        for part in filter(len, parts):  # skip spans without data rows
-            if body is None:
-                body = np.empty((max_rows, part.shape[1]))
-            elif part.shape[1] != body.shape[1]:
-                raise ValueError("the number of columns changed between spans")
-            body[n:n + len(part)] = part
-            n += len(part)
+    for part in filter(len, map(_parse_rows, _chunks(fh))):  # pieces with data rows
+        if body is None:
+            body = np.empty((max_rows, part.shape[1]))
+        elif part.shape[1] != body.shape[1]:
+            raise ValueError("the number of columns changed between pieces")
+        body[n:n + len(part)] = part
+        n += len(part)
     return np.empty((0, 1)) if body is None else body[:n]
 
 
@@ -253,9 +238,7 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     column, so at least 2 sample rows are needed, and must be uniform within
     a relative tolerance of 1e-6.
 
-    Data rows are parsed in spans of about ``_READ_SPAN_BYTES`` on the
-    pool of the open ``_write_behind`` scope; a worker that dies is an
-    OSError naming the file.
+    Data rows are parsed in-process in pieces of about ``_READ_SPAN_BYTES``.
     """
     with open(path, "rb") as fh:
         header = _next_row(fh)
@@ -266,13 +249,14 @@ def load_timeseries(path, schema=None) -> TimeSeries:
         if _next_row(fh) is None:
             raise EmptyFile(f"{path} has a header but no samples")
         fh.seek(start)
-        spans, lfs = _spans(fh)
-    try:
-        body = _parse_data(path, spans, lfs + 1)  # at most a row per line
-    except UnicodeDecodeError:
-        raise  # not UTF-8: no number problem
-    except ValueError as exc:
-        raise NonFiniteSample("<unparseable>", -1) from exc
+        lfs = sum(chunk.count(b"\n") for chunk in _chunks(fh))
+        fh.seek(start)
+        try:
+            body = _parse_data(fh, lfs + 1)  # at most a row per line
+        except UnicodeDecodeError:
+            raise  # not UTF-8: no number problem
+        except ValueError as exc:
+            raise NonFiniteSample("<unparseable>", -1) from exc
     if not len(body):  # every line after the header is a comment
         raise EmptyFile(f"{path} has a header but no samples")
     if body.shape[1] != len(channels) + 1:
@@ -667,12 +651,11 @@ def _pool_workers(n_tasks) -> int:
 
 
 class _FileError(OSError):
-    """A save or load that failed in a ``_write_behind`` scope; ``path``
-    names its file, and the message names ``failed``, its twin, instead when
-    given."""
+    """A save that failed in a ``_write_behind`` scope; ``path`` names its
+    file, and the message names ``failed``, its twin, instead when given."""
 
-    def __init__(self, verb, path, reason, failed=None):
-        super().__init__(f"cannot {verb} {failed or path}: {reason}")
+    def __init__(self, path, reason, failed=None):
+        super().__init__(f"cannot write {failed or path}: {reason}")
         self.path = Path(path)
 
     # picklable like the StageError it becomes the cause of
@@ -721,23 +704,22 @@ _POOL_MIN_CHANNELS = 2
 
 
 class _Scope:
-    """One fork pool for the saves and loads of a ``_write_behind`` scope,
-    the saves not yet complete, and the sha256 of each file saved complete.
+    """One fork pool for the saves of a ``_write_behind`` scope, the saves
+    not yet complete, and the sha256 of each file saved complete.
 
-    The pool is opened by the first save or load large enough that
-    ``_pool_workers`` allows one, and serves every later call; without
-    it, each call does its work in-process, in order.  A save is opened
-    with its header (``open``), handed its rows a chunk at a time
-    (``append``) and told that no more follow (``done``).  A save with a
-    twin writes the twin's rows of each block in the caller's thread as the
-    block is handed over; the twin is removed, hashed and blamed with its
-    CSV.  With the pool,
-    the blocks of every save wait in one queue in submission order, and
-    the thread that owns the scope writes and hashes those at its head
-    that are formatted, at each append and flush; at most
-    ``_BLOCKS_IN_FLIGHT`` per worker wait, so an append waits for the
-    oldest rather than holding a record's rows.  A failed block stops its
-    save's writes and puts the save on ``failed``, in queue order.
+    A save is opened with its header (``open``), handed its rows a chunk
+    at a time (``append``) and told that no more follow (``done``).  The
+    pool is opened by the first save that will format on it and serves the
+    later ones; without it, each save formats its rows in-process, in
+    order.  A save with a twin writes the twin's rows of each block in the
+    caller's thread as the block is handed over; the twin is removed,
+    hashed and blamed with its CSV.  With the pool, the blocks of every
+    save wait in one queue in submission order, and the thread that owns
+    the scope writes and hashes those at its head that are formatted, at
+    each append and flush; at most ``_BLOCKS_IN_FLIGHT`` per worker wait,
+    so an append waits for the oldest rather than holding a record's rows.
+    A failed block stops its save's writes and puts the save on
+    ``failed``, in queue order.
     """
 
     def __init__(self):
@@ -748,32 +730,15 @@ class _Scope:
         self.failed = []  # _Save of each failed write, in queue order
         self.digests = {}  # Path of a complete file -> sha256 hex digest
 
-    def _pool_for(self, n_tasks):
-        """The pool, opened now when none is and ``n_tasks`` allow one."""
-        if self.pool is None and (workers := _pool_workers(n_tasks)):
-            self.pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            self.in_flight = _BLOCKS_IN_FLIGHT * workers
-        return self.pool
-
-    def start(self, rows):
-        """Open the pool for traces of about ``rows`` rows now, when they
-        will use one, and fork its workers, so they share none of the
-        records the caller makes next."""
-        if self.pool is None and self._pool_for(-(-rows // _BLOCK_ROWS)) is not None:
-            self.pool.submit(int)  # the pool forks its workers at its first task
-
-    def _submit(self, fn, task, verb, path):
+    def _submit(self, block, path):
+        """The future of ``block`` formatted on the pool; a broken pool is
+        the OSError of the save of the oldest block it failed, or else of
+        ``path``."""
         try:
-            return self.pool.submit(fn, *task)
+            return self.pool.submit(_format_block, *block)
         except BrokenProcessPool as exc:
-            raise self.dead(verb, path) from exc
-
-    def dead(self, verb, path) -> _FileError:
-        """The OSError of a broken pool, named after the save of the oldest
-        block it failed, or else after ``path``."""
-        self.flush(wait=True)  # raises for such a save
-        return _FileError(verb, path, _DEAD)
+            self.flush(wait=True)  # raises for such a save
+            raise _FileError(path, _DEAD) from exc
 
     def _write(self, save, rows, file=None):
         """Write and hash ``rows()``, the bytes of ``save``'s next block, to
@@ -820,19 +785,25 @@ class _Scope:
     def _raise(save):
         error = save.error
         if isinstance(error, (BrokenProcessPool, CancelledError)):
-            raise _FileError("write", save.path, _DEAD) from error
+            raise _FileError(save.path, _DEAD) from error
         if isinstance(error, OSError):
             twin = save.twin if save.twin is not None and save.twin.error else None
-            raise _FileError("write", save.path, error, twin and twin.path) from error
+            raise _FileError(save.path, error, twin and twin.path) from error
         raise error  # what the worker raised
 
     def open(self, path, header, rows, twin=False) -> _Save:
         """Open ``path`` and write ``header`` for a trace of about ``rows``
-        sample rows, which decide, as for a load, whether the pool opens;
-        with ``twin``, also its twin, whose header declares exactly ``rows``
-        rows.  A file opened here is removed again if the call fails."""
+        sample rows; with ``twin``, also its twin, whose header declares
+        exactly ``rows`` rows.  A file opened here is removed again if the
+        call fails.  The first trace of at least ``_POOL_MIN_CHANNELS``
+        channels opens the pool, when ``_pool_workers`` allows one for its
+        blocks."""
         self.flush()
-        self._pool_for(-(-rows // _BLOCK_ROWS))
+        if (self.pool is None and header.count(",") >= _POOL_MIN_CHANNELS
+                and (workers := _pool_workers(-(-rows // _BLOCK_ROWS)))):
+            self.pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            self.in_flight = _BLOCKS_IN_FLIGHT * workers
         files = []
 
         def create(file, data):
@@ -863,7 +834,7 @@ class _Scope:
         has a twin.  The pool's tasks hold views of ``samples``, which must
         not change until they are written.  Raises for a failed write of
         this save; another save's failure is raised by its own next append,
-        or by a later open, load or flush."""
+        or by a later open or flush."""
         pooled = self.pool is not None and samples.shape[1] >= _POOL_MIN_CHANNELS
         for i in range(0, len(samples), _BLOCK_ROWS):
             block = (samples[i:i + _BLOCK_ROWS], start_time, dt, first_row + i)
@@ -874,8 +845,7 @@ class _Scope:
             if save.error is not None:
                 break
             if pooled:
-                self.queue.append((save, self._submit(_format_block, block, "write",
-                                                      save.path)))
+                self.queue.append((save, self._submit(block, save.path)))
             else:
                 self._write(save, lambda: _format_block(*block))
         if save.error is not None:
@@ -905,20 +875,6 @@ class _Scope:
             self.digests.pop(file.path, None)
             file.path.unlink(missing_ok=True)
 
-    def results(self, fn, tasks, verb, path):
-        """``fn(*task)`` for each task, in order, as each is needed."""
-        self.flush()
-        if self._pool_for(len(tasks)) is None:
-            yield from itertools.starmap(fn, tasks)
-            return
-        futures = [self._submit(fn, task, verb, path) for task in tasks]
-        for future in futures:
-            try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                raise self.dead(verb, path) from exc
-            yield result
-
     def close(self):
         """Stop the pool and close the files an error left unwritten."""
         if self.pool is not None:
@@ -938,8 +894,8 @@ def _write_behind():
 
     Inside it an append returns once its blocks are submitted, and each
     block is written at a later append or flush once it and the blocks
-    queued before it are formatted; a later save or load first raises for
-    a save whose writes failed.  A new scope writes every queued block at
+    queued before it are formatted; a later save first raises for a save
+    whose writes failed.  A new scope writes every queued block at
     its end, also when the block raised, so earlier saves are complete
     before the error propagates; no worker outlives it.
     """

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ridecomfort import timeseries
 from ridecomfort.body import BodyParams, COORDINATE_NAMES, PostureConfig, build_model
 from ridecomfort.pipeline import parse_config, run_pipeline
 
@@ -46,6 +47,19 @@ TINY_SCENARIO = {
     "accumulator": {},
     "metrics": {"weighted_rms": True, "msdv": True, "settle_s": 0.5},
 }
+
+
+def counted_pools(monkeypatch):
+    """The list that each trace writer pool opened from now on appends 1 to."""
+    opened = []
+
+    class CountedPool(timeseries.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(timeseries, "ProcessPoolExecutor", CountedPool)
+    return opened
 
 
 def make_scenario(**tweaks) -> dict:

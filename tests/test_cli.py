@@ -44,21 +44,36 @@ def test_validate_lists_problems_exit_one(tmp_path, capsys):
     assert "perception.anticipation" in out
 
 
-def test_validate_refuses_an_overflowing_model_without_lapack_output(tmp_path):
-    # LAPACK writes its complaints at the file-descriptor level, past capsys:
-    # run the command in a process of its own and read what it printed
+@pytest.mark.parametrize("overrides, message", [
+    ({"backrest_stiffness_N_per_m": 1e308},
+     "model.overrides.backrest_stiffness_N_per_m: must be at most 1e+08 N/m"),
+    ({"head_mass_kg": 1e300}, "model.overrides.head_mass_kg: must be at most 1000 kg"),
+    ({"gravity_m_per_s2": 1e300},
+     "model.overrides.gravity_m_per_s2: must be at most 100 m/s^2"),
+    # a gravity load that overflows to inf, whose model LAPACK would print
+    # complaints about at the file-descriptor level
+    ({"gravity_m_per_s2": 1e308},
+     "model.overrides.gravity_m_per_s2: must be at most 100 m/s^2"),
+    ({"trunk_inertia_yaw_kgm2": 2e4},
+     "model.overrides.trunk_inertia_yaw_kgm2: must be at most 10000 kg m^2"),
+    ({"seat_damping_z_Ns_per_m": 1e7},
+     "model.overrides.seat_damping_z_Ns_per_m: must be at most 1e+06 Ns/m"),
+    ({"prop_gain_neck_Nm_per_rad": 1e7},
+     "model.overrides.prop_gain_neck_Nm_per_rad: must be at most 1e+06 Nm/rad"),
+    ({"neck_damping_roll_Nms_per_rad": 1e7},
+     "model.overrides.neck_damping_roll_Nms_per_rad: must be at most 1e+06 Nms/rad"),
+], ids=["backrest-stiffness-1e308", "head-mass-1e300", "gravity-1e300", "gravity-1e308",
+        "inertia-2e4", "damping-1e7", "gain-1e7", "rot-damping-1e7"])
+def test_validate_refuses_a_huge_body_parameter_at_its_field(tmp_path, capsys, monkeypatch,
+                                                            overrides, message):
     raw = make_scenario()
-    raw["model"]["overrides"] = {"gravity_m_per_s2": 1e308}
-    path = _write(tmp_path, raw)
-    src = str(Path(ridecomfort.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "ridecomfort.cli", "validate",
-                           "--config", str(path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1
-    assert "** On entry to" not in done.stdout + done.stderr
-    assert "model: no usable model: stiffness or gravity load is not finite" in done.stdout
+    raw["model"]["overrides"] = overrides
+    built = []
+    monkeypatch.setattr(pl, "build_model", lambda *args: built.append(args))
+    assert main(["validate", "--config", str(_write(tmp_path, raw))]) == 1
+    out = capsys.readouterr().out
+    assert f"  {message}\n" in out and "no usable model" not in out
+    assert built == []  # refused before any LAPACK call
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -239,7 +254,8 @@ def test_batch_with_parallel_writer_matches_serial_runs(tmp_path):
 
 def test_batch_with_parallel_reader_matches_serial_runs(tmp_path):
     # 30 s at 1 kHz is about 1.2 MB of seat motion: each batch worker reads
-    # its csv input in 2 spans, on a reader pool of its own
+    # its csv input in pieces, in-process, and formats its traces on a
+    # writer pool of its own
     configs = []
     for seed in (5, 6):
         made = _write(tmp_path, make_scenario(
@@ -483,9 +499,9 @@ def resumable(tiny_config, tmp_path, monkeypatch):
     parsed = []
     parse_data = timeseries._parse_data
 
-    def spy(path, spans, max_rows):
-        parsed.append(Path(path).name)
-        return parse_data(path, spans, max_rows)
+    def spy(fh, max_rows):
+        parsed.append(Path(fh.name).name)
+        return parse_data(fh, max_rows)
 
     monkeypatch.setattr(timeseries, "_parse_data", spy)
     return out, want, parsed

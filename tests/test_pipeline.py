@@ -31,7 +31,7 @@ from ridecomfort.sickness import AccumulatorParams
 from ridecomfort.spectral import WelchParams
 from ridecomfort.stht import RESPONSE_CHANNELS, STHTOptions, run_stht
 from ridecomfort.timeseries import count_samples, load_timeseries, twin_path
-from conftest import make_scenario
+from conftest import counted_pools, make_scenario
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "ridecomfort" / "data" / "examples"
 
@@ -275,6 +275,7 @@ def test_oversized_excitation_with_welch_is_a_config_error():
 # opens the writer pool where the platform allows one
 _TWO_BLOCKS = {"input": {"duration_s": 12.0}}
 _POOLED = timeseries._pool_workers(2) >= 2
+_FORKS = "fork" in multiprocessing.get_all_start_methods()
 _STAGE_COMMANDS = ("simulate", "perceive", "sickness", "metrics")
 
 
@@ -286,15 +287,8 @@ def _tree(out):
 def _pipeline_and_stage_trees(config, out):
     """Run ``config`` as a pipeline and as the stage commands in turn; the
     number of writer pools each run or command opened."""
-    opened = []
-
-    class CountedPool(timeseries.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(1)
-            super().__init__(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(timeseries, "ProcessPoolExecutor", CountedPool)
+        opened = counted_pools(mp)
         run_pipeline(parse_config(config), out / "pipe")
         assert multiprocessing.active_children() == []
         pools = [len(opened)]
@@ -307,11 +301,36 @@ def _pipeline_and_stage_trees(config, out):
     return _tree(out / "pipe"), _tree(out / "stages"), pools
 
 
+@pytest.mark.skipif(not _FORKS, reason="no fork pool on this platform")
+def test_perceive_formats_on_the_pool_and_sickness_opens_none(tmp_path, monkeypatch):
+    config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+    out = tmp_path / "run"
+    run_pipeline(parse_config(config), out)
+    (out / "report.json").unlink()  # so both commands parse their CSVs
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2 if n >= 2 else 0)
+    opened, submitted = counted_pools(monkeypatch), []
+    submit = timeseries._Scope._submit
+
+    def counted(scope, block, path):
+        submitted.append(Path(path).name)
+        return submit(scope, block, path)
+
+    monkeypatch.setattr(timeseries._Scope, "_submit", counted)
+    for command, pools, names in (("perceive", [1], {"perceived.csv"}),
+                                  ("sickness", [], set())):
+        opened.clear()
+        submitted.clear()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert (opened, set(submitted)) == (pools, names), command
+
+
 def test_write_behind_trees_equal_in_process_runs(tmp_path, monkeypatch):
     config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
     pipe, stages, pools = _pipeline_and_stage_trees(config, tmp_path / "pooled")
-    # one pool per run and per command, or none
-    assert pools == [int(_POOLED)] * 5
+    # one pool per run and per command that saves a trace of several
+    # channels (pipeline, simulate, perceive), or none
+    assert pools == [int(_POOLED)] * 3 + [0, 0]
     monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
     pipe_0, stages_0, pools_0 = _pipeline_and_stage_trees(config, tmp_path / "serial")
     assert pools_0 == [0] * 5
@@ -604,7 +623,7 @@ _BAD_INPUTS = [
     # valid-looking inputs that used to fail only at run time
     ("input", "seed", -1, "input.seed"),
     ("model", "overrides", {"seat_stiffness_z_N_per_m": 0.0}, "model"),
-    ("model", "overrides", {"head_mass_kg": 1e9}, "model"),
+    ("model", "overrides", {"head_mass_kg": 1e9}, "model.overrides.head_mass_kg"),
     ("stht", "welch", {"segment_length": 256, "window": "nosuchwindow"},
      "stht.welch.window"),
     ("stht", "welch", {"segment_length": 100000}, "stht.welch.segment_length"),

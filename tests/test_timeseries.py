@@ -23,12 +23,12 @@ from ridecomfort.errors import (
     NonUniformSampling)
 from ridecomfort import comfort, perception, timeseries
 from ridecomfort.pipeline import parse_config, run_pipeline
-from conftest import make_scenario
+from conftest import counted_pools, make_scenario
 from ridecomfort.timeseries import (
     TimeSeries, count_samples, from_arrays, load_timeseries, save_timeseries)
 
 BLOCK = timeseries._BLOCK_ROWS
-POOLED = timeseries._pool_workers(2) >= 2  # 2+ blocks or spans use the pool
+POOLED = timeseries._pool_workers(2) >= 2  # 2+ blocks of 2+ channels use the pool
 FORKS = "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -543,9 +543,9 @@ def test_a_one_channel_trace_is_formatted_beside_the_pool(tmp_path, monkeypatch)
     submitted = []
     submit = timeseries._Scope._submit
 
-    def counted(scope, fn, task, verb, path):
+    def counted(scope, block, path):
         submitted.append(Path(path).name)
-        return submit(scope, fn, task, verb, path)
+        return submit(scope, block, path)
 
     monkeypatch.setattr(timeseries._Scope, "_submit", counted)
     wide = _demo(n=2 * BLOCK + 1)
@@ -720,25 +720,21 @@ def _odd_csvs(draw):
     return data
 
 
-@pytest.mark.skipif(not FORKS, reason="the pooled reader needs fork")
 @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=_odd_csvs(), span=st.sampled_from([8, 16, 37, 64]))
-# a later span of one column would broadcast into a wider array
+# a later piece of one column would broadcast into a wider array
 @example(data=b"time_s,a[1]\n0,1\n0.5,2\n1\n1.5\n", span=8)
 @example(data=b"time_s,a[1]\r\n0,1\r\n\r\n0.5,2\r\r\n  \n1,3", span=8)
 def test_span_reader_equals_the_streamed_reader(tmp_path_factory, data, span):
     path = tmp_path_factory.mktemp("odd") / "odd.csv"
     path.write_bytes(data)
     want = _outcome(_streamed_reader, path)
-    for workers in (lambda n: 0, lambda n: 2 if n >= 2 else 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(timeseries, "_READ_SPAN_BYTES", span)
-            mp.setattr(timeseries, "_pool_workers", workers)
-            _assert_same_outcome(_outcome(load_timeseries, path), want)
-            _assert_same_outcome(_outcome(count_samples, path),
-                                 _outcome(_streamed_count, path))
-        assert multiprocessing.active_children() == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeseries, "_READ_SPAN_BYTES", span)
+        _assert_same_outcome(_outcome(load_timeseries, path), want)
+        _assert_same_outcome(_outcome(count_samples, path),
+                             _outcome(_streamed_count, path))
 
 
 def test_span_reader_equals_the_streamed_reader_on_shipped_runs(tmp_path):
@@ -756,18 +752,38 @@ def test_span_reader_equals_the_streamed_reader_on_shipped_runs(tmp_path):
                 hashlib.sha256(want.samples.tobytes()).digest(), path.name
 
 
-def _die_parsing(path, lo, hi):
-    os._exit(1)
+def test_a_load_of_many_pieces_opens_no_pool(tmp_path, monkeypatch):
+    path = tmp_path / "demo.csv"
+    ts = _demo(n=2 * BLOCK)
+    save_timeseries(ts, path)
+    monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 1 << 14)
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2)
+    opened = counted_pools(monkeypatch)
+    pieces = []
+    parse_rows = timeseries._parse_rows
+
+    def spy(data):
+        pieces.append(len(data))
+        return parse_rows(data)
+
+    monkeypatch.setattr(timeseries, "_parse_rows", spy)
+    back = load_timeseries(path)
+    assert len(pieces) > 8 and opened == []
+    assert np.array_equal(back.samples, ts.samples) and back.dt == ts.dt
 
 
-@pytest.mark.skipif(not POOLED, reason="spans are parsed in-process here")
-def test_reader_worker_death_is_an_os_error(tmp_path, monkeypatch):
-    path = tmp_path / "dead.csv"
-    save_timeseries(_demo(n=200), path)
-    monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 256)
-    monkeypatch.setattr(timeseries, "_parse_span", _die_parsing)
-    with pytest.raises(OSError, match="cannot read .*dead.csv: a worker"):
-        load_timeseries(path)
+@pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
+def test_only_a_save_of_several_channels_opens_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2 if n >= 2 else 0)
+    opened = counted_pools(monkeypatch)
+    wide = _demo(n=2 * BLOCK + 1)
+    narrow = TimeSeries(0.0, wide.dt, wide.channels[:1], wide.samples[:, :1])
+    with timeseries._write_behind() as scope:
+        save_timeseries(narrow, tmp_path / "narrow.csv")
+        save_timeseries(wide.rows(0, BLOCK), tmp_path / "one_block.csv")
+        assert opened == [] and scope.pool is None
+        save_timeseries(wide, tmp_path / "wide.csv")
+        assert opened == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -868,14 +884,15 @@ def test_a_csv_input_run_writes_twins_of_np_save_bytes(tmp_path):
 @pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
 def test_vouched_projected_load_equals_the_full_load(tmp_path, tiny_config,
                                                     monkeypatch, pooled):
-    # the twin read in blocks of 700 rows, the CSV parsed in 16 KiB spans
+    # twins written with and without the writer's pool, each read in blocks
+    # of 700 rows, the CSV parsed in 16 KiB pieces
+    if not pooled:
+        monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
     out, sha256 = _vouched_run(tmp_path, tiny_config)
     path = out / "body_response.csv"
     monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 1 << 14)
     monkeypatch.setattr(timeseries, "_BLOCK_ROWS", 700)
     assert path.stat().st_size > 8 * timeseries._READ_SPAN_BYTES
-    if not pooled:
-        monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
     full = load_timeseries(path)
     for names in (perception.BODY_CHANNELS, comfort.BODY_CHANNELS, None):
         got = timeseries.load_twin(path, _vouched(sha256, path.name), names)
@@ -899,9 +916,9 @@ def test_projection_needs_a_matching_digest(tmp_path, tiny_config, monkeypatch):
     parsed = []
     parse_data = timeseries._parse_data
 
-    def spy(path, spans, max_rows):
-        parsed.append(Path(path).name)
-        return parse_data(path, spans, max_rows)
+    def spy(fh, max_rows):
+        parsed.append(Path(fh.name).name)
+        return parse_data(fh, max_rows)
 
     monkeypatch.setattr(timeseries, "_parse_data", spy)
     names = comfort.BODY_CHANNELS
