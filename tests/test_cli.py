@@ -1,5 +1,6 @@
 """Command-line entry points, exit codes and stage sequencing."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -395,6 +396,53 @@ def test_a_blocked_twin_fails_the_stage_that_writes_its_trace(tiny_config, tmp_p
     # the trace opened before its twin is removed again
     assert not (out / name).with_suffix(".csv").exists()
     assert multiprocessing.active_children() == []
+
+
+# limit, command, the stage that fails, and the file it fails on
+_FILE_SIZE_LIMITS = [(3_000_000, "pipeline", "body", "body_response.npy"),
+                     (2_000_000, "perceive", "perception", "perceived.csv")]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="RLIMIT_FSIZE is POSIX")
+@pytest.mark.parametrize("limit, command, stage, name", _FILE_SIZE_LIMITS,
+                         ids=[c for _, c, _, _ in _FILE_SIZE_LIMITS])
+def test_a_file_size_limit_fails_the_stage_that_writes_past_it(default_runs, tmp_path,
+                                                               limit, command, stage, name):
+    # a real write failure: the CLI in a process whose files may not grow
+    # past ``limit`` bytes.  CPython ignores SIGXFSZ, so the write that
+    # would pass it fails with EFBIG; in dev mode an unclosed file or pool
+    # is an error
+    good = default_runs[0]
+    out = tmp_path / "run"
+    if command == "perceive":  # resumed in a finished run's directory
+        out.mkdir()
+        for path in good.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+    src = str(Path(ridecomfort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limited = ("import os, resource, sys; n = int(sys.argv[1]); "
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (n, n)); "
+               "os.execv(sys.executable, [sys.executable, *sys.argv[2:]])")
+    args = [sys.executable, "-c", limited, str(limit), "-X", "dev",
+            "-W", "error::ResourceWarning", "-m", "ridecomfort.cli", command,
+            "--config", str(EXAMPLES / "scenario_default.json"), "--out", str(out)]
+    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    efbig = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert done.stderr == f"error: stage '{stage}' failed: cannot write {out / name}: {efbig}\n"
+    stages = list(pl.STAGES)
+    gone = {written for s in (stages[stages.index(stage):] if command == "pipeline"
+                              else [stage])
+            for written in pl.STAGES[s].writes}
+    gone |= {timeseries.twin_path(n).name for n in gone if n in pl._TWINNED}
+    # the files of the stages before, and for a resume the ones it does not
+    # run, are those of a run without the limit
+    kept = sorted(p.name for p in good.iterdir() if p.name not in gone
+                  and (command == "perceive" or p.name not in ("report.json", "timing.json")))
+    assert sorted(p.name for p in out.iterdir()) == kept
+    for kept_name in kept:
+        assert (out / kept_name).read_bytes() == (good / kept_name).read_bytes(), kept_name
 
 
 def test_stht_subcommand_writes_frf_files(tiny_config, tmp_path):
