@@ -24,13 +24,15 @@ byte-identical.  Each trace that some stage reads is written with a binary
 twin (``timeseries.twin_path``), which the report records like a trace,
 so that a stage command can resume from it without parsing text.
 
-A ``run_stages`` call is one write-behind scope: a push returns once its
-rows are handed to the writer's worker processes, which format them while
-later pushes compute (the run's thread writes them), and a run holds a few
-chunks of rows rather than whole body, perceived and conflict records.  The
-pool opens at the first trace of several channels that the run saves, so a
-run that saves none (``sickness``, ``metrics``) forks no worker; the traces
-a stage command reads are parsed in-process.
+A ``Chain`` with an output directory writes through a writer scope of its
+own (``timeseries._Scope``): a push returns once its rows are handed to
+the writer's worker processes, which format them while later pushes
+compute (the run's thread writes them), and a run holds a few chunks of
+rows rather than whole body, perceived and conflict records.  The pool
+opens at the first trace of several channels that the run saves, so a run
+that saves none (``sickness``, ``metrics``) forks no worker; the traces a
+stage command reads are parsed in-process.  A failed trace write fails the
+stage that owns the file, since only that file's save raises it.
 
 Each config section is read by ``schema.read`` as the parameter
 dataclass behind it, which decides its keys, types, defaults and the JSON
@@ -63,8 +65,8 @@ from .sickness import AccumulatorParams, AccumulatorState, accumulate, summarize
 from .spectral import resonance_scan
 from .stht import STHTOptions, default_welch_params
 from .timeseries import (
-    _BLOCK_ROWS, TimeSeries, _FileError, _write_behind, count_samples, load_timeseries,
-    save_json, trace_header, twin_path)
+    _BLOCK_ROWS, TimeSeries, _Scope, count_samples, load_timeseries, save_json,
+    trace_header, twin_path)
 # not called here: benchmarks/spans.py getattr-wraps these names on this module
 from .spectral import detect_peaks, estimate_frf  # noqa: F401
 from .timeseries import save_timeseries  # noqa: F401
@@ -310,18 +312,14 @@ def parse_config(path, seed=None, axis=None, vision=None):
 @contextlib.contextmanager
 def stage_errors(stage):
     """Run the block as stage ``stage``: a toolkit, value or OS error in it
-    becomes a StageError of that stage.  A failed trace write is one of the
-    stage that saved the file, as ``STAGES`` lists its writes: the file
-    completes behind the run, so it can fail in a later stage's block.
-    StageError and ConfigError pass through unchanged."""
+    becomes a StageError of that stage, a failed trace write included,
+    since only the save of the file that failed raises it.  StageError and
+    ConfigError pass through unchanged."""
     try:
         yield
     except (StageError, ConfigError):
         raise
     except (RideComfortError, ValueError, OSError) as exc:
-        if isinstance(exc, _FileError):
-            stage = next((s for s, spec in STAGES.items()
-                          if exc.path.name in spec.writes), stage)
         raise StageError(stage, exc) from exc
 
 
@@ -460,9 +458,9 @@ class Chain:
     the first push, starting where the rows before them ended.  It advances
     the body, perception and sickness cores by them, and returns every
     trace's rows for those samples by file name; with an output directory
-    ``out``, it also hands each trace's rows to the trace writer, which may
-    read them after the push returns, in the thread's write-behind scope or
-    in one that ``close`` ends.
+    ``out``, it also hands each trace's rows to the chain's own writer
+    scope (``scope``), which may read them after the push returns and
+    which ``close`` ends.
 
     What the chain keeps whole is what ``STAGES`` declares: of each trace
     it is fed or its stages make, the channels that any of its stages lists
@@ -478,7 +476,10 @@ class Chain:
 
     A stage that fails stops, and so does every stage after it, and their
     files are removed; the stages before it run on, so their files
-    complete.  ``error`` is the first failure, a StageError, which
+    complete.  A failed trace write is a failure of the stage that owns
+    the file: its save raises it at that stage's next append, or when
+    ``close``, having waited for the last rows, checks each save under its
+    own stage.  ``error`` is the first failure, a StageError, which
     ``close`` raises.  ``wall`` and ``write`` hold each stage's time and
     the part of it spent writing, summed over pushes and close; ``wait``
     the wait at close for trace rows still being written.
@@ -509,31 +510,25 @@ class Chain:
         if seat is not None and self.head in self.keep:
             self.whole[self.head] = (seat.samples, None, seat.channels)
         self.saves, self.json = {}, []  # trace file -> its save; JSON files written
-        self._exit = contextlib.ExitStack()
-        self.scope = None if out is None else self._exit.enter_context(_write_behind())
+        # opens no file or pool until the first trace is saved
+        self.scope = None if out is None else _Scope()
         self.cores = {}
-        try:
-            for stage in self.stages:
-                if stage in _STREAMED:
-                    with self._stage(stage):
-                        # looked up at each call: a replaced stage function is the one run
-                        self.cores[stage] = globals()[f"stage_{stage}"](config)
-        except BaseException:
-            self._exit.close()
-            raise
+        for stage in self.stages:
+            if stage in _STREAMED:
+                with self._stage(stage):
+                    # looked up at each call: a replaced stage function is the one run
+                    self.cores[stage] = globals()[f"stage_{stage}"](config)
 
     @contextlib.contextmanager
     def _stage(self, stage):
         """Run the block as ``stage``, whose failure stops it and the stages
-        after it; a failure blamed on an earlier stage's file (a dead writer)
-        stops that stage too."""
+        after it."""
         try:
             with stage_errors(stage):
                 yield
         except StageError as exc:
             self.error = self.error or exc
-            first = min(self.stages.index(stage), self.stages.index(exc.stage)
-                        if exc.stage in self.stages else 0)
+            first = self.stages.index(stage)
             for dead in self.stages[first:self.live]:
                 for name in STAGES[dead].writes:
                     if name in self.saves:
@@ -604,11 +599,10 @@ class Chain:
 
     def close(self, load=None):
         """Finish the stages still running and write their JSON records;
-        returns every record by file name, or raises the first failure."""
-        try:
+        returns every record by file name, or raises the first failure.
+        The writer's scope ends here."""
+        with self.scope or contextlib.nullcontext():
             records = self._close(load)
-        finally:
-            self._exit.close()
         if self.error is not None:
             raise self.error
         return records
@@ -616,9 +610,8 @@ class Chain:
     def _close(self, load):
         if self.cores and not self.n:
             raise ValueError("the chain was closed before any push")
-        for name, save in list(self.saves.items()):  # no rows follow
-            with self._stage(next(s for s in self.stages if name in STAGES[s].writes)):
-                self.scope.done(save)
+        for save in self.saves.values():  # no rows follow
+            self.scope.done(save)
         grid = None if not self.n else TimeSeries(*self.grid, (), np.empty((self.n, 0)))
         # the records every push reached: the fed trace and those of the stages running
         made = {self.head, *(name for stage in self.stages[:self.live]
@@ -647,46 +640,48 @@ class Chain:
                 self.write[stage] += time.perf_counter() - t_write
             self.wall[stage] += time.perf_counter() - t
         t = time.perf_counter()
-        while self.scope is not None and self.live:  # until no save failed
-            with self._stage(self.stages[self.live - 1]):
-                self.scope.flush(wait=True)
-                break
+        if self.scope is not None:
+            self.scope.wait()
         self.wait = time.perf_counter() - t
+        for name in list(self.saves):  # each failed save stops its own stage
+            if name in self.saves:
+                with self._stage(next(s for s in self.stages if name in STAGES[s].writes)):
+                    self.scope.check(self.saves[name])
         return {name: records.get(name, grid) for stage in self.stages
                 for name in STAGES[stage].writes}
 
 
 def run_stages(config, out, stages, load=None):
     """Run ``stages``, names in STAGES in order, as one Chain writing to
-    ``out``, in one write-behind scope.
+    ``out``.
 
     The chain is fed the trace its first stage reads, whole, in pushes of
     ``_BLOCK_ROWS`` rows: the seat record ``stage_input`` makes, or else
     ``load(file, channels)``, which also gives the whole records that no
-    stage of this call makes.  The scope ends once every
+    stage of this call makes.  Its close ends its writer scope once every
     trace is written, also when a stage fails; a failure is a StageError of
-    the stage that failed, or that saved the file whose write failed.
-    Returns the records by file name, as ``Chain.close`` does, each stage's
-    wall time and the part of it spent writing, the wait at the end for
-    trace writes, and the sha256 of each trace.
+    the stage that failed, a failed write one of the stage that owns the
+    file.  Returns the records by file name, as ``Chain.close`` does, each
+    stage's wall time and the part of it spent writing, the wait at the
+    end for trace writes, and the sha256 of each trace (the chain scope's
+    ``digests``).
     """
-    with _write_behind() as scope:
-        t = time.perf_counter()
-        head = None
-        if stages[0] == "input":
-            with stage_errors("input"):
-                (head,) = stage_input(config)
-        elif stages[0] in _STREAMED:
-            head = load(*STAGES[stages[0]].reads[0])
-        rows = 0 if head is None else head.n_samples
-        chain = Chain(config, rows, stages, out, head if stages[0] == "input" else None)
-        if stages[0] == "input":
-            chain.wall["input"] += time.perf_counter() - t
-        for c0 in range(0, rows, _BLOCK_ROWS):
-            chain.push(head.rows(c0, c0 + _BLOCK_ROWS))
-        head = None  # the chain keeps what it needs
-        records = chain.close(load)
-    return records, chain.wall, chain.write, chain.wait, scope.digests
+    t = time.perf_counter()
+    head = None
+    if stages[0] == "input":
+        with stage_errors("input"):
+            (head,) = stage_input(config)
+    elif stages[0] in _STREAMED:
+        head = load(*STAGES[stages[0]].reads[0])
+    rows = 0 if head is None else head.n_samples
+    chain = Chain(config, rows, stages, out, head if stages[0] == "input" else None)
+    if stages[0] == "input":
+        chain.wall["input"] += time.perf_counter() - t
+    for c0 in range(0, rows, _BLOCK_ROWS):
+        chain.push(head.rows(c0, c0 + _BLOCK_ROWS))
+    head = None  # the chain keeps what it needs
+    records = chain.close(load)
+    return records, chain.wall, chain.write, chain.wait, chain.scope.digests
 
 
 # -- pipeline -----------------------------------------------------------------

@@ -5,18 +5,22 @@ column ``time_s``, remaining header cells ``name[unit]`` (for example
 ``seat_acc_x[m/s^2]``), comma separated, decimal point, UTF-8, LF or CRLF.
 JSON artifacts (summaries and reports) are written by ``save_json``.
 
-``save_timeseries`` formats the rows of a long trace of several channels
-in worker processes where the platform forks them (Linux); elsewhere, and
-for a trace of one channel, it works in-process, and the bytes written are
-the same either way.  The workers belong to a scope (``_write_behind``):
-one pool, opened at the first save that formats on it, serves every save
-made in it, and rows appended to a save (``_Scope.append``) are formatted
-there while the caller computes; the caller's thread writes each block, in
-order, at a later append or flush once it is formatted, and
-``save_timeseries`` returns with its file complete.  A call made outside a
-scope has a scope of its own.  The rows are formatted by a numpy kernel
-(``_format_rows``) whose bytes equal those of ``'%.17g' %``.
-``load_timeseries`` parses the data rows of a file in pieces, in-process.
+Traces are written in a scope (``_Scope``, a context manager): a
+pipeline chain opens one for its run, and ``save_timeseries`` one for its
+file.  The rows of a long trace of several channels are formatted in
+worker processes where the platform forks them (Linux); elsewhere, and for
+a trace of one channel, in-process, and the bytes written are the same
+either way.  One pool, opened at the first save that formats on it,
+serves every save of the scope, and rows appended to a save
+(``_Scope.append``) are formatted there while the caller computes; the
+caller's thread writes each block, in order, at a later append or at
+``_Scope.wait`` once it is formatted.  A failed write stops only its own
+save, and only that save's append or check raises it, as an OSError
+naming the file that failed; leaving a scope raises nothing.  The rows are
+formatted by a numpy kernel (``_format_rows``) whose bytes equal those of
+``'%.17g' %``.  ``load_timeseries`` parses the data rows of a file in
+pieces, in-process, and names the line and column of a cell it cannot
+parse.
 
 The scope hashes each trace as it writes it: ``_Scope.digests`` maps each
 complete file to the sha256 of its bytes, which a pipeline run records in
@@ -651,11 +655,10 @@ def _pool_workers(n_tasks) -> int:
 
 
 class _FileError(OSError):
-    """A save that failed in a ``_write_behind`` scope; ``path`` names its
-    file, and the message names ``failed``, its twin, instead when given."""
+    """A trace file whose write failed; ``path`` names it."""
 
-    def __init__(self, path, reason, failed=None):
-        super().__init__(f"cannot write {failed or path}: {reason}")
+    def __init__(self, path, reason):
+        super().__init__(f"cannot write {path}: {reason}")
         self.path = Path(path)
 
     # picklable like the StageError it becomes the cause of
@@ -675,8 +678,8 @@ def _write_hashed(fh, digest, data):
 class _Save:
     """A trace file being written: its open file, its running sha256, its
     twin (a _Save of the .npy file) and the rows the twin's header declares
-    that are not yet written, whether rows may still follow, and the error
-    that stopped its writes."""
+    that are not yet written, whether rows may still follow, and the
+    _FileError that stopped its writes."""
 
     path: Path
     fh: object
@@ -684,11 +687,19 @@ class _Save:
     twin: _Save | None = None
     twin_rows: int = 0
     done: bool = False
-    error: Exception | None = None
+    error: _FileError | None = None
 
     def files(self):
         """The save, and its twin if it has one."""
         return (self,) if self.twin is None else (self, self.twin)
+
+    def fail(self, file, exc):
+        """Stop the writes: ``exc`` failed those of ``file``, the save's own
+        or its twin's.  A worker that died, or a pool it broke, fails the
+        save as ``_DEAD``."""
+        dead = isinstance(exc, (BrokenProcessPool, CancelledError))
+        self.error = _FileError(file.path, _DEAD if dead else exc)
+        self.error.__cause__ = exc
 
 
 # queued blocks per worker a scope lets its saves have at a time; on 2
@@ -704,22 +715,25 @@ _POOL_MIN_CHANNELS = 2
 
 
 class _Scope:
-    """One fork pool for the saves of a ``_write_behind`` scope, the saves
-    not yet complete, and the sha256 of each file saved complete.
+    """One fork pool for the saves made in it, the saves not yet complete,
+    and the sha256 of each file saved complete; a context manager whose
+    end stops the pool and closes the files left open.
 
     A save is opened with its header (``open``), handed its rows a chunk
     at a time (``append``) and told that no more follow (``done``).  The
     pool is opened by the first save that will format on it and serves the
     later ones; without it, each save formats its rows in-process, in
     order.  A save with a twin writes the twin's rows of each block in the
-    caller's thread as the block is handed over; the twin is removed,
-    hashed and blamed with its CSV.  With the pool, the blocks of every
-    save wait in one queue in submission order, and the thread that owns
-    the scope writes and hashes those at its head that are formatted, at
-    each append and flush; at most ``_BLOCKS_IN_FLIGHT`` per worker wait,
-    so an append waits for the oldest rather than holding a record's rows.
-    A failed block stops its save's writes and puts the save on
-    ``failed``, in queue order.
+    caller's thread as the block is handed over; the twin is removed and
+    hashed with its CSV.  With the pool, the blocks of every save wait in
+    one queue in submission order, and the thread that owns the scope
+    writes and hashes those at its head that are formatted, at each append
+    and at ``wait``; at most ``_BLOCKS_IN_FLIGHT`` per worker wait, so an
+    append waits for the oldest rather than holding a record's rows.
+
+    A failed write stops its save's writes and is kept on the save, as the
+    ``_FileError`` of the file that failed; only that save's ``append``
+    and ``check`` raise it.
     """
 
     def __init__(self):
@@ -727,18 +741,21 @@ class _Scope:
         self.in_flight = 0  # blocks the queue may hold, once the pool is open
         self.queue = collections.deque()  # (save, future) of each unwritten block
         self.saves = []  # _Save of each file not yet complete, in save order
-        self.failed = []  # _Save of each failed write, in queue order
         self.digests = {}  # Path of a complete file -> sha256 hex digest
 
-    def _submit(self, block, path):
-        """The future of ``block`` formatted on the pool; a broken pool is
-        the OSError of the save of the oldest block it failed, or else of
-        ``path``."""
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def _submit(self, save, block):
+        """Queue ``block`` of ``save`` to be formatted on the pool; a broken
+        pool fails the save."""
         try:
-            return self.pool.submit(_format_block, *block)
+            self.queue.append((save, self.pool.submit(_format_block, *block)))
         except BrokenProcessPool as exc:
-            self.flush(wait=True)  # raises for such a save
-            raise _FileError(path, _DEAD) from exc
+            save.fail(save, exc)
 
     def _write(self, save, rows, file=None):
         """Write and hash ``rows()``, the bytes of ``save``'s next block, to
@@ -750,9 +767,8 @@ class _Scope:
         file = file or save
         try:
             _write_hashed(file.fh, file.digest, rows())
-        except Exception as exc:  # raised by append or flush
-            save.error = file.error = exc
-            self.failed.append(save)
+        except Exception as exc:  # kept for the save's append or check
+            save.fail(file, exc)
         else:
             self._finish(save)
 
@@ -772,24 +788,15 @@ class _Scope:
                 self.digests[file.path] = file.digest.hexdigest()
             self.saves.remove(save)
 
-    def flush(self, wait=False):
-        """Write the formatted blocks at the head of the queue, with ``wait``
-        every queued block, then raise the error of the earliest failed
-        block's save (where a dead worker failed every block in flight, the
-        oldest of them), if any."""
-        self._drain(0 if wait else len(self.queue))
-        if self.failed:
-            self._raise(self.failed[0])
+    def wait(self):
+        """Write every queued block, waiting for each; raises nothing."""
+        self._drain(0)
 
     @staticmethod
-    def _raise(save):
-        error = save.error
-        if isinstance(error, (BrokenProcessPool, CancelledError)):
-            raise _FileError(save.path, _DEAD) from error
-        if isinstance(error, OSError):
-            twin = save.twin if save.twin is not None and save.twin.error else None
-            raise _FileError(save.path, error, twin and twin.path) from error
-        raise error  # what the worker raised
+    def check(save):
+        """Raise the error that stopped ``save``'s writes, if any."""
+        if save.error is not None:
+            raise save.error
 
     def open(self, path, header, rows, twin=False) -> _Save:
         """Open ``path`` and write ``header`` for a trace of about ``rows``
@@ -798,7 +805,6 @@ class _Scope:
         call fails.  The first trace of at least ``_POOL_MIN_CHANNELS``
         channels opens the pool, when ``_pool_workers`` allows one for its
         blocks."""
-        self.flush()
         if (self.pool is None and header.count(",") >= _POOL_MIN_CHANNELS
                 and (workers := _pool_workers(-(-rows // _BLOCK_ROWS)))):
             self.pool = ProcessPoolExecutor(
@@ -832,9 +838,9 @@ class _Scope:
         than ``_POOL_MIN_CHANNELS`` channels; each block first writes the
         queue's formatted head (``_drain``), then its twin rows, if the save
         has a twin.  The pool's tasks hold views of ``samples``, which must
-        not change until they are written.  Raises for a failed write of
-        this save; another save's failure is raised by its own next append,
-        or by a later open or flush."""
+        not change until they are written.  Raises the error that stopped
+        this save's writes, here or before; another save's failure is kept
+        on that save."""
         pooled = self.pool is not None and samples.shape[1] >= _POOL_MIN_CHANNELS
         for i in range(0, len(samples), _BLOCK_ROWS):
             block = (samples[i:i + _BLOCK_ROWS], start_time, dt, first_row + i)
@@ -845,11 +851,10 @@ class _Scope:
             if save.error is not None:
                 break
             if pooled:
-                self.queue.append((save, self._submit(block, save.path)))
+                self._submit(save, block)
             else:
                 self._write(save, lambda: _format_block(*block))
-        if save.error is not None:
-            self.flush()  # raises the earliest failure, which may be a dead worker's
+        self.check(save)
 
     def done(self, save):
         """No rows follow: the file is complete, and hashed, once its last
@@ -857,63 +862,30 @@ class _Scope:
         get the rows its header declares fails the save."""
         save.done = True
         if save.twin_rows and save.error is None:
-            save.error = ValueError(
-                f"{save.twin.path}: {abs(save.twin_rows)} rows "
-                f"{'fewer' if save.twin_rows > 0 else 'more'} than its header declares")
-            self.failed.append(save)
+            save.error = _FileError(save.twin.path, (
+                f"{abs(save.twin_rows)} rows "
+                f"{'fewer' if save.twin_rows > 0 else 'more'} than its header declares"))
         self._finish(save)
 
     def discard(self, save):
         """Drop ``save``: its queued blocks go unwritten, and its file is
         closed and removed."""
-        for saves in (self.saves, self.failed):
-            if save in saves:
-                saves.remove(save)
-        save.error = save.error or CancelledError()
+        if save in self.saves:
+            self.saves.remove(save)
+        self.queue = collections.deque(item for item in self.queue if item[0] is not save)
         for file in save.files():
             file.fh.close()
             self.digests.pop(file.path, None)
             file.path.unlink(missing_ok=True)
 
     def close(self):
-        """Stop the pool and close the files an error left unwritten."""
+        """Stop the pool and close the files left open."""
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
         for save in self.saves:
             for file in save.files():
                 with contextlib.suppress(OSError):
                     file.fh.close()
-
-
-_open_scope = threading.local()  # .scope: this thread's _Scope, if any
-
-
-@contextlib.contextmanager
-def _write_behind():
-    """Yield this thread's open ``_Scope``, or a new one for the block.
-
-    Inside it an append returns once its blocks are submitted, and each
-    block is written at a later append or flush once it and the blocks
-    queued before it are formatted; a later save first raises for a save
-    whose writes failed.  A new scope writes every queued block at
-    its end, also when the block raised, so earlier saves are complete
-    before the error propagates; no worker outlives it.
-    """
-    scope = getattr(_open_scope, "scope", None)
-    if scope is not None:
-        yield scope
-        return
-    scope = _open_scope.scope = _Scope()
-    try:
-        yield scope
-        scope.flush(wait=True)
-    except Exception:
-        with contextlib.suppress(OSError):  # the first error is the one to see
-            scope.flush(wait=True)
-        raise
-    finally:
-        _open_scope.scope = None
-        scope.close()
 
 
 def trace_header(channels) -> str:
@@ -924,17 +896,18 @@ def trace_header(channels) -> str:
 def save_timeseries(ts: TimeSeries, path) -> None:
     """Write the CSV interchange format with full round-trip precision.
 
-    Rows are formatted in blocks of ``_BLOCK_ROWS`` on the pool of the open
-    ``_write_behind`` scope and written in order; an unwritable path is an
-    OSError, and a worker that dies is an OSError naming the file.  The
-    file is complete when this returns, and the scope's ``digests`` hold
-    its sha256.
+    Rows are formatted in blocks of ``_BLOCK_ROWS`` in a scope of the
+    file's own, on its pool where it opens one, and written in order; an
+    unwritable path is an OSError, and a failed write, a worker that dies
+    included, is an OSError naming the file.  The file is complete when
+    this returns.
     """
-    with _write_behind() as scope:
+    with _Scope() as scope:
         save = scope.open(path, trace_header(ts.channels), ts.n_samples)
         scope.append(save, ts.samples, ts.start_time, ts.dt, 0)
         scope.done(save)
-        scope.flush(wait=True)
+        scope.wait()
+        scope.check(save)
 
 
 def save_json(obj, path) -> None:

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -311,9 +312,9 @@ def test_perceive_formats_on_the_pool_and_sickness_opens_none(tmp_path, monkeypa
     opened, submitted = counted_pools(monkeypatch), []
     submit = timeseries._Scope._submit
 
-    def counted(scope, block, path):
-        submitted.append(Path(path).name)
-        return submit(scope, block, path)
+    def counted(scope, save, block):
+        submitted.append(save.path.name)
+        return submit(scope, save, block)
 
     monkeypatch.setattr(timeseries._Scope, "_submit", counted)
     for command, pools, names in (("perceive", [1], {"perceived.csv"}),
@@ -358,8 +359,17 @@ def test_dead_writer_fails_the_stage_that_saved_the_file(tmp_path, monkeypatch,
     monkeypatch.setattr(timeseries, "_format_rows", _die_on_body_rows)
     out = tmp_path / "run"
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
-    assert (f"stage 'body' failed: cannot write {out / 'body_response.csv'}: "
-            "a worker process ended abruptly") in capsys.readouterr().err
+    # the dead worker breaks the pool: each save with a block on it, or
+    # handed to it after, fails, and the first failure seen is reported
+    # under the stage of its file.  Which save sees it first depends on
+    # when the pool is found broken, so the body stage is not always the
+    # one named, but it always stops
+    err = capsys.readouterr().err
+    failed = re.fullmatch(rf"error: stage '(\w+)' failed: cannot write "
+                          rf"{re.escape(str(out))}{re.escape(os.sep)}(\S+): "
+                          "a worker process ended abruptly\n", err)
+    assert failed and failed[2] in _STAGE_FILES[failed[1]], err
+    assert not (out / "body_response.csv").exists()
     assert not (out / "report.json").exists()
     assert multiprocessing.active_children() == []
     # the seat rows may have reached the file before the worker died; what
@@ -458,8 +468,9 @@ def _slow_body_rows(block):
 def test_writes_that_fail_in_two_files_leave_no_incomplete_file(tmp_path, monkeypatch,
                                                                capsys):
     # the body's blocks and the seat's last one fail; the body's rows are
-    # formatted slowly, so both failures are seen only once the run waits
-    # for its last rows, the body's first
+    # formatted slowly, so both failures are seen by the perception stage's
+    # writes, which raise neither.  Each is raised by its own save's check
+    # at the run's close, in stage order: the seat's first
     config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
     block = timeseries._BLOCK_ROWS
     write = timeseries._write_hashed
@@ -475,7 +486,8 @@ def test_writes_that_fail_in_two_files_leave_no_incomplete_file(tmp_path, monkey
     monkeypatch.setattr(timeseries, "_format_rows", _slow_body_rows)
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
-    assert "error: stage 'body' failed: " in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: stage 'input' failed: cannot write "
+                                       f"{out / 'seat_motion.csv'}: no space left on device\n")
     assert multiprocessing.active_children() == []
     assert sorted(p.name for p in out.iterdir()) == []
 
@@ -560,11 +572,12 @@ def test_a_body_divergence_in_its_third_chunk_is_dated_in_the_whole_record(tmp_p
     assert multiprocessing.active_children() == []
     # the input stage's files are complete: the seat record written on its own
     seat = stage_input(config)[0]
-    with timeseries._write_behind() as scope:
+    with timeseries._Scope() as scope:
         save = scope.open(tmp_path / "seat_motion.csv", timeseries.trace_header(seat.channels),
                           seat.n_samples, twin=True)
         scope.append(save, seat.samples, seat.start_time, seat.dt, 0)
         scope.done(save)
+        scope.wait()
     for run_dir in (tmp_path / "lib", out):
         _upstream_only(run_dir, tmp_path, "body")
 

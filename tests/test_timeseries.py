@@ -32,6 +32,14 @@ POOLED = timeseries._pool_workers(2) >= 2  # 2+ blocks of 2+ channels use the po
 FORKS = "fork" in multiprocessing.get_all_start_methods()
 
 
+def _save_in(scope, ts, path):
+    """Hand ``ts`` to ``scope`` as ``save_timeseries`` does, without the wait."""
+    save = scope.open(path, timeseries.trace_header(ts.channels), ts.n_samples)
+    scope.append(save, ts.samples, ts.start_time, ts.dt, 0)
+    scope.done(save)
+    return save
+
+
 def _demo(n=500, dt=0.001, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, 2))
@@ -316,12 +324,15 @@ def test_finished_blocks_are_written_before_the_scope_ends(tmp_path, monkeypatch
     _savetxt_writer(ts, tmp_path / "old.csv")
     want = (tmp_path / "old.csv").read_bytes()
     path, next_path = tmp_path / "eager.csv", tmp_path / "next.csv"
-    with timeseries._write_behind() as scope:
-        save_timeseries(ts, path)
-        # the file is complete and hashed when the save returns, in the scope
-        assert path.read_bytes() == want
+    with timeseries._Scope() as scope:
+        save = _save_in(scope, ts, path)
+        scope.wait()
+        # the file is complete, closed and hashed once its blocks are
+        # written, in the scope
+        assert path.read_bytes() == want and save.fh.closed
         assert scope.digests[path] == hashlib.sha256(want).hexdigest()
-        save_timeseries(ts, next_path)
+        _save_in(scope, ts, next_path)
+        scope.wait()
     assert multiprocessing.active_children() == []
     assert scope.digests[path] == hashlib.sha256(want).hexdigest()
     assert path.read_bytes() == want == next_path.read_bytes()
@@ -338,27 +349,36 @@ def _die_first_on_the_later_block(block):
 
 
 @pytest.mark.skipif(not FORKS, reason="no fork pool on this platform")
-def test_a_dead_worker_blames_the_save_of_the_oldest_queued_block(tmp_path, monkeypatch):
+def test_a_dead_worker_fails_each_save_with_a_block_on_the_pool(tmp_path, monkeypatch):
     # two wide saves have a block in flight each; the worker formatting the
-    # second save's block dies first, which fails both
+    # second save's block dies first, which breaks the pool and fails both.
+    # Each save keeps its own failure, and a save handed to the broken pool
+    # later fails too
     monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2)
     monkeypatch.setattr(timeseries, "_format_rows", _die_first_on_the_later_block)
     ts = _demo(n=BLOCK)
     header = timeseries.trace_header(ts.channels)
-    with pytest.raises(timeseries._FileError,
-                       match="first.csv: a worker process ended abruptly") as info:
-        with timeseries._write_behind() as scope:
-            first, second = (scope.open(tmp_path / name, header, 2 * BLOCK)
-                             for name in ("first.csv", "second.csv"))
-            scope.append(first, ts.samples, 0.0, ts.dt, 0)
-            scope.append(second, ts.samples, 1.0, ts.dt, 0)
-            assert [save for save, _ in scope.queue] == [first, second]
-            scope.done(first)
-            scope.done(second)
-    assert info.value.path == tmp_path / "first.csv"
-    assert scope.failed == [first, second]
+    with timeseries._Scope() as scope:
+        first, second = (scope.open(tmp_path / name, header, 2 * BLOCK)
+                         for name in ("first.csv", "second.csv"))
+        scope.append(first, ts.samples, 0.0, ts.dt, 0)
+        scope.append(second, ts.samples, 1.0, ts.dt, 0)
+        assert [save for save, _ in scope.queue] == [first, second]
+        scope.done(first)
+        scope.done(second)
+        scope.wait()  # raises for no save
+        for save in (first, second):
+            with pytest.raises(timeseries._FileError,
+                               match=f"{save.path.name}: a worker process ended abruptly") \
+                    as info:
+                scope.check(save)
+            assert info.value.path == save.path
+        later = scope.open(tmp_path / "later.csv", header, BLOCK)
+        with pytest.raises(timeseries._FileError,
+                           match="later.csv: a worker process ended abruptly"):
+            scope.append(later, ts.samples, 2.0, ts.dt, 0)
     assert multiprocessing.active_children() == []
-    assert all(save.fh.closed for save in (first, second))
+    assert all(save.fh.closed for save in (first, second, later))
     assert scope.digests == {}
 
 
@@ -372,9 +392,10 @@ def test_many_eager_saves_write_every_block_once_in_order(tmp_path, monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with timeseries._write_behind() as scope:
+        with timeseries._Scope() as scope:
             for i, ts in enumerate(records):
-                save_timeseries(ts, tmp_path / f"{i}.csv")
+                _save_in(scope, ts, tmp_path / f"{i}.csv")
+            scope.wait()
     finally:
         sys.setswitchinterval(interval)
     assert multiprocessing.active_children() == []
@@ -396,7 +417,7 @@ def test_appends_and_discards_across_saves_keep_every_kept_block_in_order(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with timeseries._write_behind() as scope:
+        with timeseries._Scope() as scope:
             saves = [scope.open(tmp_path / f"{i}.csv",
                                 timeseries.trace_header(ts.channels), ts.n_samples)
                      for i, ts in enumerate(records)]
@@ -409,6 +430,7 @@ def test_appends_and_discards_across_saves_keep_every_kept_block_in_order(
             for i, save in enumerate(saves):
                 if i % 3:
                     scope.done(save)
+            scope.wait()
     finally:
         sys.setswitchinterval(interval)
     assert multiprocessing.active_children() == []
@@ -438,19 +460,23 @@ def test_an_append_raises_only_for_its_own_save(tmp_path, monkeypatch):
     monkeypatch.setattr(timeseries, "_write_hashed", disk_full)
     ts = _demo(n=2 * BLOCK)
     header = timeseries.trace_header(ts.channels)
-    with pytest.raises(timeseries._FileError, match="full.csv: no space left"):
-        with timeseries._write_behind() as scope:
-            ok, full = (scope.open(tmp_path / name, header, ts.n_samples)
-                        for name in ("ok.csv", "full.csv"))
-            for save in (ok, full):
-                scope.append(save, ts.samples[:BLOCK], ts.start_time, ts.dt, 0)
-            for _, future in scope.queue:  # both blocks formatted: the next
-                future.result(timeout=30)  # append writes them, and fails full's
-            scope.append(ok, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
-            assert scope.failed == [full]
-            scope.done(ok)
-            with pytest.raises(timeseries._FileError, match="full.csv"):
-                scope.append(full, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
+    with timeseries._Scope() as scope:
+        ok, full = (scope.open(tmp_path / name, header, ts.n_samples)
+                    for name in ("ok.csv", "full.csv"))
+        for save in (ok, full):
+            scope.append(save, ts.samples[:BLOCK], ts.start_time, ts.dt, 0)
+        for _, future in scope.queue:  # both blocks formatted: the next
+            future.result(timeout=30)  # append writes them, and fails full's
+        scope.append(ok, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
+        assert ok.error is None
+        assert str(full.error).endswith("full.csv: no space left on device")
+        scope.done(ok)
+        with pytest.raises(timeseries._FileError, match="full.csv: no space left"):
+            scope.append(full, ts.samples[BLOCK:], ts.start_time, ts.dt, BLOCK)
+        scope.wait()
+        scope.check(ok)
+        with pytest.raises(timeseries._FileError, match="full.csv: no space left"):
+            scope.check(full)
     assert multiprocessing.active_children() == []
     _savetxt_writer(ts, tmp_path / "old.csv")
     assert (tmp_path / "ok.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -468,16 +494,16 @@ def test_failed_eager_write_is_an_os_error_naming_its_file(tmp_path, monkeypatch
 
     monkeypatch.setattr(timeseries, "_write_hashed", disk_full)
     ts = _demo(n=2 * BLOCK)
+    save_timeseries(ts, tmp_path / "ok.csv")
     with pytest.raises(timeseries._FileError,
                        match="cannot write .*full.csv: no space left") as info:
-        with timeseries._write_behind():
-            save_timeseries(ts, tmp_path / "ok.csv")
-            save_timeseries(ts, tmp_path / "full.csv")
-            save_timeseries(ts, tmp_path / "after.csv")
+        save_timeseries(ts, tmp_path / "full.csv")
     assert info.value.path == tmp_path / "full.csv"
+    save_timeseries(ts, tmp_path / "after.csv")  # a later save is not failed by it
     assert multiprocessing.active_children() == []
     _savetxt_writer(ts, tmp_path / "old.csv")
-    assert (tmp_path / "ok.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    for name in ("ok.csv", "after.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.skipif(not FORKS or not hasattr(os, "sched_getaffinity")
@@ -523,12 +549,13 @@ def test_appended_rows_write_the_bytes_of_one_save(tmp_path, monkeypatch, pooled
 
     monkeypatch.setattr(timeseries._Scope, "_submit", counted)
     path = tmp_path / "appended.csv"
-    with timeseries._write_behind() as scope:
+    with timeseries._Scope() as scope:
         save = scope.open(path, timeseries.trace_header(ts.channels), ts.n_samples)
         cuts = [0, 1, 8, 10, BLOCK + 3, 2 * BLOCK, ts.n_samples]
         for a, b in zip(cuts, cuts[1:]):
             scope.append(save, ts.samples[a:b], ts.start_time, ts.dt, a)
         scope.done(save)
+        scope.wait()
     assert path.read_bytes() == want
     assert scope.digests[path] == hashlib.sha256(want).hexdigest()
     assert multiprocessing.active_children() == []
@@ -543,16 +570,18 @@ def test_a_one_channel_trace_is_formatted_beside_the_pool(tmp_path, monkeypatch)
     submitted = []
     submit = timeseries._Scope._submit
 
-    def counted(scope, block, path):
-        submitted.append(Path(path).name)
-        return submit(scope, block, path)
+    def counted(scope, save, block):
+        submitted.append(save.path.name)
+        return submit(scope, save, block)
 
     monkeypatch.setattr(timeseries._Scope, "_submit", counted)
     wide = _demo(n=2 * BLOCK + 1)
     narrow = TimeSeries(0.0, wide.dt, wide.channels[:1], wide.samples[:, :1])
-    with timeseries._write_behind():
+    with timeseries._Scope() as scope:
         for name, ts in (("wide.csv", wide), ("narrow.csv", narrow)):
-            save_timeseries(ts, tmp_path / name)
+            _save_in(scope, ts, tmp_path / name)
+        assert scope.pool is not None
+        scope.wait()
     assert submitted == ["wide.csv"] * 3
     for name, ts in (("wide.csv", wide), ("narrow.csv", narrow)):
         _savetxt_writer(ts, tmp_path / "old.csv")
@@ -565,13 +594,14 @@ def test_a_discarded_save_leaves_no_file(tmp_path, monkeypatch, pooled):
         pytest.skip("no fork pool on this platform")
     monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2 if pooled else 0)
     ts = _demo(n=2 * BLOCK)
-    with timeseries._write_behind() as scope:
+    with timeseries._Scope() as scope:
         kept = scope.open(tmp_path / "kept.csv", timeseries.trace_header(ts.channels), 1)
         gone = scope.open(tmp_path / "gone.csv", timeseries.trace_header(ts.channels), 1)
         for save in (kept, gone):
             scope.append(save, ts.samples, ts.start_time, ts.dt, 0)
         scope.discard(gone)
         scope.done(kept)
+        scope.wait()
     assert not (tmp_path / "gone.csv").exists()
     assert sorted(p.name for p in scope.digests) == ["kept.csv"]
     save_timeseries(ts, tmp_path / "whole.csv")
@@ -778,12 +808,13 @@ def test_only_a_save_of_several_channels_opens_the_pool(tmp_path, monkeypatch):
     opened = counted_pools(monkeypatch)
     wide = _demo(n=2 * BLOCK + 1)
     narrow = TimeSeries(0.0, wide.dt, wide.channels[:1], wide.samples[:, :1])
-    with timeseries._write_behind() as scope:
-        save_timeseries(narrow, tmp_path / "narrow.csv")
-        save_timeseries(wide.rows(0, BLOCK), tmp_path / "one_block.csv")
+    with timeseries._Scope() as scope:
+        _save_in(scope, narrow, tmp_path / "narrow.csv")
+        _save_in(scope, wide.rows(0, BLOCK), tmp_path / "one_block.csv")
         assert opened == [] and scope.pool is None
-        save_timeseries(wide, tmp_path / "wide.csv")
+        _save_in(scope, wide, tmp_path / "wide.csv")
         assert opened == [1]
+        scope.wait()
     assert multiprocessing.active_children() == []
 
 
