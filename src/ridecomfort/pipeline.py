@@ -208,11 +208,8 @@ def _read_input(raw, base_dir, seed, errors):
             n_samples = count_samples(path)
             if n_samples < 2:  # the input stage would refuse it; say why now
                 load_timeseries(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            errors.append(("input.path", f"cannot read {path}: {exc}"))
-            return None, None, None
-        except RideComfortError as exc:
-            errors.append(("input.path", str(exc)))
+        except (OSError, UnicodeDecodeError, RideComfortError) as exc:
+            errors.append(("input.path", _unreadable(path, exc)))
             return None, None, None
         if n_samples > MAX_INPUT_SAMPLES:
             errors.append(("input.path", f"{n_samples} samples exceed the budget "
@@ -289,12 +286,35 @@ def build_config(raw, base_dir="."):
     return config, []
 
 
+def _unreadable(path, exc):
+    """What ``validate`` says at ``input.path`` of the csv input ``path``,
+    whose read raised ``exc``."""
+    return str(exc) if isinstance(exc, RideComfortError) else f"cannot read {path}: {exc}"
+
+
 def validate_config(path):
-    """All validation errors for a config file; empty list means ok."""
+    """All validation errors for a config file; empty list means ok.
+
+    A valid ``csv`` input is then read as the input stage reads it, so a
+    cell that stage would refuse is reported at ``input.path``, and
+    ``metrics.settle_s`` is checked against the record's sample step and
+    rows.  ``parse_config`` only counts the rows, so a run parses its seat
+    once."""
     try:
-        parse_config(path)
+        config = parse_config(path)
     except ConfigError as exc:
         return exc.errors
+    if config.input_kind != "csv":
+        return []
+    try:
+        (seat,) = stage_input(config)
+    except (OSError, UnicodeDecodeError, RideComfortError) as exc:
+        return [("input.path", _unreadable(config.input_path, exc))]
+    if config.metrics.weighted_rms or config.metrics.msdv:
+        try:  # the rule the metrics stage applies
+            settling_rows(config.metrics.settle_s, seat.dt, seat.n_samples)
+        except ValueError as exc:
+            return [("metrics.settle_s", str(exc))]
     return []
 
 
@@ -459,8 +479,8 @@ class Chain:
     the body, perception and sickness cores by them, and returns every
     trace's rows for those samples by file name; with an output directory
     ``out``, it also hands each trace's rows to the chain's own writer
-    scope (``scope``), which may read them after the push returns and
-    which ``close`` ends.
+    scope (``scope``, a context manager that the caller keeps open over
+    the pushes and ``close``), which may read them after the push returns.
 
     What the chain keeps whole is what ``STAGES`` declares: of each trace
     it is fed or its stages make, the channels that any of its stages lists
@@ -599,10 +619,8 @@ class Chain:
 
     def close(self, load=None):
         """Finish the stages still running and write their JSON records;
-        returns every record by file name, or raises the first failure.
-        The writer's scope ends here."""
-        with self.scope or contextlib.nullcontext():
-            records = self._close(load)
+        returns every record by file name, or raises the first failure."""
+        records = self._close(load)
         if self.error is not None:
             raise self.error
         return records
@@ -643,10 +661,9 @@ class Chain:
         if self.scope is not None:
             self.scope.wait()
         self.wait = time.perf_counter() - t
-        for name in list(self.saves):  # each failed save stops its own stage
-            if name in self.saves:
-                with self._stage(next(s for s in self.stages if name in STAGES[s].writes)):
-                    self.scope.check(self.saves[name])
+        for name, save in list(self.saves.items()):  # a failed save stops its own stage
+            with self._stage(next(s for s in self.stages if name in STAGES[s].writes)):
+                self.scope.check(save)
         return {name: records.get(name, grid) for stage in self.stages
                 for name in STAGES[stage].writes}
 
@@ -658,7 +675,7 @@ def run_stages(config, out, stages, load=None):
     The chain is fed the trace its first stage reads, whole, in pushes of
     ``_BLOCK_ROWS`` rows: the seat record ``stage_input`` makes, or else
     ``load(file, channels)``, which also gives the whole records that no
-    stage of this call makes.  Its close ends its writer scope once every
+    stage of this call makes.  The chain's writer scope ends once every
     trace is written, also when a stage fails; a failure is a StageError of
     the stage that failed, a failed write one of the stage that owns the
     file.  Returns the records by file name, as ``Chain.close`` does, each
@@ -675,12 +692,13 @@ def run_stages(config, out, stages, load=None):
         head = load(*STAGES[stages[0]].reads[0])
     rows = 0 if head is None else head.n_samples
     chain = Chain(config, rows, stages, out, head if stages[0] == "input" else None)
-    if stages[0] == "input":
-        chain.wall["input"] += time.perf_counter() - t
-    for c0 in range(0, rows, _BLOCK_ROWS):
-        chain.push(head.rows(c0, c0 + _BLOCK_ROWS))
-    head = None  # the chain keeps what it needs
-    records = chain.close(load)
+    with chain.scope:  # ends once every trace is written, also when a push raises
+        if stages[0] == "input":
+            chain.wall["input"] += time.perf_counter() - t
+        for c0 in range(0, rows, _BLOCK_ROWS):
+            chain.push(head.rows(c0, c0 + _BLOCK_ROWS))
+        head = None  # the chain keeps what it needs
+        records = chain.close(load)
     return records, chain.wall, chain.write, chain.wait, chain.scope.digests
 
 

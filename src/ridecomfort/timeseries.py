@@ -43,7 +43,7 @@ import re
 import threading
 import tokenize
 import warnings
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -219,19 +219,62 @@ def _parse_rows(data) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
-def _parse_data(fh, max_rows) -> np.ndarray:
-    """The data rows of the rest of a binary file, parsed a piece of
-    ``_chunks`` at a time and copied in order into one array of
-    ``max_rows`` rows, so no piece's array outlives its copy."""
-    body, n = None, 0
-    for part in filter(len, map(_parse_rows, _chunks(fh))):  # pieces with data rows
-        if body is None:
-            body = np.empty((max_rows, part.shape[1]))
-        elif part.shape[1] != body.shape[1]:
-            raise ValueError("the number of columns changed between pieces")
+def _parse_data(fh, path, cells, max_rows) -> np.ndarray:
+    """The data rows of the rest of the binary file ``path``, whose header
+    cells are ``cells``, parsed a piece of ``_chunks`` at a time and copied
+    in order into one array of ``max_rows`` rows, so no piece's array
+    outlives its copy.  A piece that ``np.loadtxt`` cannot parse, or whose
+    rows are not as wide as the header, is parsed again a line at a time
+    (``_unparseable``)."""
+    body, n = np.empty((max_rows, len(cells))), 0
+    for piece in _chunks(fh):
+        try:
+            part = _parse_rows(piece)
+        except UnicodeDecodeError:
+            raise  # not UTF-8: no number problem
+        except ValueError:
+            part = None
+        if part is None or len(part) and part.shape[1] != len(cells):
+            raise _unparseable(fh, piece, path, cells)
         body[n:n + len(part)] = part
         n += len(part)
-    return np.empty((0, 1)) if body is None else body[:n]
+    return body[:n]
+
+
+def _is_number(cell) -> bool:
+    """Whether ``np.loadtxt`` reads the CSV cell ``cell`` as one number."""
+    try:
+        return _parse_rows(cell.encode("utf-8")).shape == (1, 1)
+    except ValueError:
+        return False
+
+
+def _unparseable(fh, piece, path, cells) -> RideComfortError:
+    """The error of the first line of ``piece``, the piece just read from
+    ``fh``, that ``np.loadtxt`` cannot parse on its own or that is not as
+    wide as the header ``cells``: it names the file's 1-based line, and the
+    column and cell that is not a number or else the line's width."""
+    start = fh.tell() - len(piece)
+    fh.seek(0)
+    first = 1 + sum(fh.read(min(_READ_SPAN_BYTES, start - at)).count(b"\n")
+                    for at in range(0, start, _READ_SPAN_BYTES))
+    for line, raw in enumerate(piece.split(b"\n"), first):
+        try:
+            row = _parse_rows(raw)
+        except ValueError:
+            values = raw.decode("utf-8").removesuffix("\r").split(",")
+            bad = [i for i, value in enumerate(values) if not _is_number(value)]
+            if len(values) == len(cells) and bad:
+                return RideComfortError(f"{path} line {line}, column {cells[bad[0]].strip()}: "
+                                        f"{values[bad[0]]!r} is not a number")
+            width = len(values)
+        else:
+            if not len(row) or row.shape[1] == len(cells):
+                continue
+            width = row.shape[1]
+        return RideComfortError(f"{path} line {line}: the header has {len(cells)} "
+                                f"columns, this line {width}")
+    return RideComfortError(f"{path}: cannot parse the rows from line {first}")
 
 
 def load_timeseries(path, schema=None) -> TimeSeries:
@@ -243,6 +286,8 @@ def load_timeseries(path, schema=None) -> TimeSeries:
     a relative tolerance of 1e-6.
 
     Data rows are parsed in-process in pieces of about ``_READ_SPAN_BYTES``.
+    A cell that is not a number, or a row of another width than the
+    header, is an error naming the file's line, and the cell's column.
     """
     with open(path, "rb") as fh:
         header = _next_row(fh)
@@ -255,16 +300,9 @@ def load_timeseries(path, schema=None) -> TimeSeries:
         fh.seek(start)
         lfs = sum(chunk.count(b"\n") for chunk in _chunks(fh))
         fh.seek(start)
-        try:
-            body = _parse_data(fh, lfs + 1)  # at most a row per line
-        except UnicodeDecodeError:
-            raise  # not UTF-8: no number problem
-        except ValueError as exc:
-            raise NonFiniteSample("<unparseable>", -1) from exc
+        body = _parse_data(fh, path, header.split(","), lfs + 1)  # at most a row per line
     if not len(body):  # every line after the header is a comment
         raise EmptyFile(f"{path} has a header but no samples")
-    if body.shape[1] != len(channels) + 1:
-        raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
     return _checked(path, body, channels, channels, schema)
 
 
@@ -695,9 +733,9 @@ class _Save:
 
     def fail(self, file, exc):
         """Stop the writes: ``exc`` failed those of ``file``, the save's own
-        or its twin's.  A worker that died, or a pool it broke, fails the
-        save as ``_DEAD``."""
-        dead = isinstance(exc, (BrokenProcessPool, CancelledError))
+        or its twin's.  A pool that a dead worker broke fails it as
+        ``_DEAD``."""
+        dead = isinstance(exc, BrokenProcessPool)
         self.error = _FileError(file.path, _DEAD if dead else exc)
         self.error.__cause__ = exc
 

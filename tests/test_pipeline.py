@@ -261,6 +261,43 @@ def test_csv_input_over_the_sample_budget_is_refused(tmp_path, monkeypatch):
                        "101 samples exceed the budget of 100 samples")]
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("nan", "non-finite sample in channel 'seat_acc_z' at row 2999"),
+    # the header is line 1, so data row 2999 is on line 3001
+    ("abc", "seat.csv line 3001, column seat_acc_z[m/s^2]: 'abc' is not a number"),
+], ids=["nan", "abc"])
+def test_validate_reads_a_csv_input_as_the_input_stage_does(tmp_path, capsys, cell,
+                                                            message):
+    raw = _csv_scenario(tmp_path, 3001)
+    seat = tmp_path / "seat.csv"
+    lines = seat.read_text().split("\n")
+    lines[3000] = lines[3000].rsplit(",", 1)[0] + f",{cell}"
+    seat.write_text("\n".join(lines))
+    config = _write(tmp_path, raw)
+    assert build_config(raw, tmp_path)[1] == []  # the row count alone passes
+    errors = validate_config(config)
+    assert [field for field, _ in errors] == ["input.path"]
+    assert errors[0][1].endswith(message)
+    assert main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().out.endswith(f"{message}\n")
+    # the message the run stops with
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+
+
+@pytest.mark.parametrize("settle_s, problems", [
+    (6.0, []),  # 3001 rows at 2 ms: one row is left to weight
+    (7.0, [("metrics.settle_s", "settling interval consumes the whole record")]),
+])
+def test_validate_checks_settle_s_against_a_csv_record(tmp_path, settle_s, problems):
+    raw = _csv_scenario(tmp_path, 3001)
+    raw["metrics"] = {"settle_s": settle_s}
+    assert validate_config(_write(tmp_path, raw)) == problems
+    # with no metric selected, nothing is weighted and nothing refused
+    raw["metrics"] = {"settle_s": settle_s, "weighted_rms": False, "msdv": False}
+    assert validate_config(_write(tmp_path, raw)) == []
+
+
 def test_oversized_excitation_with_welch_is_a_config_error():
     # duration_s / dt_s overflows a float, so the Welch check must not
     # turn the record length into an integer
@@ -398,6 +435,29 @@ def test_failed_stage_leaves_earlier_artifacts_complete(tmp_path, monkeypatch,
     assert sorted(_tree(out)) == sorted(earlier)
     for name in earlier:
         assert (out / name).read_bytes() == (good / name).read_bytes(), name
+
+
+def test_an_error_no_stage_owns_still_ends_the_writer(tmp_path, monkeypatch):
+    # a MemoryError is no stage's failure: it leaves the push, and the
+    # chain's end still stops the pool and closes every trace file
+    config = _write(tmp_path, make_scenario(**_TWO_BLOCKS))
+
+    def fail(*args, **kwargs):
+        raise MemoryError("no memory today")
+
+    monkeypatch.setattr("ridecomfort.pipeline.perceive", fail)
+    closed = []
+    close = timeseries._Scope.close
+
+    def spy(scope):
+        close(scope)
+        closed.append(all(file.fh.closed for save in scope.saves for file in save.files()))
+
+    monkeypatch.setattr(timeseries._Scope, "close", spy)
+    with pytest.raises(MemoryError, match="no memory today"):
+        run_pipeline(parse_config(config), tmp_path / "run")
+    assert closed == [True]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])

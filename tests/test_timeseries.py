@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from ridecomfort.errors import (
     EmptyFile, InvalidRate, MissingChannel, NonFiniteSample,
-    NonUniformSampling)
+    NonUniformSampling, RideComfortError)
 from ridecomfort import comfort, perception, timeseries
 from ridecomfort.pipeline import parse_config, run_pipeline
 from conftest import counted_pools, make_scenario
@@ -124,13 +124,46 @@ def test_load_rejects_malformed(tmp_path):
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("time_s,acc_x[m/s^2]\n0.0,1.0\n0.001\n")
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(RideComfortError, match="line 3: the header has 2 columns, this line 1"):
         load_timeseries(ragged)
 
     jitter = tmp_path / "jitter.csv"
     jitter.write_text("time_s,acc_x[m/s^2]\n0.0,1.0\n0.001,1.0\n0.0025,1.0\n")
     with pytest.raises(NonUniformSampling):
         load_timeseries(jitter)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"abc", "line 251, column acc_y[m/s^2]: 'abc' is not a number"),
+    (b"", "line 251, column acc_y[m/s^2]: '' is not a number"),
+    (b"1,2", "line 251: the header has 3 columns, this line 4"),
+], ids=["text", "empty", "wide"])
+def test_an_unparseable_cell_names_its_line_and_column(tmp_path, monkeypatch, bad,
+                                                       message):
+    # CRLF ends, and a blank and a comment line before the data: the line
+    # counts every line of the file.  With small pieces the bad row is in a
+    # late one, and only the piece that fails is parsed again, a line and
+    # then a cell at a time
+    lines = [b"time_s,acc_x[m/s^2],acc_y[m/s^2]", b"", b"# a comment"]
+    lines += [b"%r,%d,-0.5" % (0.001 * i, i) for i in range(300)]
+    lines[250] = lines[250].rsplit(b",", 1)[0] + b"," + bad  # line 251
+    path = tmp_path / "demo.csv"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    monkeypatch.setattr(timeseries, "_READ_SPAN_BYTES", 512)
+    parsed = []
+    parse_rows = timeseries._parse_rows
+
+    def spy(data):
+        parsed.append(data)
+        return parse_rows(data)
+
+    monkeypatch.setattr(timeseries, "_parse_rows", spy)
+    with pytest.raises(RideComfortError) as info:
+        load_timeseries(path)
+    assert str(info.value) == f"{path} {message}"
+    pieces = [data for data in parsed if data.count(b"\n") > 1]
+    assert len(pieces) == len(set(pieces)) > 8  # no piece is parsed twice
+    assert len(parsed) - len(pieces) <= pieces[-1].count(b"\n") + 3
 
 
 def test_count_samples_follows_the_load_rule(tmp_path):
@@ -172,10 +205,14 @@ def test_streamed_reader_keeps_the_load_rules(tmp_path):
         for header in (b"time_s", b"time_s,a[1]"):
             with pytest.raises(EmptyFile, match="has a header but no samples"):
                 load("comments.csv", header + b"\n# one\n#two\r\n")()
-    with pytest.raises(MissingChannel, match="expected 3 columns, got 2"):
+    # a row of another width than the header's, or a cell that is not a
+    # number, is named by its line in the file, and the cell by its column
+    with pytest.raises(RideComfortError,
+                       match=r"narrow.csv line 2: the header has 3 columns, this line 2$"):
         load("narrow.csv", b"time_s,a[1],b[1]\n0,1\n0.1,2\n")()
-    with pytest.raises(NonFiniteSample, match="<unparseable>"):
-        load("text.csv", b"time_s,a[1]\n0,x\n")()
+    with pytest.raises(RideComfortError,
+                       match=r"text.csv line 3, column a\[1\]: 'x' is not a number$"):
+        load("text.csv", b"time_s,a[1]\n\n0,x\n")()
     with pytest.raises(UnicodeDecodeError):
         load("latin1.csv", b"time_s,a[1]\n0,1\n0.1,\xff\n")()
     # one CR before each LF is dropped, as the whole-text reader did
@@ -642,12 +679,12 @@ def _streamed_reader(path):
                               ndmin=2)
         except UnicodeDecodeError:
             raise
-        except ValueError as exc:
-            raise NonFiniteSample("<unparseable>", -1) from exc
+        except ValueError:
+            raise _first_bad_line(path, header) from None
     if not len(body):  # every line after the header is a comment
         raise EmptyFile(f"{path} has a header but no samples")
     if body.shape[1] != len(channels) + 1:
-        raise MissingChannel(f"<expected {len(channels) + 1} columns, got {body.shape[1]}>", path)
+        raise _first_bad_line(path, header)
     t = body[:, 0]
     samples = body[:, 1:]
     bad = ~np.isfinite(samples)
@@ -671,6 +708,35 @@ def _streamed_reader(path):
     dt = min(candidates,
              key=lambda c: float(np.max(np.abs(t[0] + c * k - t))))
     return TimeSeries(float(t[0]), dt, tuple(channels), samples)
+
+
+def _first_bad_line(path, header):
+    """The oracle's error for rows that do not parse: the file's first
+    line after the header that np.loadtxt cannot parse on its own, or whose
+    width is not the header's, named by its line number and, for a cell
+    that float() cannot read (after any comment), by its column."""
+    cells = header.split(",")
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    after = next(i for i, ln in enumerate(lines) if ln.strip()) + 1
+    for number, ln in enumerate(lines[after:], after + 1):
+        ln = ln.removesuffix("\r")
+        if not ln.strip():
+            continue
+        try:
+            width = np.loadtxt([ln], delimiter=",", ndmin=2).shape[1]
+        except ValueError:
+            values = ln.split(",")
+            for column, value in enumerate(values if len(values) == len(cells) else ()):
+                try:
+                    float(value.split("#", 1)[0])
+                except ValueError:
+                    return RideComfortError(f"{path} line {number}, column "
+                                            f"{cells[column].strip()}: {value!r} is not a number")
+            width = len(values)
+        if width != len(cells) and not ln.lstrip().startswith("#"):
+            return RideComfortError(f"{path} line {number}: the header has {len(cells)} "
+                                    f"columns, this line {width}")
+    raise AssertionError("no line at fault")
 
 
 def _outcome(load, path):
