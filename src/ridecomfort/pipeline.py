@@ -257,11 +257,8 @@ def build_config(raw, base_dir="."):
                        f"{welch.segment_length} leaves fewer than 2 Welch "
                        f"segments in the {n_samples}-sample input record"))
     metrics = top.get("metrics")
-    if spec is not None and metrics is not None and (metrics.weighted_rms or metrics.msdv):
-        try:  # the rule the metrics stage applies
-            settling_rows(metrics.settle_s, spec.dt_s, n_samples)
-        except ValueError as exc:
-            errors.append(("metrics.settle_s", str(exc)))
+    if spec is not None and metrics is not None:
+        errors += _settle_errors(metrics, spec.dt_s, n_samples)
     body = None
     if "model" in top:
         try:
@@ -284,6 +281,17 @@ def build_config(raw, base_dir="."):
         metrics=metrics, stht=top["stht"],
         output_dir=Path(out_dir) if out_dir else None, seed=seed)
     return config, []
+
+
+def _settle_errors(metrics, dt, n_samples):
+    """The error at ``metrics.settle_s`` for a record of ``n_samples`` rows
+    at ``dt``, by the rule the metrics stage applies, as a list."""
+    if metrics.weighted_rms or metrics.msdv:
+        try:
+            settling_rows(metrics.settle_s, dt, n_samples)
+        except ValueError as exc:
+            return [("metrics.settle_s", str(exc))]
+    return []
 
 
 def _unreadable(path, exc):
@@ -310,12 +318,7 @@ def validate_config(path):
         (seat,) = stage_input(config)
     except (OSError, UnicodeDecodeError, RideComfortError) as exc:
         return [("input.path", _unreadable(config.input_path, exc))]
-    if config.metrics.weighted_rms or config.metrics.msdv:
-        try:  # the rule the metrics stage applies
-            settling_rows(config.metrics.settle_s, seat.dt, seat.n_samples)
-        except ValueError as exc:
-            return [("metrics.settle_s", str(exc))]
-    return []
+    return _settle_errors(config.metrics, seat.dt, seat.n_samples)
 
 
 def parse_config(path, seed=None, axis=None, vision=None):

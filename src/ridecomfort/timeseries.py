@@ -227,6 +227,9 @@ def _parse_data(fh, path, cells, max_rows) -> np.ndarray:
     rows are not as wide as the header, is parsed again a line at a time
     (``_unparseable``)."""
     body, n = np.empty((max_rows, len(cells))), 0
+    start = fh.tell()
+    fh.seek(0)
+    line = 1 + fh.read(start).count(b"\n")  # the 1-based file line of each piece
     for piece in _chunks(fh):
         try:
             part = _parse_rows(piece)
@@ -235,9 +238,10 @@ def _parse_data(fh, path, cells, max_rows) -> np.ndarray:
         except ValueError:
             part = None
         if part is None or len(part) and part.shape[1] != len(cells):
-            raise _unparseable(fh, piece, path, cells)
+            raise _unparseable(piece, line, path, cells)
         body[n:n + len(part)] = part
         n += len(part)
+        line += piece.count(b"\n")
     return body[:n]
 
 
@@ -249,15 +253,11 @@ def _is_number(cell) -> bool:
         return False
 
 
-def _unparseable(fh, piece, path, cells) -> RideComfortError:
-    """The error of the first line of ``piece``, the piece just read from
-    ``fh``, that ``np.loadtxt`` cannot parse on its own or that is not as
-    wide as the header ``cells``: it names the file's 1-based line, and the
-    column and cell that is not a number or else the line's width."""
-    start = fh.tell() - len(piece)
-    fh.seek(0)
-    first = 1 + sum(fh.read(min(_READ_SPAN_BYTES, start - at)).count(b"\n")
-                    for at in range(0, start, _READ_SPAN_BYTES))
+def _unparseable(piece, first, path, cells) -> RideComfortError:
+    """The error of the first line of ``piece``, file line ``first`` on,
+    that ``np.loadtxt`` cannot parse on its own or that is not as wide as
+    the header ``cells``: it names the file's 1-based line, and the column
+    and cell that is not a number or else the line's width."""
     for line, raw in enumerate(piece.split(b"\n"), first):
         try:
             row = _parse_rows(raw)
@@ -716,8 +716,8 @@ def _write_hashed(fh, digest, data):
 class _Save:
     """A trace file being written: its open file, its running sha256, its
     twin (a _Save of the .npy file) and the rows the twin's header declares
-    that are not yet written, whether rows may still follow, and the
-    _FileError that stopped its writes."""
+    that are not yet written, whether rows may still follow, and the error
+    that stopped its writes."""
 
     path: Path
     fh: object
@@ -725,7 +725,7 @@ class _Save:
     twin: _Save | None = None
     twin_rows: int = 0
     done: bool = False
-    error: _FileError | None = None
+    error: Exception | None = None
 
     def files(self):
         """The save, and its twin if it has one."""
@@ -733,11 +733,13 @@ class _Save:
 
     def fail(self, file, exc):
         """Stop the writes: ``exc`` failed those of ``file``, the save's own
-        or its twin's.  A pool that a dead worker broke fails it as
-        ``_DEAD``."""
-        dead = isinstance(exc, BrokenProcessPool)
-        self.error = _FileError(file.path, _DEAD if dead else exc)
-        self.error.__cause__ = exc
+        or its twin's.  An OSError, or a pool a dead worker broke (``_DEAD``),
+        is kept as the ``_FileError`` of ``file``, any other error as it is."""
+        self.error = exc
+        if isinstance(exc, (OSError, BrokenProcessPool)):
+            dead = isinstance(exc, BrokenProcessPool)
+            self.error = _FileError(file.path, _DEAD if dead else exc)
+            self.error.__cause__ = exc
 
 
 # queued blocks per worker a scope lets its saves have at a time; on 2
@@ -769,9 +771,9 @@ class _Scope:
     and at ``wait``; at most ``_BLOCKS_IN_FLIGHT`` per worker wait, so an
     append waits for the oldest rather than holding a record's rows.
 
-    A failed write stops its save's writes and is kept on the save, as the
-    ``_FileError`` of the file that failed; only that save's ``append``
-    and ``check`` raise it.
+    A failed write, the close's included, stops its save's writes and is
+    kept on the save, as the ``_FileError`` of the file that failed; only
+    that save's ``append`` and ``check`` raise it.
     """
 
     def __init__(self):
@@ -822,7 +824,10 @@ class _Scope:
         if (save.done and save.error is None and save in self.saves
                 and all(queued is not save for queued, _ in self.queue)):
             for file in save.files():
-                file.fh.close()
+                try:
+                    file.fh.close()
+                except OSError as exc:  # writing out its last bytes; kept for the check
+                    return save.fail(file, exc)
                 self.digests[file.path] = file.digest.hexdigest()
             self.saves.remove(save)
 
@@ -912,7 +917,8 @@ class _Scope:
             self.saves.remove(save)
         self.queue = collections.deque(item for item in self.queue if item[0] is not save)
         for file in save.files():
-            file.fh.close()
+            with contextlib.suppress(OSError):  # its last rows are dropped with it
+                file.fh.close()
             self.digests.pop(file.path, None)
             file.path.unlink(missing_ok=True)
 

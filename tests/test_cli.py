@@ -398,6 +398,24 @@ def test_a_blocked_twin_fails_the_stage_that_writes_its_trace(tiny_config, tmp_p
     assert multiprocessing.active_children() == []
 
 
+def _cli_under_file_size_limit(limit, command, config, out):
+    """Run the CLI ``command`` in a process whose files may not grow past
+    ``limit`` bytes, in dev mode, where an unclosed file or pool is an
+    error.  CPython ignores SIGXFSZ, so the write that would pass the limit
+    fails with EFBIG."""
+    src = str(Path(ridecomfort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limited = ("import os, resource, sys; n = int(sys.argv[1]); "
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (n, n)); "
+               "os.execv(sys.executable, [sys.executable, *sys.argv[2:]])")
+    args = [sys.executable, "-c", limited, str(limit), "-X", "dev",
+            "-W", "error::ResourceWarning", "-m", "ridecomfort.cli", command,
+            "--config", str(config), "--out", str(out)]
+    return subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+
+
+_EFBIG = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
 # limit, command, the stage that fails, and the file it fails on
 _FILE_SIZE_LIMITS = [(3_000_000, "pipeline", "body", "body_response.npy"),
                      (2_000_000, "perceive", "perception", "perceived.csv")]
@@ -408,29 +426,16 @@ _FILE_SIZE_LIMITS = [(3_000_000, "pipeline", "body", "body_response.npy"),
                          ids=[c for _, c, _, _ in _FILE_SIZE_LIMITS])
 def test_a_file_size_limit_fails_the_stage_that_writes_past_it(default_runs, tmp_path,
                                                                limit, command, stage, name):
-    # a real write failure: the CLI in a process whose files may not grow
-    # past ``limit`` bytes.  CPython ignores SIGXFSZ, so the write that
-    # would pass it fails with EFBIG; in dev mode an unclosed file or pool
-    # is an error
+    # a real write failure, past a file size limit
     good = default_runs[0]
     out = tmp_path / "run"
     if command == "perceive":  # resumed in a finished run's directory
         out.mkdir()
         for path in good.iterdir():
             (out / path.name).write_bytes(path.read_bytes())
-    src = str(Path(ridecomfort.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    limited = ("import os, resource, sys; n = int(sys.argv[1]); "
-               "resource.setrlimit(resource.RLIMIT_FSIZE, (n, n)); "
-               "os.execv(sys.executable, [sys.executable, *sys.argv[2:]])")
-    args = [sys.executable, "-c", limited, str(limit), "-X", "dev",
-            "-W", "error::ResourceWarning", "-m", "ridecomfort.cli", command,
-            "--config", str(EXAMPLES / "scenario_default.json"), "--out", str(out)]
-    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    done = _cli_under_file_size_limit(limit, command, EXAMPLES / "scenario_default.json", out)
     assert done.returncode == 2, done.stderr
-    efbig = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
-    assert done.stderr == f"error: stage '{stage}' failed: cannot write {out / name}: {efbig}\n"
+    assert done.stderr == f"error: stage '{stage}' failed: cannot write {out / name}: {_EFBIG}\n"
     stages = list(pl.STAGES)
     gone = {written for s in (stages[stages.index(stage):] if command == "pipeline"
                               else [stage])
@@ -443,6 +448,27 @@ def test_a_file_size_limit_fails_the_stage_that_writes_past_it(default_runs, tmp
     assert sorted(p.name for p in out.iterdir()) == kept
     for kept_name in kept:
         assert (out / kept_name).read_bytes() == (good / kept_name).read_bytes(), kept_name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="RLIMIT_FSIZE is POSIX")
+def test_a_file_that_fails_as_it_closes_fails_the_stage_that_writes_it(tmp_path):
+    # the record ends in a block of 4 rows, whose bytes the file's buffer
+    # holds until its close writes them out.  The body's twin is the
+    # largest file: a limit a byte short of it fails that close
+    config = _write(tmp_path, make_scenario(input={"duration_s": 16.39}))
+    assert parse_config(config).excitation.n_samples % timeseries._BLOCK_ROWS == 4
+    good, out = tmp_path / "good", tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(good)]) == 0
+    name = "body_response.npy"
+    sizes = {path.name: path.stat().st_size for path in good.iterdir()}
+    assert max(sizes, key=sizes.get) == name
+    done = _cli_under_file_size_limit(sizes[name] - 1, "pipeline", config, out)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"error: stage 'body' failed: cannot write {out / name}: {_EFBIG}\n"
+    # the seat's files are complete, and no file of the body or later is left
+    assert sorted(p.name for p in out.iterdir()) == ["seat_motion.csv", "seat_motion.npy"]
+    for kept in out.iterdir():
+        assert kept.read_bytes() == (good / kept.name).read_bytes(), kept.name
 
 
 def test_stht_subcommand_writes_frf_files(tiny_config, tmp_path):

@@ -1,5 +1,6 @@
 """Time-series container and CSV round trip."""
 
+import errno
 import hashlib
 import io
 import itertools
@@ -518,6 +519,67 @@ def test_an_append_raises_only_for_its_own_save(tmp_path, monkeypatch):
     _savetxt_writer(ts, tmp_path / "old.csv")
     assert (tmp_path / "ok.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert list(scope.digests) == [tmp_path / "ok.csv"]
+
+
+class _FullAtClose:
+    """A file whose close fails as it writes out the bytes it buffered."""
+
+    def __init__(self, fh):
+        self.fh, self.write = fh, fh.write
+
+    @property
+    def closed(self):
+        return self.fh.closed
+
+    def close(self):
+        if not self.fh.closed:
+            self.fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
+def test_a_close_that_fails_fails_only_its_own_save(tmp_path, monkeypatch, pooled):
+    # the close of a save's file may come at its done, at another save's
+    # append or at wait; none of those raises, and its check does
+    if pooled and not FORKS:
+        pytest.skip("no fork pool on this platform")
+    monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 2 if pooled else 0)
+    ts = _demo(n=BLOCK + 3)
+    header = timeseries.trace_header(ts.channels)
+    with timeseries._Scope() as scope:
+        full, ok = (scope.open(tmp_path / name, header, ts.n_samples)
+                    for name in ("full.csv", "ok.csv"))
+        full.fh = _FullAtClose(full.fh)
+        for save in (full, ok):
+            scope.append(save, ts.samples, ts.start_time, ts.dt, 0)
+            scope.done(save)
+        scope.wait()
+        scope.check(ok)
+        with pytest.raises(timeseries._FileError,
+                           match=r"full.csv: \[Errno %d\]" % errno.ENOSPC) as info:
+            scope.check(full)
+        assert info.value.path == full.path
+    assert multiprocessing.active_children() == []
+    assert list(scope.digests) == [ok.path]
+    _savetxt_writer(ts, tmp_path / "old.csv")
+    assert ok.path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _formatter_bug(block):
+    raise TypeError("a formatter bug")
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "in-process"])
+def test_a_formatter_bug_is_raised_as_itself(tmp_path, monkeypatch, pooled):
+    # only an OSError, or a dead worker, is a failed write of the file
+    if pooled and not POOLED:
+        pytest.skip("rows are formatted in-process here")
+    if not pooled:
+        monkeypatch.setattr(timeseries, "_pool_workers", lambda n: 0)
+    monkeypatch.setattr(timeseries, "_format_rows", _formatter_bug)
+    with pytest.raises(TypeError, match="a formatter bug"):
+        save_timeseries(_demo(n=2 * BLOCK), tmp_path / "bug.csv")
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(not POOLED, reason="rows are formatted in-process here")
