@@ -275,8 +275,6 @@ def build_model(params: BodyParams, posture: PostureConfig | None = None) -> Mod
     parameter set cannot produce a usable model.
     """
     posture = posture or PostureConfig()
-    params.validate()
-    posture.validate()
 
     jac = _segment_jacobians(params)
     masses = (params.pelvis_mass_kg, params.trunk_mass_kg, params.head_mass_kg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 
 from ridecomfort.errors import ConfigError
-from ridecomfort.schema import is_number, read
+from ridecomfort.schema import Validated, is_number, read
 
 # Generalized coordinates of the three-segment chain.  Translations are the
 # pelvis carriage relative to the seat pan; angles are absolute (lab frame).
@@ -86,6 +86,9 @@ _CEILINGS = {
     # a length: about 10x the default preset's longest (0.45 m), far past
     # any seated body
     "_m": (5.0, "m"),
+    # a feedback delay: about 50x the default preset's longest (0.2 s); the
+    # integrator holds round(delay / dt) sensed samples of each delay
+    "_s": (10.0, "s"),
 }
 _LENGTHS = ("pelvis_to_l5s1_m", "l5s1_to_c7t1_m", "c7t1_to_head_com_m")
 
@@ -108,7 +111,7 @@ def _preset(name):
 
 
 @dataclass(frozen=True)
-class BodyParams:
+class BodyParams(Validated):
     """Masses, geometry, passive visco-elastic terms and feedback gains.
 
     All segment lengths are measured along the upright body axis.  ``prop_*``
@@ -186,42 +189,21 @@ class BodyParams:
         return params
 
     def validate(self) -> None:
-        """Raise ConfigError listing every out-of-range field."""
+        """Raise ConfigError listing every out-of-range field: a mass,
+        inertia or segment length must be > 0, any other float but the
+        backrest height >= 0, and each at most its unit's ceiling."""
         errors = []
-        positive = (
-            "pelvis_mass_kg", "trunk_mass_kg", "head_mass_kg",
-            "pelvis_inertia_roll_kgm2", "pelvis_inertia_pitch_kgm2",
-            "trunk_inertia_roll_kgm2", "trunk_inertia_pitch_kgm2", "trunk_inertia_yaw_kgm2",
-            "head_inertia_roll_kgm2", "head_inertia_pitch_kgm2", "head_inertia_yaw_kgm2",
-            *_LENGTHS,
-        )
-        nonneg = (
-            "seat_stiffness_x_N_per_m", "seat_stiffness_y_N_per_m", "seat_stiffness_z_N_per_m",
-            "seat_damping_x_Ns_per_m", "seat_damping_y_Ns_per_m", "seat_damping_z_Ns_per_m",
-            "seat_rot_stiffness_roll_Nm_per_rad", "seat_rot_stiffness_pitch_Nm_per_rad",
-            "seat_rot_damping_roll_Nms_per_rad", "seat_rot_damping_pitch_Nms_per_rad",
-            "lumbar_stiffness_roll_Nm_per_rad", "lumbar_stiffness_pitch_Nm_per_rad",
-            "lumbar_stiffness_yaw_Nm_per_rad",
-            "lumbar_damping_roll_Nms_per_rad", "lumbar_damping_pitch_Nms_per_rad",
-            "lumbar_damping_yaw_Nms_per_rad",
-            "neck_stiffness_roll_Nm_per_rad", "neck_stiffness_pitch_Nm_per_rad",
-            "neck_damping_roll_Nms_per_rad", "neck_damping_pitch_Nms_per_rad",
-            "backrest_stiffness_N_per_m", "backrest_damping_Ns_per_m",
-            "prop_gain_pelvis_Nm_per_rad", "prop_gain_pelvis_Nms_per_rad",
-            "prop_gain_lumbar_Nm_per_rad", "prop_gain_lumbar_Nms_per_rad",
-            "prop_gain_neck_Nm_per_rad", "prop_gain_neck_Nms_per_rad",
-            "prop_delay_s",
-            "vestibular_gain_Nm_per_rad", "vestibular_gain_Nms_per_rad", "vestibular_delay_s",
-            "visual_gain_Nm_per_rad", "visual_gain_Nms_per_rad", "visual_delay_s",
-            "gravity_m_per_s2",
-        )
+        floats = [f.name for f in fields(self)
+                  if f.type == "float" and f.name != "backrest_height_m"]
+        positive = [name for name in floats
+                    if name.endswith(("_kg", "_kgm2")) or name in _LENGTHS]
         for name in positive:
             value = getattr(self, name)
             if not is_number(value) or value <= 0:
                 errors.append((name, "must be a finite number > 0"))
-        for name in nonneg:
+        for name in floats:
             value = getattr(self, name)
-            if not is_number(value) or value < 0:
+            if name not in positive and (not is_number(value) or value < 0):
                 errors.append((name, "must be a finite number >= 0"))
         for name in self.field_names():
             value = getattr(self, name)
@@ -245,7 +227,7 @@ class BodyParams:
 
 
 @dataclass(frozen=True)
-class PostureConfig:
+class PostureConfig(Validated):
     """Initial posture, backrest engagement and coordinate locking.
 
     ``initial_joint_angles_rad`` entries override the named posture's rest
@@ -285,7 +267,6 @@ class PostureConfig:
 
     def joint_rest_angles(self) -> dict:
         """Merge the named posture's angles with explicit overrides."""
-        self.validate()
         angles = dict.fromkeys(JOINT_NAMES, 0.0)
         angles.update(_POSTURE_ANGLES[self.posture])
         if self.initial_joint_angles_rad:

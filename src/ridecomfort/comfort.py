@@ -20,6 +20,7 @@ import numpy as np
 import scipy.signal as sps
 
 from .errors import GridMismatch, RateMismatch, UnitMismatch, UnsupportedRate
+from .schema import Validated
 from .timeseries import TimeSeries
 
 _SQRT2 = math.sqrt(2.0)
@@ -254,7 +255,7 @@ def _weight_channels(ts, prefix, settle_s, rms_out, kinds_out):
 
 
 @dataclass(frozen=True)
-class MetricsOptions:
+class MetricsOptions(Validated):
     """The ``metrics`` section of a scenario: which metrics a run reports,
     and the initial seconds they leave out."""
 

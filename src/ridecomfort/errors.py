@@ -41,10 +41,11 @@ class NonUniformSampling(RideComfortError):
 
 
 class NonFiniteSample(RideComfortError):
-    def __init__(self, channel, row):
+    def __init__(self, channel, row, path=None, line=None):
         self.channel = channel
         self.row = row
-        super().__init__(f"non-finite sample in channel {channel!r} at row {row}")
+        where = f" in {path} line {line}" if path else ""
+        super().__init__(f"non-finite sample in channel {channel!r} at row {row}{where}")
 
 
 class InvalidRate(RideComfortError):

@@ -15,7 +15,7 @@ import scipy.fft
 import scipy.signal as sps
 
 from ridecomfort.errors import InvalidBand
-from ridecomfort.schema import is_number
+from ridecomfort.schema import Validated, is_number
 from ridecomfort.timeseries import TimeSeries, from_arrays
 
 SEAT_CHANNELS = (("seat_acc_x", "m/s^2"), ("seat_acc_y", "m/s^2"), ("seat_acc_z", "m/s^2"))
@@ -31,9 +31,17 @@ _MIN_CYCLES = 10.0
 # squared sums of spectral estimates over a record overflow.
 MAX_RMS_M_S2 = 981.0
 
+# Longest input in samples: 10 000 s at 1 kHz, 111 times the 90 001
+# samples of scenario_curved.  A `pipeline` run streams the body,
+# perception and sickness records a chunk at a time, and its peak RSS grows
+# by about 113 B per sample (scenario_default at 20 s against 200 s, 2-core
+# Linux; about 1.1 GB at the cap), so a typo such as duration_s: 1e12 is
+# refused before anything is allocated.
+MAX_INPUT_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
-class ExcitationSpec:
+class ExcitationSpec(Validated):
     """Recipe for a single-axis seat acceleration record."""
 
     axis: str = "z"
@@ -68,6 +76,9 @@ class ExcitationSpec:
             raise InvalidBand(
                 f"duration_s {self.duration_s} s gives fewer than {_MIN_CYCLES:.0f} "
                 f"cycles at {f_lo} Hz")
+        if self.duration_s / self.dt_s > MAX_INPUT_SAMPLES:
+            raise ValueError(f"duration_s {self.duration_s:g} s at dt_s = {self.dt_s:g} s "
+                             f"exceeds the budget of {MAX_INPUT_SAMPLES} samples")
 
     @property
     def n_samples(self) -> int:
@@ -100,7 +111,6 @@ def generate_excitation(spec: ExcitationSpec) -> TimeSeries:
     Noise records are zero-mean with RMS equal to spec.rms_m_s2 to machine
     precision; off-axis channels are zero.
     """
-    spec.validate()
     n = spec.n_samples
     t = np.arange(n) * spec.dt_s
     if spec.kind == "noise":

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal as sps
 
+from ridecomfort.body.params import _CEILINGS
 from ridecomfort.errors import NonFiniteSample
+from ridecomfort.schema import Validated
 from ridecomfort.timeseries import _BLOCK_ROWS as _CHUNK_ROWS, TimeSeries, from_arrays
 
 GRAVITY = 9.81
@@ -59,7 +61,7 @@ PERCEIVED_CHANNELS = SENSED_ROTVEL + SENSED_SF + SENSED_VERT + EXPECTED_VERT
 
 
 @dataclass(frozen=True)
-class VisionParams:
+class VisionParams(Validated):
     enabled: bool = False
     rotation_gain: float = 1.0
     delay_s: float = 0.2
@@ -69,10 +71,12 @@ class VisionParams:
             raise ValueError("rotation_gain must be within [0, 1]")
         if self.delay_s < 0:
             raise ValueError("delay_s must be >= 0")
+        if self.delay_s > _CEILINGS["_s"][0]:  # the body model's delay ceiling
+            raise ValueError("delay_s must be at most {:g} {}".format(*_CEILINGS["_s"]))
 
 
 @dataclass(frozen=True)
-class VestibularParams:
+class VestibularParams(Validated):
     canal_tau_long_s: float = 5.7
     canal_tau_short_s: float = 0.005
     otolith_gain: float = 1.0
@@ -86,10 +90,6 @@ class VestibularParams:
             raise ValueError("otolith_gain must be > 0")
         if self.sv_time_constant_s <= 0:
             raise ValueError("sv_time_constant_s must be > 0")
-        try:
-            self.vision.validate()
-        except ValueError as exc:  # named as a field of these parameters
-            raise ValueError(f"vision.{exc}") from None
 
 
 @dataclass
@@ -186,7 +186,6 @@ def scc_response(rotvel: TimeSeries, params: VestibularParams) -> TimeSeries:
     A rotation step is sensed almost fully and decays with the long time
     constant; sustained rotation washes out to zero.
     """
-    params.validate()
     b, a = _canal_filter(rotvel.dt, params)
     out = np.empty((rotvel.n_samples, 3))
     _canal_rows(b, a, _columns(rotvel, ROTVEL_CHANNELS), np.zeros((3, len(a) - 1)), out)
@@ -196,7 +195,6 @@ def scc_response(rotvel: TimeSeries, params: VestibularParams) -> TimeSeries:
 def otolith_response(head_acc: TimeSeries, head_angles: TimeSeries,
                      params: VestibularParams) -> TimeSeries:
     """Specific force rotated into the head frame (small angles)."""
-    params.validate()
     if head_acc.dt != head_angles.dt or head_acc.n_samples != head_angles.n_samples:
         raise ValueError("acceleration and angle records must share one grid")
     out = np.empty((head_acc.n_samples, 3))
@@ -217,7 +215,6 @@ def subjective_vertical(sensed_sf: TimeSeries, sensed_rotvel: TimeSeries,
     The estimate before the first row is `vertical`: upright, or the last
     row of the record this one continues.
     """
-    params.validate()
     if sensed_sf.dt != sensed_rotvel.dt or sensed_sf.n_samples != sensed_rotvel.n_samples:
         raise ValueError("specific-force and rotation records must share one grid")
     dt = sensed_sf.dt
@@ -268,7 +265,6 @@ def internal_expectation(head_angles: TimeSeries, params: VestibularParams) -> T
     prior is blended toward the true vertical-in-head-frame, delayed by the
     visual latency and weighted by the rotation gain.
     """
-    params.validate()
     lag = _vision_lag(params.vision, head_angles.dt)
     angles = None if lag is None else _columns(head_angles, ANGLE_CHANNELS)
     out = np.empty((head_angles.n_samples, 3))
@@ -299,7 +295,6 @@ def perceive(body_response: TimeSeries, params: VestibularParams, *,
     one the chain starts at rest, upright.  ``meta["degenerate_samples"]``
     counts from the state's first row.
     """
-    params.validate()
     state = PerceptionState() if state is None else state
     n, dt, t0 = body_response.n_samples, body_response.dt, body_response.start_time
     b, a = _canal_filter(dt, params)

@@ -1,9 +1,10 @@
 """The config schema: each section is read as the parameter dataclass
 behind it, whose field annotations give its keys' types and whose defaults
 fill in omitted keys.  Every problem is a (JSON path, message) pair at its
-leaf.  A ``validate()`` names the field at fault relative to its own object,
-in a ConfigError of (field, message) pairs or as the first word of a
-ValueError or InvalidBand, and the reader adds the section's path.
+leaf.  A parameter set checks itself once, when it is made (``Validated``),
+so no consumer checks it again.  Its ``validate()`` names the field at fault
+relative to its own object, in a ConfigError of (field, message) pairs or as
+the first word of a ValueError or InvalidBand; the reader adds the path.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ def is_number(value) -> bool:
     # int and float first: they skip the slower abstract-class check
     return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool) \
         and abs(value) <= sys.float_info.max
+
+
+class Validated:
+    """A parameter dataclass that runs its ``validate()`` when it is made."""
+
+    def __post_init__(self):
+        self.validate()
 
 
 def _fail(errors, path, message):
@@ -104,16 +112,14 @@ def read_fields(cls, raw, path, errors, keys={}):
 
 def read(cls, raw, path, errors, keys={}):
     """Instance of dataclass ``cls`` from the dict ``raw`` at ``path``, or
-    INVALID once its problems are in ``errors``.  After the type checks its
-    ``validate()`` checks ranges; a problem that names no field is at ``path``.
+    INVALID once its problems are in ``errors``.  After the type checks the
+    constructor checks ranges; a problem that names no field is at ``path``.
     """
     kwargs = read_fields(cls, raw, path, errors, keys)
     if len(kwargs) < len(fields(cls)):  # a field is missing or invalid
         return INVALID
     try:
         obj = cls(**kwargs)
-        if hasattr(obj, "validate"):
-            obj.validate()
     except ConfigError as exc:
         errors.extend((f"{path}.{name}", message) for name, message in exc.errors)
         return INVALID

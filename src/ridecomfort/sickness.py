@@ -18,11 +18,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.signal as sps
 
+from ridecomfort.schema import Validated
 from ridecomfort.timeseries import _BLOCK_ROWS as _CHUNK_ROWS, TimeSeries, from_arrays
 
 
 @dataclass(frozen=True)
-class AccumulatorParams:
+class AccumulatorParams(Validated):
     half_saturation_m_s2: float = 0.5
     hill_exponent: float = 2.0
     time_constant_s: float = 720.0
@@ -63,7 +64,6 @@ def accumulate(conflict: TimeSeries, params: AccumulatorParams | None = None,
     before this record is continued from and advanced to its last row.
     """
     params = params or AccumulatorParams()
-    params.validate()
     c = conflict.channel(channel)
     if np.any(c < 0):
         raise ValueError("conflict magnitudes must be non-negative")

@@ -15,6 +15,7 @@ import numpy as np
 
 from ridecomfort.body.integrate import simulate
 from ridecomfort.excitation import ExcitationSpec, generate_excitation
+from ridecomfort.schema import Validated
 from ridecomfort.spectral import WelchParams, resonance_scan
 from ridecomfort.timeseries import _format_rows, save_json
 
@@ -28,7 +29,7 @@ RESPONSE_CHANNELS = (
 
 
 @dataclass(frozen=True)
-class STHTOptions:
+class STHTOptions(Validated):
     """Analysis settings of a transmissibility run (the scenario ``stht`` section).
 
     ``None`` selects the run's own choice: the excited band, the
@@ -81,7 +82,6 @@ def run_stht(model, spec: ExcitationSpec, welch: WelchParams | None = None,
     band) by ``resonance_scan``'s rule; a channel without peaks keeps an
     empty list.  ``runtime_s`` is ``simulate``'s own wall clock.
     """
-    spec.validate()
     seat = generate_excitation(spec)
     response = simulate(model, seat)
     welch = welch or default_welch_params(seat.n_samples, seat.dt)

@@ -36,6 +36,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -277,6 +278,18 @@ def _unparseable(piece, first, path, cells) -> RideComfortError:
     return RideComfortError(f"{path}: cannot parse the rows from line {first}")
 
 
+def _line_of(path, row) -> int:
+    """The 1-based line of sample row ``row`` in the CSV ``path``, its lines
+    numbered as ``_unparseable`` numbers them and its rows counted as
+    ``count_samples`` counts them; the file is read again only to name a
+    bad sample."""
+    with open(path, "rb") as fh:
+        lines = ((n, text) for n, raw in enumerate(fh, 1) for text in _rows(raw))
+        next(lines)  # the header
+        data = (n for n, text in lines if not text.startswith("#"))
+        return next(itertools.islice(data, row, None))
+
+
 def load_timeseries(path, schema=None) -> TimeSeries:
     """Read and validate a TimeSeries CSV.
 
@@ -287,7 +300,8 @@ def load_timeseries(path, schema=None) -> TimeSeries:
 
     Data rows are parsed in-process in pieces of about ``_READ_SPAN_BYTES``.
     A cell that is not a number, or a row of another width than the
-    header, is an error naming the file's line, and the cell's column.
+    header, is an error naming the file's line, and the cell's column; a
+    non-finite sample names its channel, its row and its line.
     """
     with open(path, "rb") as fh:
         header = _next_row(fh)
@@ -319,10 +333,11 @@ def _checked(path, body, channels, kept, schema=None) -> TimeSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(samples.sum())
     if not finite and (bad := np.argwhere(~np.isfinite(samples))).size:
-        row, col = bad[0]
-        raise NonFiniteSample(kept[col][0], int(row))
+        row, col = (int(i) for i in bad[0])
+        raise NonFiniteSample(kept[col][0], row, path, _line_of(path, row))
     if not np.isfinite(t).all():
-        raise NonFiniteSample("time_s", int(np.argwhere(~np.isfinite(t))[0][0]))
+        row = int(np.argwhere(~np.isfinite(t))[0][0])
+        raise NonFiniteSample("time_s", row, path, _line_of(path, row))
 
     if len(t) < 2:
         raise InvalidRate(f"{path} has 1 sample row; a sample step needs at least 2")

@@ -336,7 +336,8 @@ def test_batch_with_a_failing_config_exits_two(write_scenario, tmp_path, capsys,
                      "--out", str(out), "--jobs", jobs]) == 2
         captured = capsys.readouterr()
         assert captured.err == (f"error: {bad}: stage 'input' failed: non-finite "
-                                "sample in channel 'seat_acc_z' at row 5\n")
+                                f"sample in channel 'seat_acc_z' at row 5 in "
+                                f"{csv_path.resolve()} line 7\n")
         msi = json.loads((out / "good" / "report.json").read_text())["summary"][
             "final_msi_percent"]
         assert captured.out == (f"pipeline: {good} -> {out / 'good'} "
@@ -648,8 +649,9 @@ def _edit_body_value(out, row, text, column=_TRUNK_ACC_Y):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("nan", "non-finite sample in channel 'trunk_acc_y' at row 100"),
     # the header is line 1, so row 100 is on line 102
+    ("nan", "non-finite sample in channel 'trunk_acc_y' at row 100 in "
+     "{out}/body_response.csv line 102"),
     ("abc", "body_response.csv line 102, column trunk_acc_y[m/s^2]: 'abc' is not a number"),
     ("12.5", None),
 ])
@@ -667,6 +669,7 @@ def test_an_edited_unread_body_value_is_read_in_full(tiny_config, resumable,
         return
     assert codes == [2, 2]
     err = capsys.readouterr().err
+    message = message.format(out=out)
     assert err.count("error: ") == err.count(f"{message}\n") == 2, err
 
 

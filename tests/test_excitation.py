@@ -27,6 +27,10 @@ def test_spec_validation():
         ExcitationSpec(dt_s=0.0).validate()
     with pytest.raises(ValueError):
         ExcitationSpec(duration_s=float("nan")).validate()
+    # 1e12 samples are refused before anything is allocated, at duration_s
+    with pytest.raises(ValueError, match=r"^duration_s 1e\+09 s at dt_s = 0.001 s "
+                                         r"exceeds the budget of 10000000 samples$"):
+        generate_excitation(ExcitationSpec(duration_s=1e9))
 
 
 def test_noise_rms_and_axis_routing():

@@ -262,14 +262,16 @@ def test_csv_input_over_the_sample_budget_is_refused(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cell, message", [
-    ("nan", "non-finite sample in channel 'seat_acc_z' at row 2999"),
     # the header is line 1, so data row 2999 is on line 3001
+    ("nan", "non-finite sample in channel 'seat_acc_z' at row 2999 in "
+     "{tmp_path}/seat.csv line 3001"),
     ("abc", "seat.csv line 3001, column seat_acc_z[m/s^2]: 'abc' is not a number"),
 ], ids=["nan", "abc"])
 def test_validate_reads_a_csv_input_as_the_input_stage_does(tmp_path, capsys, cell,
                                                             message):
     raw = _csv_scenario(tmp_path, 3001)
     seat = tmp_path / "seat.csv"
+    message = message.format(tmp_path=tmp_path.resolve())
     lines = seat.read_text().split("\n")
     lines[3000] = lines[3000].rsplit(",", 1)[0] + f",{cell}"
     seat.write_text("\n".join(lines))
@@ -706,6 +708,9 @@ _BAD_INPUTS = [
     # a section's validate() names the field: the problem is at its leaf
     ("perception", "vision", {"rotation_gain": 2.0}, "perception.vision.rotation_gain"),
     ("perception", "vision", {"delay_s": -1.0}, "perception.vision.delay_s"),
+    # a delay's history is allocated: past 10 s it is refused, not run
+    ("perception", "vision", {"enabled": True, "delay_s": 1e7}, "perception.vision.delay_s"),
+    ("model", "overrides", {"prop_delay_s": 1e6}, "model.overrides.prop_delay_s"),
     ("perception", "canal_tau_short_s", 10.0, "perception.canal_tau_short_s"),
     ("input", "band_hz", [5, 1], "input.band_hz"),
     ("input", "band_hz", [1, 300], "input.band_hz"),  # Nyquist at dt_s 0.002

@@ -752,9 +752,10 @@ def _streamed_reader(path):
     bad = ~np.isfinite(samples)
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise NonFiniteSample(channels[col][0], int(row))
+        raise NonFiniteSample(channels[col][0], int(row), path, _sample_line(path, row))
     if not np.isfinite(t).all():
-        raise NonFiniteSample("time_s", int(np.argwhere(~np.isfinite(t))[0][0]))
+        row = int(np.argwhere(~np.isfinite(t))[0][0])
+        raise NonFiniteSample("time_s", row, path, _sample_line(path, row))
     if len(t) < 2:
         raise InvalidRate(f"{path} has 1 sample row; a sample step needs at least 2")
     steps = np.diff(t)
@@ -770,6 +771,19 @@ def _streamed_reader(path):
     dt = min(candidates,
              key=lambda c: float(np.max(np.abs(t[0] + c * k - t))))
     return TimeSeries(float(t[0]), dt, tuple(channels), samples)
+
+
+def _sample_line(path, row):
+    """The oracle's file line of sample row ``row``: the ``row``-th line
+    after the header from which np.loadtxt reads a row."""
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    after = next(i for i, ln in enumerate(lines) if ln.strip()) + 1
+    with warnings.catch_warnings():  # a blank or comment line holds no data
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        numbers = [number for number, ln in enumerate(lines[after:], after + 1)
+                   if ln.strip()
+                   and np.loadtxt([ln.removesuffix("\r")], delimiter=",", ndmin=2).size]
+    return numbers[row]
 
 
 def _first_bad_line(path, header):
