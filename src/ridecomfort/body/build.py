@@ -123,6 +123,30 @@ class ModelRealization:
         w = np.abs(self.eigenvalues.imag)
         return np.unique(np.round(w[w > 1e-9], 12)) / (2.0 * np.pi)
 
+    def closed_loop(self, instant) -> tuple:
+        """(A2, A1, Bi, [(channel, S_z, T), ...]) of the feedback loop
+        qdd = A2 q + A1 qd + Bi a_seat + sum(T @ s), solved through
+        ``mass_cho``: the step map's terms and the state-space view's.  Each
+        channel for which ``instant(channel)`` holds is folded into A2 and
+        A1; every other one feeds back s = S_z @ [q, qd] after its delay."""
+        n = self.n
+        solve = lambda rhs: sla.cho_solve(self.mass_cho, rhs)
+        Keff, Ceff = self.K.copy(), self.C.copy()
+        delayed = []
+        for ch in self.channels:
+            if instant(ch):
+                gp, gd = ch.gain_matrices()
+                Keff += gp
+                Ceff += gd
+                continue
+            m = ch.sense.shape[0]
+            S_z = np.zeros((2 * m, 2 * n))
+            S_z[:m, :n] = ch.sense
+            S_z[m:, n:] = ch.sense
+            T = -solve(np.hstack([ch.act * ch.kp, ch.act * ch.kd]))
+            delayed.append((ch, S_z, T))
+        return -solve(Keff), -solve(Ceff), -solve(self.Gamma), delayed
+
 
 def _segment_jacobians(p: BodyParams) -> dict:
     l_p = p.pelvis_to_l5s1_m

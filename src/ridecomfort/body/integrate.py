@@ -7,6 +7,9 @@ bracketing samples, and seat acceleration interpolates linearly across the
 step.  ``simulate`` and ``step`` share one stepping loop; a ``BodyState``
 carries the last N sensed samples per delay, so either can resume the other.
 
+The right-hand side's terms come from the model's ``closed_loop``, the
+one assembly of the feedback loop, which ``linearize`` reads too; a channel
+whose delay rounds to 0 steps is folded into the stiffness and damping.
 Because the system is linear, one full RK4 step is an exact affine map of
 (state, delayed samples, inputs).  The kernel precomputes that map once per
 (model, dt) by one pass of the literal stage arithmetic on the stacked basis
@@ -45,7 +48,6 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ridecomfort.errors import NonFiniteState
@@ -131,24 +133,9 @@ def _build_kernel(model, dt: float) -> _StepKernel:
     if dt <= 0:
         raise ValueError("dt must be > 0")
     n = model.n
-    solve = lambda rhs: sla.cho_solve(model.mass_cho, rhs)
-
-    Keff = model.K.copy()
-    Ceff = model.C.copy()
-    taps = []
-    for ch in model.channels:
-        N = int(round(ch.delay_s / dt))
-        if N == 0:
-            gp, gd = ch.gain_matrices()
-            Keff += gp
-            Ceff += gd
-            continue
-        m = ch.sense.shape[0]
-        S_z = np.zeros((2 * m, 2 * n))
-        S_z[:m, :n] = ch.sense
-        S_z[m:, n:] = ch.sense
-        T = -solve(np.hstack([ch.act * ch.kp, ch.act * ch.kd]))
-        taps.append(_DelayTap(ch.name, N, 2 * m, S_z, T))
+    steps = {ch.name: int(round(ch.delay_s / dt)) for ch in model.channels}
+    A2, A1, Bi, delayed = model.closed_loop(lambda ch: steps[ch.name] == 0)
+    taps = [_DelayTap(ch.name, steps[ch.name], len(S_z), S_z, T) for ch, S_z, T in delayed]
 
     # Work-vector layout: [z | tap0 lagN | tap0 lagN-1 | ... | a_i | a_i+1].
     slices = [slice(0, 2 * n)]
@@ -162,9 +149,7 @@ def _build_kernel(model, dt: float) -> _StepKernel:
     D = off + 6
 
     kernel = _StepKernel(
-        dt=dt, n=n,
-        A2=-solve(Keff), A1=-solve(Ceff), Bi=-solve(model.Gamma),
-        taps=taps, G=np.empty(0), slices=slices,
+        dt=dt, n=n, A2=A2, A1=A1, Bi=Bi, taps=taps, G=np.empty(0), slices=slices,
         block=min([tap.N for tap in taps] + [_CHECK_EVERY]),
         head_rows=[model.outputs.index(name) for name in _HEAD_OUTPUTS],
     )

@@ -3,7 +3,9 @@
 Delays are replaced by Pade sections of configurable order so the closed
 loop becomes a single LTI system.  The default order is fine for stability
 screening near the body resonances; raise it when evaluating frequency
-responses up to w*delay of a few radians.
+responses up to w*delay of a few radians.  The loop's terms come from the
+model's ``closed_loop``, as the step map's do, so both read the same
+numbers; here only a channel of delay exactly 0 is folded in.
 """
 
 from __future__ import annotations
@@ -100,51 +102,25 @@ class LinearizedModel:
 def _assemble(model, pade_order: int) -> tuple:
     """The closed loop's state matrix A and seat-input matrix B."""
     n = model.n
-    Minv_K = np.linalg.solve(model.M, model.K)
-    Minv_C = np.linalg.solve(model.M, model.C)
-    Minv_G = np.linalg.solve(model.M, model.Gamma)
-
-    # Split channels: zero delay folds into the stiffness/damping blocks.
-    immediate, delayed = [], []
-    for ch in model.channels:
-        (immediate if ch.delay_s == 0.0 else delayed).append(ch)
-    Keff = Minv_K.copy()
-    Ceff = Minv_C.copy()
-    for ch in immediate:
-        gp, gd = ch.gain_matrices()
-        Keff += np.linalg.solve(model.M, gp)
-        Ceff += np.linalg.solve(model.M, gd)
-
-    blocks = []
-    n_delay = 0
-    for ch in delayed:
-        m = ch.sense.shape[0]
-        Ad, Bd, Cd, Dd = _pade_block(ch.delay_s, pade_order, 2 * m)
-        S = np.zeros((2 * m, 2 * n))
-        S[:m, :n] = ch.sense
-        S[m:, n:] = ch.sense
-        T = np.hstack([ch.act * ch.kp, ch.act * ch.kd])  # n x 2m
-        MinvT = np.linalg.solve(model.M, T)
-        blocks.append((Ad, Bd, Cd, Dd, S, MinvT))
-        n_delay += Ad.shape[0]
-
-    nx = 2 * n + n_delay
+    A2, A1, Bi, delayed = model.closed_loop(lambda ch: ch.delay_s == 0.0)
+    blocks = [(_pade_block(ch.delay_s, pade_order, len(S_z)), S_z, T)
+              for ch, S_z, T in delayed]
+    nx = 2 * n + sum(Ad.shape[0] for (Ad, _, _, _), _, _ in blocks)
     A = np.zeros((nx, nx))
     A[:n, n:2 * n] = np.eye(n)
-    A[n:2 * n, :n] = -Keff
-    A[n:2 * n, n:2 * n] = -Ceff
+    A[n:2 * n, :2 * n] = np.hstack([A2, A1])
 
     pos = 2 * n
-    for Ad, Bd, Cd, Dd, S, MinvT in blocks:
+    for (Ad, Bd, Cd, Dd), S_z, T in blocks:
         sz = Ad.shape[0]
         A[pos:pos + sz, pos:pos + sz] = Ad
-        A[pos:pos + sz, :2 * n] = Bd @ S
-        A[n:2 * n, pos:pos + sz] -= MinvT @ Cd
-        A[n:2 * n, :2 * n] -= MinvT @ Dd @ S  # Pade feedthrough
+        A[pos:pos + sz, :2 * n] = Bd @ S_z
+        A[n:2 * n, pos:pos + sz] += T @ Cd
+        A[n:2 * n, :2 * n] += T @ Dd @ S_z  # Pade feedthrough
         pos += sz
 
     B = np.zeros((nx, 3))
-    B[n:2 * n, :] = -Minv_G
+    B[n:2 * n, :] = Bi
     return A, B
 
 

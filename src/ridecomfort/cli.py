@@ -142,13 +142,23 @@ def cmd_pipeline(args):
               f"(final MSI {report.summary['final_msi_percent']:.3g}%, "
               f"body realtime factor {report.body_realtime_factor:.1f})")
         return 0
-    jobs = []
+    jobs, owners, problems = [], {}, []
     for path in args.config:
+        # validate everything, and give each config a directory of its own,
+        # before launching any work
+        config = pl.parse_config(path, seed=args.seed, axis=args.axis,
+                                 vision=args.vision)
         out = Path(args.out) / Path(path).stem if args.out else None
-        # validate everything before launching any work
-        pl.parse_config(path, seed=args.seed, axis=args.axis,
-                        vision=args.vision)
+        target = out or config.output_dir
+        if target is None:
+            problems.append(("--config", f"{path} has no output directory "
+                             "(config key output_dir or --out option)"))
+        elif (first := owners.setdefault(target.resolve(), len(jobs))) != len(jobs):
+            problems.append(("--config", f"{args.config[first]} and {path} both "
+                             f"write to {target}"))
         jobs.append((path, out, args.seed, args.axis, args.vision))
+    if problems:
+        raise ConfigError(problems)
     status = 0
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         # every job's result or error, reported in config order

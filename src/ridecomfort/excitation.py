@@ -31,12 +31,14 @@ _MIN_CYCLES = 10.0
 # squared sums of spectral estimates over a record overflow.
 MAX_RMS_M_S2 = 981.0
 
-# Longest input in samples: 10 000 s at 1 kHz, 111 times the 90 001
-# samples of scenario_curved.  A `pipeline` run streams the body,
-# perception and sickness records a chunk at a time, and its peak RSS grows
-# by about 113 B per sample (scenario_default at 20 s against 200 s, 2-core
-# Linux; about 1.1 GB at the cap), so a typo such as duration_s: 1e12 is
-# refused before anything is allocated.
+# Longest input in samples: one short of the 10 000 001 of 10 000 s at
+# 1 kHz, 111 times the 90 001 samples of scenario_curved.  A synthetic
+# input counts duration_s / dt_s + 1 samples, and a delay's history
+# round(delay / dt) rows, each held to this budget.  A `pipeline` run
+# streams the body, perception and sickness records a chunk at a time, and
+# its peak RSS grows by about 113 B per sample (scenario_default at 20 s
+# against 200 s, 2-core Linux; about 1.1 GB at the cap), so a typo such as
+# duration_s: 1e12 is refused before anything is allocated.
 MAX_INPUT_SAMPLES = 10_000_000
 
 
@@ -76,7 +78,10 @@ class ExcitationSpec(Validated):
             raise InvalidBand(
                 f"duration_s {self.duration_s} s gives fewer than {_MIN_CYCLES:.0f} "
                 f"cycles at {f_lo} Hz")
-        if self.duration_s / self.dt_s > MAX_INPUT_SAMPLES:
+        # a ratio of at least the budget is one sample over it, and may be
+        # too large to round to an int
+        if self.duration_s / self.dt_s >= MAX_INPUT_SAMPLES \
+                or self.n_samples > MAX_INPUT_SAMPLES:
             raise ValueError(f"duration_s {self.duration_s:g} s at dt_s = {self.dt_s:g} s "
                              f"exceeds the budget of {MAX_INPUT_SAMPLES} samples")
 

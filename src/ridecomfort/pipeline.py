@@ -247,7 +247,7 @@ def build_config(raw, base_dir="."):
     metrics = top.get("metrics")
     if spec is not None and metrics is not None:
         errors += _settle_errors(metrics, spec.dt_s, n_samples)
-    body = None
+    body = model = None
     if "model" in top:
         try:
             body = BodyParams.from_preset(top["model"].preset, top["model"].overrides)
@@ -256,9 +256,12 @@ def build_config(raw, base_dir="."):
     if body is not None and "posture" in top:
         try:  # a valid parameter set can still be unstable or singular
             with np.errstate(all="ignore"):
-                build_model(body, top["posture"])
+                model = build_model(body, top["posture"])
         except (RideComfortError, ValueError, ArithmeticError) as exc:
             errors.append(("model", f"no usable model: {exc}"))
+    if spec is not None and model is not None and "perception" in top:
+        errors += [("input.dt_s", message) for message in
+                   _history_errors(model, top["perception"].vision, spec.dt_s)]
     if errors:
         return None, errors
     out_dir = top["output_dir"]
@@ -282,6 +285,19 @@ def _settle_errors(metrics, dt, n_samples):
     return []
 
 
+def _history_errors(model, vision, dt):
+    """Each feedback delay whose history at the input's step ``dt``, of
+    round(delay / dt) rows as the step kernel and the vision lag count
+    them, exceeds the sample budget; the ratio is compared, since it may be
+    too large for an int."""
+    delays = [(ch.name, ch.delay_s) for ch in model.channels]
+    if vision.enabled:
+        delays.append(("vision", vision.delay_s))
+    return [f"the {name} delay of {delay:g} s keeps {delay / dt:.0f} rows of history "
+            f"at dt {dt:g} s, over the budget of {MAX_INPUT_SAMPLES} samples"
+            for name, delay in delays if delay / dt > MAX_INPUT_SAMPLES + 0.5]
+
+
 def _unreadable(path, exc):
     """What ``validate`` says at ``input.path`` of the csv input ``path``,
     whose read raised ``exc``."""
@@ -292,10 +308,10 @@ def validate_config(path):
     """All validation errors for a config file; empty list means ok.
 
     A valid ``csv`` input is then read as the input stage reads it, so a
-    cell that stage would refuse is reported at ``input.path``, and
-    ``metrics.settle_s`` is checked against the record's sample step and
-    rows.  ``parse_config`` only counts the rows, so a run parses its seat
-    once."""
+    cell or a sample step that stage would refuse is reported at
+    ``input.path``, and ``metrics.settle_s`` is checked against the
+    record's sample step and rows.  ``parse_config`` only counts the rows,
+    so a run parses its seat once."""
     try:
         config = parse_config(path)
     except ConfigError as exc:
@@ -306,7 +322,10 @@ def validate_config(path):
         (seat,) = stage_input(config)
     except (OSError, UnicodeDecodeError, RideComfortError) as exc:
         return [("input.path", _unreadable(config.input_path, exc))]
-    return _settle_errors(config.metrics, seat.dt, seat.n_samples)
+    model = build_model(config.body, config.posture)
+    return ([("input.path", message) for message in
+             _history_errors(model, config.perception.vision, seat.dt)]
+            + _settle_errors(config.metrics, seat.dt, seat.n_samples))
 
 
 def parse_config(path, seed=None, axis=None, vision=None):
@@ -679,6 +698,12 @@ def run_stages(config, out, stages, load=None):
     if stages[0] == "input":
         with stage_errors("input"):
             (head,) = stage_input(config)
+            # a csv seat's step is known only now: refuse it before a stage
+            # allocates a delay history longer than the budget
+            problems = _history_errors(build_model(config.body, config.posture),
+                                       config.perception.vision, head.dt)
+            if problems:
+                raise ValueError("; ".join(problems))
     elif stages[0] in _STREAMED:
         head = load(*STAGES[stages[0]].reads[0])
     rows = 0 if head is None else head.n_samples

@@ -309,13 +309,10 @@ def load_timeseries(path, schema=None) -> TimeSeries:
             raise EmptyFile(f"{path} is empty")
         channels = _parse_header(header.split(","), path)
         start = fh.tell()
-        if _next_row(fh) is None:
-            raise EmptyFile(f"{path} has a header but no samples")
-        fh.seek(start)
         lfs = sum(chunk.count(b"\n") for chunk in _chunks(fh))
         fh.seek(start)
         body = _parse_data(fh, path, header.split(","), lfs + 1)  # at most a row per line
-    if not len(body):  # every line after the header is a comment
+    if not len(body):  # every line after the header is blank or a comment
         raise EmptyFile(f"{path} has a header but no samples")
     return _checked(path, body, channels, channels, schema)
 

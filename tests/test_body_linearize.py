@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ridecomfort.body import BodyParams, build_model
+from ridecomfort.body.integrate import _get_kernel
 from ridecomfort.body.linearize import closed_loop_eigenvalues, linearize
 
 
@@ -65,3 +66,19 @@ def test_closed_loop_eigenvalues_match_linearize():
     eig_fn = np.sort_complex(closed_loop_eigenvalues(model, pade_order=2))
     eig_lin = np.sort_complex(linearize(model, pade_order=2).eigenvalues())
     assert np.allclose(eig_fn, eig_lin)
+
+
+def test_state_space_view_reads_the_step_maps_terms():
+    # one closed-loop assembly: the seat-input rows are the step kernel's Bi,
+    # and with every channel folded in, the acceleration rows are [A2 | A1]
+    model = build_model(BodyParams.from_preset("default"))
+    n = model.n
+    kernel = _get_kernel(model, 0.001)
+    assert np.array_equal(linearize(model).B[n:2 * n], kernel.Bi)
+
+    folded = build_model(BodyParams.from_preset("default", {
+        "prop_delay_s": 0.0, "vestibular_delay_s": 0.0}))
+    kernel = _get_kernel(folded, 0.001)
+    assert not kernel.taps
+    A = linearize(folded).A
+    assert np.array_equal(A[n:2 * n, :2 * n], np.hstack([kernel.A2, kernel.A1]))

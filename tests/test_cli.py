@@ -219,6 +219,37 @@ def test_batch_runs_every_config(tiny_config, write_scenario, tmp_path, capsys):
     assert capsys.readouterr().out.count("->") == 2
 
 
+@pytest.mark.parametrize("same", ["stem", "config"])
+def test_a_batch_never_writes_two_configs_into_one_directory(tmp_path, capsys, same):
+    # two configs of one stem in two directories, or one config given twice,
+    # would share --out/<stem>: refused before any directory is made
+    for seed, name in enumerate("ab", 1):
+        (tmp_path / name).mkdir()
+        _write(tmp_path / name, make_scenario(seed=seed), "s.json")
+    first = tmp_path / "a" / "s.json"
+    second = tmp_path / "b" / "s.json" if same == "stem" else first
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(first), "--config", str(second),
+                 "--out", str(out), "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error:\n"
+                            f"  --config: {first} and {second} both write to {out / 's'}\n")
+    assert not out.exists()
+
+
+def test_a_batch_config_without_an_output_directory_is_a_config_error(
+        tiny_config, write_scenario, tmp_path, capsys):
+    # refused before any work, the other config's directory included
+    other = write_scenario("second.json", output_dir=str(tmp_path / "second_out"))
+    assert main(["pipeline", "--config", str(tiny_config), "--config", str(other)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error:\n"
+        f"  --config: {tiny_config} has no output directory "
+        "(config key output_dir or --out option)\n")
+    assert not (tmp_path / "second_out").exists()
+
+
 def test_batch_with_parallel_writer_matches_serial_runs(tmp_path):
     # 12 s at 500 Hz is 6001 rows: every trace spans two writer blocks, so
     # each batch worker opens its own formatting pool

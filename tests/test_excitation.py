@@ -31,6 +31,13 @@ def test_spec_validation():
     with pytest.raises(ValueError, match=r"^duration_s 1e\+09 s at dt_s = 0.001 s "
                                          r"exceeds the budget of 10000000 samples$"):
         generate_excitation(ExcitationSpec(duration_s=1e9))
+    # the budget counts samples, duration_s / dt_s + 1, as a csv input's does
+    assert ExcitationSpec(duration_s=9999.999, dt_s=0.001).n_samples == 10_000_000
+    with pytest.raises(ValueError, match=r"^duration_s 10000 s .* budget"):
+        ExcitationSpec(duration_s=10000.0, dt_s=0.001)
+    # a ratio too large for an int is refused as a value, not an overflow
+    with pytest.raises(ValueError, match=r"^duration_s 1e\+308 s .* budget"):
+        ExcitationSpec(duration_s=1e308)
 
 
 def test_noise_rms_and_axis_routing():

@@ -261,6 +261,58 @@ def test_csv_input_over_the_sample_budget_is_refused(tmp_path, monkeypatch):
                        "101 samples exceed the budget of 100 samples")]
 
 
+def _history_message(name, delay, rows, dt, budget=10_000_000):
+    return (f"the {name} delay of {delay:g} s keeps {rows} rows of history "
+            f"at dt {dt:g} s, over the budget of {budget} samples")
+
+
+def test_a_delay_history_over_the_sample_budget_is_refused_at_the_step():
+    # 5 ms at 1 ns is 5 000 001 samples, within the budget, but the default
+    # feedback delays would keep 25 M and 100 M rows of history
+    raw = make_scenario(input={"dt_s": 1e-9, "duration_s": 0.005,
+                               "band_hz": [4000.0, 8000.0]},
+                        metrics={"settle_s": 0.0})
+    assert build_config(raw)[1] == [
+        ("input.dt_s", _history_message("proprioceptive", 0.025, 25_000_000, 1e-9)),
+        ("input.dt_s", _history_message("vestibular", 0.1, 100_000_000, 1e-9))]
+    # at 15 ns the body's histories fit; the vision lag counts only when on
+    raw["input"]["dt_s"] = 1.5e-8
+    assert build_config(raw)[1] == []
+    raw["perception"] = {"vision": {"enabled": True}}
+    assert build_config(raw)[1] == [
+        ("input.dt_s", _history_message("vision", 0.2, 13_333_333, 1.5e-8))]
+
+
+@pytest.mark.parametrize("dt_s, refused", [(0.1 / 50.4, False), (0.1 / 50.6, True)])
+def test_a_delay_history_is_counted_as_the_step_kernel_rounds_it(monkeypatch, dt_s,
+                                                                  refused):
+    monkeypatch.setattr("ridecomfort.pipeline.MAX_INPUT_SAMPLES", 50)
+    model = build_model(BodyParams.from_preset())
+    rows = {tap.name: tap.N for tap in integrate._get_kernel(model, dt_s).taps}
+    assert rows["vestibular"] == 50 + refused
+    errors = build_config(make_scenario(input={"dt_s": dt_s}))[1]
+    assert errors == ([("input.dt_s", _history_message(
+        "vestibular", 0.1, 51, dt_s, budget=50))] if refused else [])
+
+
+def test_a_csv_seat_whose_step_overruns_a_delay_history_is_refused(tmp_path, capsys):
+    header = "time_s,seat_acc_x[m/s^2],seat_acc_y[m/s^2],seat_acc_z[m/s^2]"
+    lines = [header] + [f"{i * 1e-9!r},0,0,{i % 7}" for i in range(2000)]
+    (tmp_path / "seat.csv").write_text("\n".join(lines) + "\n")
+    raw = make_scenario(metrics={"settle_s": 0.0})
+    raw["input"] = {"kind": "csv", "path": "seat.csv"}
+    config = _write(tmp_path, raw)
+    messages = [_history_message("proprioceptive", 0.025, 25_000_000, 1e-9),
+                _history_message("vestibular", 0.1, 100_000_000, 1e-9)]
+    assert build_config(raw, tmp_path)[1] == []  # the step is not known yet
+    assert validate_config(config) == [("input.path", m) for m in messages]
+    # a run stops in its input stage, before the body stage allocates anything
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: stage 'input' failed: {'; '.join(messages)}\n"
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("cell, message", [
     # the header is line 1, so data row 2999 is on line 3001
     ("nan", "non-finite sample in channel 'seat_acc_z' at row 2999 in "
